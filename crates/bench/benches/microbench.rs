@@ -14,6 +14,16 @@ use ace_sim::{
 use ace_workloads::{preset, Executor};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
+/// xorshift64: a fixed-seed stream of unpredictable indices, so probe
+/// outcomes and hit ways defeat the host's branch predictor the way the
+/// workloads' random walks do.
+fn xorshift(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
 fn bench_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache");
     group.throughput(Throughput::Elements(1));
@@ -114,6 +124,20 @@ fn bench_predictor_tlb(c: &mut Criterion) {
             black_box(tlb.translate(black_box(i % (1 << 22))))
         })
     });
+    group.bench_function("tlb_translate_resident_random", |b| {
+        // 96 resident pages (12 of 16 ways in each of the 8 sets), hit in
+        // random order: the fingerprint probe and rank promotion at a
+        // random way, with the page memo almost never applying.
+        let mut tlb = Tlb::new(128, 4096);
+        for p in 0..96u64 {
+            tlb.translate(p << 12);
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        b.iter(|| {
+            let p = xorshift(&mut state) % 96;
+            black_box(tlb.translate(black_box(p << 12)))
+        })
+    });
     group.finish();
 }
 
@@ -175,6 +199,30 @@ fn bench_machine(c: &mut Criterion) {
                 a.addr = 0x100_0000 + ((base + i as u64 * 64) & ((256 << 20) - 1));
             }
             m.exec_block(black_box(&stream))
+        })
+    });
+    group.bench_function("exec_block_random_miss", |b| {
+        // 14 references per block at random lines over 2 MB: twice the L2
+        // and 32x the L1D, so most references miss L1D and many miss L2,
+        // with the hit/miss outcome and victim way unpredictable.
+        let mut block = Block {
+            pc: 0x400,
+            ninstr: 48,
+            accesses: (0..14).map(|_| MemAccess::load(0)).collect(),
+            branch: Some(BranchEvent {
+                pc: 0x438,
+                taken: false,
+            }),
+        };
+        let mut m = Machine::new(MachineConfig::table2()).unwrap();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        b.iter(|| {
+            for a in block.accesses.iter_mut() {
+                let r = xorshift(&mut state);
+                a.addr = 0x100_0000 + (r & ((2 << 20) - 1));
+                a.is_store = r >> 63 == 1;
+            }
+            m.exec_block(black_box(&block))
         })
     });
     group.bench_function("request_resize_guarded", |b| {

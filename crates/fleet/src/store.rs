@@ -65,6 +65,7 @@ pub struct TuningStore {
     next_stamp: u64,
     evictions: u64,
     stale_dropped: u64,
+    torn_tail_dropped: u64,
     log: Option<PathBuf>,
 }
 
@@ -83,6 +84,7 @@ impl TuningStore {
             next_stamp: 0,
             evictions: 0,
             stale_dropped: 0,
+            torn_tail_dropped: 0,
             log: None,
         }
     }
@@ -90,21 +92,30 @@ impl TuningStore {
     /// Opens (or creates) a log-backed store at `path`, replaying any
     /// existing log through the merge rules.
     ///
+    /// A crash in the middle of an append leaves a *torn tail*: a final
+    /// line with no trailing newline. If it does not parse, it is dropped,
+    /// truncated from the file (so later appends start on a clean line),
+    /// counted in [`TuningStore::torn_tail_dropped`] and reported on
+    /// stderr. A final line that parses but lacks only its newline is
+    /// kept, and the newline is added.
+    ///
     /// # Errors
     ///
-    /// Fails when the log exists but cannot be read or contains a line
-    /// that does not parse as a [`StorePublication`].
+    /// Fails when the log exists but cannot be read or repaired, or when a
+    /// newline-terminated line does not parse as a [`StorePublication`].
     pub fn open(
         path: impl Into<PathBuf>,
         version: u16,
         capacity: usize,
     ) -> BenchResult<TuningStore> {
         let path = path.into();
+        let io_err = |e: std::io::Error| BenchError::msg(format!("{}: {e}", path.display()));
         let mut store = TuningStore::in_memory(version, capacity);
         if path.exists() {
-            let data = std::fs::read_to_string(&path)
-                .map_err(|e| BenchError::msg(format!("{}: {e}", path.display())))?;
-            for (lineno, line) in data.lines().enumerate() {
+            let data = std::fs::read_to_string(&path).map_err(io_err)?;
+            let complete = data.rfind('\n').map_or(0, |i| i + 1);
+            let (body, tail) = data.split_at(complete);
+            for (lineno, line) in body.lines().enumerate() {
                 if line.trim().is_empty() {
                     continue;
                 }
@@ -116,6 +127,28 @@ impl TuningStore {
                     ))
                 })?;
                 store.apply(publication);
+            }
+            if !tail.trim().is_empty() {
+                let mut file = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&path)
+                    .map_err(io_err)?;
+                match serde_json::from_str::<StorePublication>(tail) {
+                    Ok(publication) => {
+                        store.apply(publication);
+                        file.write_all(b"\n").map_err(io_err)?;
+                    }
+                    Err(e) => {
+                        file.set_len(complete as u64).map_err(io_err)?;
+                        store.torn_tail_dropped += 1;
+                        eprintln!(
+                            "warning: {}:{}: dropped torn final store log line ({} bytes): {e}",
+                            path.display(),
+                            body.lines().count() + 1,
+                            tail.len()
+                        );
+                    }
+                }
             }
         }
         store.log = Some(path);
@@ -145,6 +178,12 @@ impl TuningStore {
     /// Publications dropped for carrying a foreign registry version.
     pub fn stale_dropped(&self) -> u64 {
         self.stale_dropped
+    }
+
+    /// Torn final log lines dropped (and truncated) when the store was
+    /// opened: 0 or 1.
+    pub fn torn_tail_dropped(&self) -> u64 {
+        self.torn_tail_dropped
     }
 
     /// The entry stored for `signature`, if any.
@@ -419,6 +458,67 @@ mod tests {
         assert_eq!(snap.version(), 7);
         assert!(snap.lookup(sig(1)).is_some());
         assert!(snap.lookup(sig(2)).is_none());
+    }
+
+    #[test]
+    fn torn_tail_is_truncated_and_later_appends_are_clean() {
+        let path = temp_log("torn");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut store = TuningStore::open(&path, 7, 16).unwrap();
+            for n in 1..=3 {
+                store.publish(publication(n, 0.5)).unwrap();
+            }
+        }
+        let intact = std::fs::read_to_string(&path).unwrap();
+        // A crash mid-append: half of a fourth line, no newline.
+        let line = serde_json::to_string(&publication(4, 0.5)).unwrap();
+        std::fs::write(&path, format!("{intact}{}", &line[..line.len() / 2])).unwrap();
+
+        let mut store = TuningStore::open(&path, 7, 16).unwrap();
+        assert_eq!(store.len(), 3, "the three intact lines replay");
+        assert_eq!(store.torn_tail_dropped(), 1);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            intact,
+            "tail truncated"
+        );
+
+        store.publish(publication(4, 0.5)).unwrap();
+        let reopened = TuningStore::open(&path, 7, 16).unwrap();
+        assert_eq!(reopened.len(), 4);
+        assert_eq!(
+            reopened.torn_tail_dropped(),
+            0,
+            "the append landed on a clean line"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn complete_final_line_without_newline_is_kept() {
+        let path = temp_log("unterminated");
+        let line = serde_json::to_string(&publication(1, 0.5)).unwrap();
+        std::fs::write(&path, &line).unwrap();
+        let mut store = TuningStore::open(&path, 7, 16).unwrap();
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.torn_tail_dropped(), 0);
+        store.publish(publication(2, 0.5)).unwrap();
+        assert_eq!(TuningStore::open(&path, 7, 16).unwrap().len(), 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn corrupt_interior_line_is_a_line_numbered_error() {
+        let path = temp_log("interior");
+        let good = serde_json::to_string(&publication(1, 0.5)).unwrap();
+        std::fs::write(&path, format!("{good}\nnot json\n{good}\n")).unwrap();
+        let err = TuningStore::open(&path, 7, 16).unwrap_err().to_string();
+        assert!(err.contains(":2: corrupt"), "{err}");
+        // An unparsable line followed by more lines is interior, torn or not.
+        std::fs::write(&path, format!("{good}\nnot json\n{good}")).unwrap();
+        assert!(TuningStore::open(&path, 7, 16).is_err());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

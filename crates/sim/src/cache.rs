@@ -30,24 +30,45 @@
 //! * [`Cache::rank`]: one recency byte per line. Within a set the ranks
 //!   form a permutation of `0..ways`; 0 is most recently used, `ways - 1`
 //!   is the LRU victim. Promotion increments the ranks below the touched
-//!   line's old rank — a short, branch-free byte loop — replacing the old
-//!   per-line 8-byte monotonic timestamp and its scan-for-minimum victim
-//!   search.
+//!   line's old rank and clears the touched one, lane by lane in one
+//!   branch-free pass, replacing the old per-line 8-byte monotonic
+//!   timestamp and its scan-for-minimum victim search.
 //!
 //! On top of that, the cache memoizes the most recently touched line
 //! ([`Cache::mru_key`]): consecutive accesses to the same line — the
-//! common case for strided walks — skip the probe loop entirely. The memo
-//! is sound because a repeated line is by definition already most recently
+//! common case for strided walks — skip the probe entirely. The memo is
+//! sound because a repeated line is by definition already most recently
 //! used (promotion is the identity) and nothing can have evicted it since
 //! the previous access.
+//!
+//! # Branch-free set kernels
+//!
+//! On random walks the host cannot predict which way hits or whether a
+//! way is free, so no set scan exits early:
+//!
+//! * the **probe** compares every way of the set and builds a way-match
+//!   bitmask; tags are unique within a set, so `trailing_zeros` of a
+//!   non-zero mask is the hit way;
+//! * **victim selection** builds an invalid-way mask and an LRU-rank mask
+//!   (rank `ways - 1`) in one pass and takes the lowest set bit of
+//!   `if invalid != 0 { invalid } else { lru }`.
+//!
+//! Both run with the way count as a compile-time constant for Table 2's
+//! associativities (2 and 4, fully unrolled) and with a loop for any
+//! other (at most 32 ways: one mask bit per way). The miss path stays out
+//! of line and `#[cold]`: without `#[cold]`, in-process runs of the
+//! miss-heavy benchmark spec gained 1.53x over the early-exit scans
+//! instead of 1.68x, and the hit path got slower (`benchmarks/JOURNAL.md`
+//! §7).
 //!
 //! The replacement behavior is bit-for-bit identical to the previous
 //! array-of-structs implementation: true per-set LRU with invalid ways
 //! (lowest index first) preferred as victims. `cache_reference_model.rs`
 //! checks this against a naive oracle, and `lru_equivalence.rs` checks it
-//! against a re-implementation of the old timestamp scheme.
+//! against a re-implementation of the old timestamp scheme, both also at
+//! the L2's geometry across shrinks and grows.
 
-use crate::config::{CacheGeometry, SizeLevel, NUM_SIZE_LEVELS};
+use crate::config::{CacheGeometry, SizeLevel, MAX_WAYS, NUM_SIZE_LEVELS};
 use serde::{Deserialize, Serialize};
 
 /// `meta` bit 0: the line holds a valid tag.
@@ -255,7 +276,6 @@ impl Cache {
     /// reference, on the cold path).
     #[inline]
     pub(crate) fn access_uncounted(&mut self, addr: u64, is_store: bool) -> AccessOutcome {
-        let lvl = self.lvl;
         let line = addr >> self.offset_bits;
         debug_assert!(line < 1 << 62, "line address too wide to pack");
         let key = (line << 2) | VALID;
@@ -273,24 +293,42 @@ impl Cache {
 
         let set = (line as u32) & (self.sets - 1);
         let base = set as usize * self.ways;
-        let mut hit_way = usize::MAX;
-        for (w, &m) in self.meta[base..base + self.ways].iter().enumerate() {
-            if m & !DIRTY == key {
-                hit_way = w;
-                break;
-            }
+        // Table 2's associativities get the probe with the way count as a
+        // constant, fully unrolled; any other runs it with a loop, out of
+        // line so that the loop's registers are not saved on every probe.
+        match self.ways {
+            2 => self.probe::<2>(key, base, is_store),
+            4 => self.probe::<4>(key, base, is_store),
+            _ => self.probe_any_ways(key, base, is_store),
         }
-        if hit_way != usize::MAX {
-            self.meta[base + hit_way] |= (is_store as u64) << 1;
-            self.promote(base, hit_way);
+    }
+
+    #[inline(never)]
+    fn probe_any_ways(&mut self, key: u64, base: usize, is_store: bool) -> AccessOutcome {
+        self.probe::<0>(key, base, is_store)
+    }
+
+    /// The set probe of [`Cache::access_uncounted`] for associativity `W`
+    /// (0: the runtime `ways`). A way-match mask over the whole set
+    /// replaces an early-exit scan, whose exit branch the host cannot
+    /// predict on random walks; tags are unique within a set, so at most
+    /// one bit is set.
+    #[inline(always)]
+    fn probe<const W: usize>(&mut self, key: u64, base: usize, is_store: bool) -> AccessOutcome {
+        let ways = if W == 0 { self.ways } else { W };
+        let hits = way_mask(&self.meta[base..base + ways], |m| m & !DIRTY == key);
+        if hits != 0 {
+            let slot = base + hits.trailing_zeros() as usize;
+            self.meta[slot] |= (is_store as u64) << 1;
+            promote(&mut self.rank[base..base + ways], slot - base);
             self.mru_key = key;
-            self.mru_slot = (base + hit_way) as u32;
+            self.mru_slot = slot as u32;
             return AccessOutcome {
                 hit: true,
                 writeback: None,
             };
         }
-        self.miss(lvl, key, base, is_store)
+        self.miss::<W>(key, base, is_store)
     }
 
     /// Adds a block's worth of access/store counts at the current level.
@@ -310,56 +348,28 @@ impl Cache {
         self.meta[self.mru_slot as usize] |= (is_store as u64) << 1;
     }
 
-    /// Makes way `way` of the set starting at `base` the MRU line,
-    /// shifting the ranks below its old rank up by one.
-    #[inline]
-    fn promote(&mut self, base: usize, way: usize) {
-        let r = self.rank[base + way];
-        if r != 0 {
-            for x in &mut self.rank[base..base + self.ways] {
-                *x += (*x < r) as u8;
-            }
-            self.rank[base + way] = 0;
-        }
-    }
-
-    /// Miss path: allocates into the first invalid way, else evicts the
-    /// LRU line. Kept out of line so the hit path stays small enough to
-    /// inline into the simulator's reference loop.
+    /// Miss path for associativity `W` (see [`Cache::probe`]): allocates
+    /// into the lowest invalid way, else evicts the LRU line.
     #[cold]
     #[inline(never)]
-    fn miss(&mut self, lvl: usize, key: u64, base: usize, is_store: bool) -> AccessOutcome {
+    fn miss<const W: usize>(&mut self, key: u64, base: usize, is_store: bool) -> AccessOutcome {
+        let ways = if W == 0 { self.ways } else { W };
+        let lvl = self.lvl;
         self.stats.misses[lvl] += 1;
-        let ways = self.ways;
-        let slots = &self.meta[base..base + ways];
-        // Victim: the first invalid way if any, else the LRU. When every
-        // way is valid the ranks are exactly the valid lines' recency
-        // order, so the LRU is the (unique) way with rank `ways - 1`.
-        let mut victim = usize::MAX;
-        for (w, &m) in slots.iter().enumerate() {
-            if m & VALID == 0 {
-                victim = w;
-                break;
-            }
-        }
-        if victim == usize::MAX {
-            let lru = (ways - 1) as u8;
-            victim = self.rank[base..base + ways]
-                .iter()
-                .position(|&r| r == lru)
-                .expect("ranks form a permutation");
-        }
-        let old = self.meta[base + victim];
+        let rank = &mut self.rank[base..base + ways];
+        let way = victim_way(&self.meta[base..base + ways], rank, |m| m & VALID == 0);
+        promote(rank, way);
+        let slot = base + way;
+        let old = self.meta[slot];
         let writeback = if old & (VALID | DIRTY) == VALID | DIRTY {
             self.stats.writebacks[lvl] += 1;
             Some((old >> 2) << self.offset_bits)
         } else {
             None
         };
-        self.meta[base + victim] = key | (is_store as u64) << 1;
-        self.promote(base, victim);
+        self.meta[slot] = key | (is_store as u64) << 1;
         self.mru_key = key;
-        self.mru_slot = (base + victim) as u32;
+        self.mru_slot = slot as u32;
         AccessOutcome {
             hit: false,
             writeback,
@@ -373,9 +383,7 @@ impl Cache {
         let key = (line << 2) | VALID;
         let set = (line as u32) & (self.sets - 1);
         let base = set as usize * self.ways;
-        self.meta[base..base + self.ways]
-            .iter()
-            .any(|&m| m & !DIRTY == key)
+        way_mask(&self.meta[base..base + self.ways], |m| m & !DIRTY == key) != 0
     }
 
     /// Changes the cache to `new_level` using selective-sets resizing.
@@ -468,6 +476,55 @@ impl Cache {
             .filter(|&&m| m & (VALID | DIRTY) == VALID | DIRTY)
             .count() as u64
     }
+}
+
+/// Bit `w` set iff `pred(slots[w])`: a whole-set probe with no
+/// data-dependent branch. Sets have at most [`MAX_WAYS`] ways.
+#[inline(always)]
+pub(crate) fn way_mask<T: Copy>(slots: &[T], pred: impl Fn(T) -> bool) -> u32 {
+    debug_assert!(slots.len() <= MAX_WAYS as usize);
+    slots
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (w, &s)| mask | (pred(s) as u32) << w)
+}
+
+/// Makes `way` the MRU entry of a set's `rank`s, shifting the ranks below
+/// its old rank `r` up by one. Lane-wise and branch-free: the ranks are a
+/// permutation, so the one lane equal to `r` is `way`'s, and it is
+/// cleared in the same pass (no trailing byte store that the next
+/// whole-set load would stall on). At rank 0 it is the identity.
+#[inline(always)]
+pub(crate) fn promote(rank: &mut [u8], way: usize) {
+    let r = rank[way];
+    for x in rank.iter_mut() {
+        let promoted = ((*x == r) as u8).wrapping_neg();
+        *x = (*x + (*x < r) as u8) & !promoted;
+    }
+}
+
+/// Replacement victim of a set: the lowest-index way whose `meta` is
+/// `invalid`, else the LRU way. Both masks come from one branch-free pass;
+/// when every way is valid the ranks are exactly the lines' recency
+/// order, so exactly one way holds rank `ways - 1`.
+#[inline(always)]
+pub(crate) fn victim_way<T: Copy>(meta: &[T], rank: &[u8], invalid: impl Fn(T) -> bool) -> usize {
+    let lru_rank = (rank.len() - 1) as u8;
+    let (free, lru) =
+        meta.iter()
+            .zip(rank)
+            .enumerate()
+            .fold((0u32, 0u32), |(free, lru), (w, (&m, &r))| {
+                (
+                    free | (invalid(m) as u32) << w,
+                    lru | ((r == lru_rank) as u32) << w,
+                )
+            });
+    debug_assert!(
+        free != 0 || lru.count_ones() == 1,
+        "ranks form a permutation"
+    );
+    if free != 0 { free } else { lru }.trailing_zeros() as usize
 }
 
 #[cfg(test)]

@@ -80,6 +80,10 @@ impl fmt::Display for SizeLevel {
     }
 }
 
+/// Largest supported associativity: a set probe builds one `u32` bit per
+/// way.
+pub(crate) const MAX_WAYS: u32 = 32;
+
 /// Static geometry of one cache at its **maximum** size.
 ///
 /// A configurable cache shrinks by halving its set count, keeping
@@ -124,6 +128,9 @@ impl CacheGeometry {
         }
         if self.ways == 0 {
             return Err(ConfigError::new("cache must have at least one way"));
+        }
+        if self.ways > MAX_WAYS {
+            return Err(ConfigError::new("cache must have at most 32 ways"));
         }
         let line = self.ways as u64 * self.block_bytes as u64;
         if !self.size_bytes.is_multiple_of(line) {
@@ -435,6 +442,20 @@ mod tests {
         assert!(g2.validate().is_ok());
         g2.size_bytes = 256; // 2 sets -> level 3 has 0 sets
         assert!(g2.validate().is_err());
+        // One mask bit per way: 32 ways is the most a set probe handles.
+        let g3 = CacheGeometry {
+            size_bytes: 32 * 64 * 8,
+            ways: 32,
+            block_bytes: 64,
+            hit_latency: 1,
+        };
+        assert!(g3.validate().is_ok());
+        let g4 = CacheGeometry {
+            ways: 64,
+            size_bytes: 64 * 64 * 8,
+            ..g3
+        };
+        assert!(g4.validate().is_err());
     }
 
     #[test]

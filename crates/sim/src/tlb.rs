@@ -7,21 +7,36 @@
 //! produce while keeping the hot loop cheap. Misses charge a fixed
 //! software-walk penalty.
 //!
-//! Like [`crate::Cache`], entry state is stored struct-of-arrays — a
-//! packed `u64` per entry (`page << 1 | valid`) plus a recency-rank byte
-//! per entry (0 = MRU, `ways - 1` = LRU) — and the most recently
-//! translated page is memoized so the page-granular locality of the
-//! workload streams (every line of a 4 KB page translates to the same
-//! entry) skips the probe loop entirely. Replacement is bit-for-bit
-//! identical to the previous timestamp-based implementation: true per-set
-//! LRU with invalid ways (lowest index first) preferred as victims.
+//! Each set is a fixed-size struct of arrays: per entry a packed `u64`
+//! (`page << 1 | valid`), a recency-rank byte (0 = MRU, 15 = LRU) and a
+//! 16-bit page **fingerprint** ([`Tlb::fingerprint`], never 0; 0 marks an
+//! invalid entry). The most recently translated page is memoized, so the
+//! page-granular locality of the workload streams (every line of a 4 KB
+//! page translates to the same entry) skips the probe entirely.
+//!
+//! A probe compares the set's 16 fingerprints as one `[u16; 16]` (a
+//! constant-trip loop LLVM vectorises) into a candidate mask, then
+//! verifies each candidate against the full key; two pages share a
+//! fingerprint with probability about 2^-16, so there is almost never
+//! more than one; comparing the 16 full `u64` keys instead measured
+//! slower (`benchmarks/JOURNAL.md` §7). Victim selection uses
+//! the fingerprints as validity: an invalid-way mask and an LRU-rank mask
+//! from one pass, the lowest invalid way first. Rank promotion works over
+//! the set's `[u8; 16]`. Fingerprints are written on fill and cleared on
+//! [`Tlb::resize`].
+//!
+//! Replacement is bit-for-bit identical to the previous timestamp-based
+//! implementation: true per-set LRU with invalid ways (lowest index first)
+//! preferred as victims. `tlb_reference_model.rs` checks it against a
+//! naive timestamp-LRU model, including pages built to share one
+//! fingerprint inside one set.
 
-use crate::cache::FlushReport;
+use crate::cache::{promote, victim_way, way_mask, FlushReport};
 use crate::config::{SizeLevel, NUM_SIZE_LEVELS};
 use serde::{Deserialize, Serialize};
 
 /// Associativity used to approximate the fully associative DTLB.
-const TLB_WAYS: u32 = 16;
+const WAYS: usize = 16;
 
 /// `meta` bit 0: the entry holds a valid page number.
 const VALID: u64 = 1;
@@ -76,10 +91,8 @@ impl TlbStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    /// Packed per-entry metadata: `page << 1 | valid`.
-    pub(crate) meta: Vec<u64>,
-    /// Per-entry LRU rank; a permutation of `0..ways` within each set.
-    pub(crate) rank: Vec<u8>,
+    /// The sets; only the first `sets` are in use below the largest level.
+    pub(crate) table: Vec<TlbSet>,
     /// Memoized key (`page << 1 | VALID`) of the last translation.
     pub(crate) mru_key: u64,
     pub(crate) sets: u32,
@@ -99,6 +112,36 @@ pub struct Tlb {
     resizes: [u64; NUM_SIZE_LEVELS],
 }
 
+/// One 16-way set. The three arrays are fixed-size so every whole-set
+/// kernel (fingerprint compare, victim masks, rank promotion) is a
+/// constant-trip loop LLVM can vectorise.
+#[derive(Debug, Clone)]
+pub(crate) struct TlbSet {
+    /// [`Tlb::fingerprint`] of each entry's page; 0 marks an invalid
+    /// entry (a fingerprint is never 0).
+    fp: [u16; WAYS],
+    /// LRU rank per entry; a permutation of `0..WAYS` (0 = MRU).
+    rank: [u8; WAYS],
+    /// Packed per-entry metadata: `page << 1 | valid`.
+    meta: [u64; WAYS],
+}
+
+impl TlbSet {
+    const EMPTY: TlbSet = TlbSet {
+        fp: [0; WAYS],
+        rank: {
+            let mut r = [0u8; WAYS];
+            let mut w = 0;
+            while w < WAYS {
+                r[w] = w as u8;
+                w += 1;
+            }
+            r
+        },
+        meta: [0; WAYS],
+    };
+}
+
 impl Tlb {
     /// Creates a TLB with `entries` slots over `page_bytes` pages.
     ///
@@ -108,18 +151,17 @@ impl Tlb {
     /// power-of-two set count, or if `page_bytes` is not a power of two.
     pub fn new(entries: u32, page_bytes: u64) -> Tlb {
         assert!(
-            entries > 0 && entries.is_multiple_of(TLB_WAYS),
+            entries > 0 && entries.is_multiple_of(WAYS as u32),
             "entries must be a multiple of 16"
         );
-        let sets = entries / TLB_WAYS;
+        let sets = entries / WAYS as u32;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(
             page_bytes.is_power_of_two(),
             "page size must be a power of two"
         );
         Tlb {
-            meta: vec![0; entries as usize],
-            rank: (0..entries).map(|i| (i % TLB_WAYS) as u8).collect(),
+            table: vec![TlbSet::EMPTY; sets as usize],
             mru_key: NO_MRU,
             sets,
             page_shift: page_bytes.trailing_zeros(),
@@ -178,11 +220,12 @@ impl Tlb {
         self.level_stats[old].misses += pending.misses;
         self.level_mark = self.stats;
         self.resizes[old] += 1;
-        let valid = self.meta.iter().filter(|&&m| m & VALID != 0).count() as u64;
-        self.meta.fill(0);
-        for (i, r) in self.rank.iter_mut().enumerate() {
-            *r = (i % TLB_WAYS as usize) as u8;
-        }
+        let valid = self
+            .table
+            .iter()
+            .map(|set| way_mask(&set.fp, |f| f != 0).count_ones() as u64)
+            .sum();
+        self.table.fill(TlbSet::EMPTY);
         self.mru_key = NO_MRU;
         self.level = level;
         self.sets = self.base_sets >> level.index();
@@ -215,22 +258,34 @@ impl Tlb {
         if key == self.mru_key {
             return true;
         }
-        let set = (page as u32) & (self.sets - 1);
-        let base = (set * TLB_WAYS) as usize;
-        let ways = TLB_WAYS as usize;
-        let mut hit_way = usize::MAX;
-        for (w, &m) in self.meta[base..base + ways].iter().enumerate() {
-            if m == key {
-                hit_way = w;
-                break;
+        let idx = ((page as u32) & (self.sets - 1)) as usize;
+        let fp = Tlb::fingerprint(page);
+        let set = &mut self.table[idx];
+        // Candidates are the ways whose fingerprint matches; verify each
+        // against the full key. Distinct pages share a fingerprint with
+        // probability 2^-16, so this loop almost never runs twice.
+        let mut candidates = way_mask(&set.fp, |f| f == fp);
+        while candidates != 0 {
+            let way = candidates.trailing_zeros() as usize;
+            if set.meta[way] == key {
+                promote(&mut set.rank, way);
+                self.mru_key = key;
+                return true;
             }
+            candidates &= candidates - 1;
         }
-        if hit_way != usize::MAX {
-            self.promote(base, hit_way);
-            self.mru_key = key;
-            return true;
-        }
-        self.miss(key, base)
+        self.miss(key, fp, idx)
+    }
+
+    /// The 16-bit fingerprint the probe compares before the full key: the
+    /// top bits of a Fibonacci hash of the page number, so pages that
+    /// share a set (equal low bits) still spread over the whole range.
+    /// Never 0, which marks an invalid entry. Public so tests can build
+    /// pages that collide inside one set.
+    #[inline]
+    pub fn fingerprint(page: u64) -> u16 {
+        let f = (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as u16;
+        f.max(1)
     }
 
     /// Adds a block's worth of translation counts. Pairs with
@@ -240,40 +295,16 @@ impl Tlb {
         self.stats.accesses += accesses;
     }
 
-    /// Makes way `way` of the set starting at `base` the MRU entry.
-    #[inline]
-    fn promote(&mut self, base: usize, way: usize) {
-        let r = self.rank[base + way];
-        if r != 0 {
-            for x in &mut self.rank[base..base + TLB_WAYS as usize] {
-                *x += (*x < r) as u8;
-            }
-            self.rank[base + way] = 0;
-        }
-    }
-
-    /// Miss path: refills the first invalid way, else the LRU entry.
+    /// Miss path: refills the lowest invalid way, else the LRU entry.
     #[cold]
     #[inline(never)]
-    fn miss(&mut self, key: u64, base: usize) -> bool {
+    fn miss(&mut self, key: u64, fp: u16, idx: usize) -> bool {
         self.stats.misses += 1;
-        let ways = TLB_WAYS as usize;
-        let mut victim = usize::MAX;
-        for (w, &m) in self.meta[base..base + ways].iter().enumerate() {
-            if m & VALID == 0 {
-                victim = w;
-                break;
-            }
-        }
-        if victim == usize::MAX {
-            let lru = (ways - 1) as u8;
-            victim = self.rank[base..base + ways]
-                .iter()
-                .position(|&r| r == lru)
-                .expect("ranks form a permutation");
-        }
-        self.meta[base + victim] = key;
-        self.promote(base, victim);
+        let set = &mut self.table[idx];
+        let way = victim_way(&set.fp, &set.rank, |f| f == 0);
+        set.meta[way] = key;
+        set.fp[way] = fp;
+        promote(&mut set.rank, way);
         self.mru_key = key;
         false
     }

@@ -43,6 +43,31 @@ impl ReferenceCache {
         set.push_front((line, is_store));
         (false, writeback)
     }
+
+    /// Selective-sets resize to `new_sets` sets: shrinking drops the upper
+    /// sets, growing drops each line whose index changes. Survivors keep
+    /// their recency order. Returns (valid, dirty) casualties.
+    fn resize(&mut self, new_sets: usize) -> (u64, u64) {
+        let mut valid = 0;
+        let mut dirty = 0;
+        let mut drop = |(_, d): (u64, bool)| {
+            valid += 1;
+            dirty += d as u64;
+        };
+        if new_sets < self.sets.len() {
+            self.sets.drain(new_sets..).flatten().for_each(&mut drop);
+        } else {
+            for (idx, set) in self.sets.iter_mut().enumerate() {
+                let (stay, go): (VecDeque<_>, VecDeque<_>) = set
+                    .drain(..)
+                    .partition(|&(l, _)| (l as usize) & (new_sets - 1) == idx);
+                *set = stay;
+                go.into_iter().for_each(&mut drop);
+            }
+            self.sets.resize(new_sets, VecDeque::new());
+        }
+        (valid, dirty)
+    }
 }
 
 fn geom() -> CacheGeometry {
@@ -51,6 +76,16 @@ fn geom() -> CacheGeometry {
         ways: 2,
         block_bytes: 64,
         hit_latency: 1,
+    }
+}
+
+/// The L2's shape (Table 2: 4 ways, 128 B lines) at 16 KB.
+fn l2_geom() -> CacheGeometry {
+    CacheGeometry {
+        size_bytes: 16 * 1024,
+        ways: 4,
+        block_bytes: 128,
+        hit_latency: 10,
     }
 }
 
@@ -89,6 +124,38 @@ proptest! {
             prop_assert_eq!(out.hit, ref_hit);
             prop_assert_eq!(out.writeback, ref_wb);
         }
+    }
+
+    /// At the L2's shape, random miss-dominated streams (8x the capacity)
+    /// interleaved with shrinks and grows agree on every hit, writeback
+    /// and resize casualty. Grows leave sets mixing invalid and valid
+    /// ways, so the victim select must prefer the lowest invalid way.
+    #[test]
+    fn l2_geometry_matches_reference_across_shrink_and_grow(
+        segments in prop::collection::vec(
+            (0u8..4, prop::collection::vec((0u64..1u64<<17, any::<bool>()), 1..200)),
+            1..10,
+        ),
+    ) {
+        let geom = l2_geom();
+        let mut cache = Cache::new(geom).unwrap();
+        let mut reference = ReferenceCache::new(geom, SizeLevel::LARGEST);
+        for (lvl, ops) in &segments {
+            let level = SizeLevel::new(*lvl).unwrap();
+            if level != cache.level() {
+                let report = cache.resize(level);
+                let (valid, dirty) = reference.resize(geom.sets_at(level) as usize);
+                prop_assert_eq!(report.valid_lines, valid, "resize valid casualties");
+                prop_assert_eq!(report.dirty_lines, dirty, "resize dirty casualties");
+            }
+            for &(addr, is_store) in ops {
+                let out = cache.access(addr, is_store);
+                let (ref_hit, ref_wb) = reference.access(addr, is_store);
+                prop_assert_eq!(out.hit, ref_hit, "hit mismatch at {:#x}", addr);
+                prop_assert_eq!(out.writeback, ref_wb, "writeback mismatch at {:#x}", addr);
+            }
+        }
+        prop_assert_eq!(cache.valid_lines(), reference.sets.iter().map(|s| s.len() as u64).sum::<u64>());
     }
 
     /// Trace encode/decode is the identity on arbitrary block streams.

@@ -14,6 +14,7 @@
 
 use ace_sim::{Cache, CacheGeometry, SizeLevel};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// The pre-rewrite cache: one struct per line, u64 LRU ticks, linear
 /// victim scan preferring the first invalid way, else the minimum tick.
@@ -138,6 +139,57 @@ fn geom() -> CacheGeometry {
     }
 }
 
+/// The L2's shape (Table 2: 4 ways, 128 B lines) at 16 KB, so short
+/// random streams over 128 KB are miss-dominated.
+fn l2_geom() -> CacheGeometry {
+    CacheGeometry {
+        size_bytes: 16 * 1024,
+        ways: 4,
+        block_bytes: 128,
+        hit_latency: 10,
+    }
+}
+
+/// 8 ways: an associativity the cache runs with the way count as a
+/// runtime value rather than a constant.
+fn eight_way_geom() -> CacheGeometry {
+    CacheGeometry {
+        size_bytes: 4 * 1024,
+        ways: 8,
+        block_bytes: 64,
+        hit_latency: 1,
+    }
+}
+
+/// Runs `segments` — (target level, accesses) — through both caches,
+/// resizing between segments, and asserts identical hits, writebacks and
+/// resize casualties.
+fn check_segments(
+    geom: CacheGeometry,
+    segments: &[(u8, Vec<(u64, bool)>)],
+) -> Result<(), TestCaseError> {
+    let mut new = Cache::new(geom).unwrap();
+    let mut old = TickCache::new(geom);
+    let mut level = SizeLevel::LARGEST;
+    for (lvl, ops) in segments {
+        let target = SizeLevel::new(*lvl).unwrap();
+        if target != level {
+            let report = new.resize(target);
+            let (valid, dirty) = old.resize(level, target);
+            prop_assert_eq!(report.valid_lines, valid, "resize valid casualties");
+            prop_assert_eq!(report.dirty_lines, dirty, "resize dirty casualties");
+            level = target;
+        }
+        for &(addr, is_store) in ops {
+            let out = new.access(addr, is_store);
+            let (hit, wb) = old.access(addr, is_store);
+            prop_assert_eq!(out.hit, hit, "hit mismatch at {:#x}", addr);
+            prop_assert_eq!(out.writeback, wb, "writeback mismatch at {:#x}", addr);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -147,14 +199,7 @@ proptest! {
     fn rank_lru_matches_tick_lru(
         ops in prop::collection::vec((0u64..1u64<<14, any::<bool>()), 1..800),
     ) {
-        let mut new = Cache::new(geom()).unwrap();
-        let mut old = TickCache::new(geom());
-        for &(addr, is_store) in &ops {
-            let out = new.access(addr, is_store);
-            let (hit, wb) = old.access(addr, is_store);
-            prop_assert_eq!(out.hit, hit, "hit mismatch at {:#x}", addr);
-            prop_assert_eq!(out.writeback, wb, "writeback mismatch at {:#x}", addr);
-        }
+        check_segments(geom(), &[(0, ops)])?;
     }
 
     /// Equivalence survives resize transitions interleaved with accesses —
@@ -166,25 +211,32 @@ proptest! {
             1..8,
         ),
     ) {
-        let mut new = Cache::new(geom()).unwrap();
-        let mut old = TickCache::new(geom());
-        let mut level = SizeLevel::LARGEST;
-        for (lvl, ops) in &segments {
-            let target = SizeLevel::new(*lvl).unwrap();
-            if target != level {
-                let report = new.resize(target);
-                let (valid, dirty) = old.resize(level, target);
-                prop_assert_eq!(report.valid_lines, valid, "resize valid casualties");
-                prop_assert_eq!(report.dirty_lines, dirty, "resize dirty casualties");
-                level = target;
-            }
-            for &(addr, is_store) in ops {
-                let out = new.access(addr, is_store);
-                let (hit, wb) = old.access(addr, is_store);
-                prop_assert_eq!(out.hit, hit, "hit mismatch at {:#x}", addr);
-                prop_assert_eq!(out.writeback, wb, "writeback mismatch at {:#x}", addr);
-            }
-        }
+        check_segments(geom(), &segments)?;
+    }
+
+    /// The same at the L2's shape on miss-dominated streams (8x the
+    /// capacity) between shrinks and grows: growing leaves sets that mix
+    /// invalid and valid ways, where the victim must be the lowest invalid
+    /// way rather than the LRU.
+    #[test]
+    fn rank_lru_matches_tick_lru_at_l2_geometry(
+        segments in prop::collection::vec(
+            (0u8..4, prop::collection::vec((0u64..1u64<<17, any::<bool>()), 1..200)),
+            1..10,
+        ),
+    ) {
+        check_segments(l2_geom(), &segments)?;
+    }
+
+    /// The same for the runtime-associativity probe and victim select.
+    #[test]
+    fn rank_lru_matches_tick_lru_at_eight_ways(
+        segments in prop::collection::vec(
+            (0u8..4, prop::collection::vec((0u64..1u64<<15, any::<bool>()), 1..200)),
+            1..10,
+        ),
+    ) {
+        check_segments(eight_way_geom(), &segments)?;
     }
 }
 
