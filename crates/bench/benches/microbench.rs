@@ -8,8 +8,8 @@ use ace_core::{
 use ace_energy::EnergyModel;
 use ace_phase::{BbvConfig, BbvDetector, WorkingSetConfig, WorkingSetDetector};
 use ace_sim::{
-    Block, BranchEvent, BranchPredictor, Cache, CacheGeometry, CuKind, Machine, MachineBatch,
-    MachineConfig, MemAccess, SizeLevel, Tlb,
+    Block, BranchEvent, BranchPredictor, Cache, CacheGeometry, CuKind, Machine, MachineConfig,
+    MemAccess, SizeLevel, Tlb,
 };
 use ace_workloads::{preset, Executor};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -234,59 +234,6 @@ fn bench_machine(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch(c: &mut Criterion) {
-    // Lane-batched vs scalar stepping at lane counts 1/4/8/16: each
-    // iteration steps `lanes` machines through one block apiece, so
-    // ns/iter divided by the lane count is the per-machine block cost —
-    // the number that must shrink as independent per-lane dependency
-    // chains overlap.
-    let mut group = c.benchmark_group("batch");
-    let make_blocks = |lanes: usize| -> Vec<Block> {
-        (0..lanes)
-            .map(|l| Block {
-                pc: 0x400 + l as u64 * 0x100,
-                ninstr: 48,
-                accesses: (0..14)
-                    .map(|i| MemAccess::load(0x10_0000 + l as u64 * 0x8000 + (i % 7) * 24))
-                    .collect(),
-                branch: Some(BranchEvent {
-                    pc: 0x438,
-                    taken: true,
-                }),
-            })
-            .collect()
-    };
-    for lanes in [1usize, 4, 8, 16] {
-        group.bench_function(&format!("exec_blocks_{lanes}lane"), |b| {
-            let blocks = make_blocks(lanes);
-            let machines: Vec<Machine> = (0..lanes)
-                .map(|_| Machine::new(MachineConfig::table2()).unwrap())
-                .collect();
-            let mut batch = MachineBatch::new(machines);
-            let work: Vec<(usize, &Block)> = blocks.iter().enumerate().collect();
-            batch.exec_blocks(&work); // warm the lines
-            b.iter(|| batch.exec_blocks(black_box(&work)))
-        });
-        group.bench_function(&format!("scalar_ref_{lanes}lane"), |b| {
-            // The same work stepped lane-at-a-time: the scalar reference
-            // the batched numbers are judged against.
-            let blocks = make_blocks(lanes);
-            let mut machines: Vec<Machine> = (0..lanes)
-                .map(|_| Machine::new(MachineConfig::table2()).unwrap())
-                .collect();
-            for (m, block) in machines.iter_mut().zip(&blocks) {
-                m.exec_block(block); // warm the lines
-            }
-            b.iter(|| {
-                for (m, block) in machines.iter_mut().zip(&blocks) {
-                    m.exec_block(black_box(block));
-                }
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_detectors(c: &mut Criterion) {
     let mut group = c.benchmark_group("phase");
     group.throughput(Throughput::Elements(1));
@@ -392,7 +339,6 @@ criterion_group!(
     bench_cache,
     bench_predictor_tlb,
     bench_machine,
-    bench_batch,
     bench_detectors,
     bench_executor,
     bench_tuner,

@@ -451,7 +451,7 @@ mod tests {
             &path,
             concat!(
                 "{\"name\":\"exec_block/hits\",\"ns_per_iter\":120.0}\n",
-                "{\"name\":\"batch/lanes8\",\"ns_per_iter\":60.0}\n",
+                "{\"name\":\"machine/exec_block\",\"ns_per_iter\":60.0}\n",
                 "{\"name\":\"exec_block/hits\",\"ns_per_iter\":100.0}\n",
             ),
         )
@@ -475,7 +475,7 @@ mod tests {
             .filter(|r| r.regressed)
             .map(|r| r.name.as_str())
             .collect();
-        assert_eq!(flagged, vec!["batch/lanes8"]);
+        assert_eq!(flagged, vec!["machine/exec_block"]);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -9,13 +9,6 @@
 //! * `--jobs <N>` — worker-pool width (default: `ACE_JOBS` or the
 //!   machine's available parallelism). Output is byte-identical at any
 //!   width.
-//! * `--lanes <N>` — headline runs per lane-batched job (default 1,
-//!   i.e. scalar stepping). Grouped runs advance round-robin through
-//!   one machine batch, overlapping their dependency chains on a
-//!   single core; results, caches, and the telemetry event stream are
-//!   byte-identical at any lane count. Headline jobs mix workloads, so
-//!   batching them measured throughput-neutral — the win exists for
-//!   same-workload lanes only (see `benchmarks/JOURNAL.md`).
 //! * `--fresh` — ignore cached results and re-run everything.
 //! * `--headline-only` — skip the sibling experiments.
 //! * `--list` — print the experiment registry and every registered
@@ -40,7 +33,6 @@ use std::process::ExitCode;
 
 struct Args {
     jobs: usize,
-    lanes: usize,
     fresh: bool,
     headline_only: bool,
     list: bool,
@@ -50,7 +42,6 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         jobs: default_jobs(),
-        lanes: 1,
         fresh: false,
         headline_only: false,
         list: false,
@@ -65,16 +56,6 @@ fn parse_args() -> Args {
                     Some(n) if n > 0 => args.jobs = n,
                     _ => {
                         eprintln!("--jobs requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--lanes" => {
-                let value = it.next().and_then(|v| v.parse::<usize>().ok());
-                match value {
-                    Some(n) if n > 0 => args.lanes = n,
-                    _ => {
-                        eprintln!("--lanes requires a positive integer");
                         std::process::exit(2);
                     }
                 }
@@ -121,7 +102,6 @@ fn main() -> ExitCode {
 
     let outcomes = match ExperimentSet::all_presets()
         .fresh(args.fresh)
-        .lanes(args.lanes)
         .telemetry(&telemetry)
         .run_detailed(args.jobs)
     {

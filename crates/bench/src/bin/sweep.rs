@@ -2,8 +2,9 @@
 //! configurations (the static oracle grid). Prints IPC and per-cache
 //! energy for each point.
 
-use ace_core::{AceConfig, Experiment, Scheme};
+use ace_core::{AceConfig, Experiment, FixedScheme, SchemeSpec};
 use ace_sim::SizeLevel;
+use std::sync::Arc;
 
 fn main() {
     let name = std::env::args()
@@ -15,7 +16,7 @@ fn main() {
         for l2 in 0..4u8 {
             let fixed = AceConfig::both(SizeLevel::new(l1d).unwrap(), SizeLevel::new(l2).unwrap());
             let r = Experiment::preset(name.as_str())
-                .scheme(Scheme::Fixed(fixed))
+                .scheme(SchemeSpec::instance(Arc::new(FixedScheme(fixed))))
                 .run()
                 .unwrap();
             println!(

@@ -10,10 +10,7 @@
 //!    a multi-worker pool; the serialized [`RunRecord`]s must be
 //!    byte-identical. Catches schedule-dependent state leaking into
 //!    results.
-//! 2. **scalar vs lanes** — per workload, all schemes re-run through
-//!    [`Experiment::run_scheme_batch`] (the lane-batched driver); again
-//!    byte-identical records. Catches batch-stepping divergence.
-//! 3. **scheme-invariant counters** — the reference instruction stream
+//! 2. **scheme-invariant counters** — the reference instruction stream
 //!    is configuration-independent, so retired instructions, branch
 //!    count, L1I/L1D accesses, L1D stores and DTLB translations must be
 //!    equal across *all* schemes for one workload (misses, cycles, IPC
@@ -100,7 +97,7 @@ impl Default for CorpusParams {
 pub struct CorpusFailure {
     /// Workload name (`gen-<seed>` or a preset name).
     pub workload: String,
-    /// Oracle id: `"jobs"`, `"lanes"` or `"counters"`.
+    /// Oracle id: `"jobs"` or `"counters"`.
     pub oracle: String,
     /// Human-readable mismatch detail.
     pub detail: String,
@@ -136,7 +133,7 @@ fn fnv(bytes: impl Iterator<Item = u8>) -> u64 {
 
 /// Byte-level fingerprint of one run: FNV-1a over the serialized record.
 /// Two records digest equal iff their JSON is byte-identical — exactly
-/// the equality the jobs/lanes oracles are defined over.
+/// the equality the jobs oracle is defined over.
 pub fn record_digest(record: &RunRecord) -> String {
     let json = serde_json::to_string(record).expect("run record serializes");
     format!("{:016x}", fnv(json.bytes()))
@@ -170,7 +167,7 @@ fn run_one(
     e.run().map_err(crate::BenchError::from)
 }
 
-/// Scalar reference digests for every scheme of one spec.
+/// Serial reference digests for every scheme of one spec.
 fn reference_digests(
     spec: &WorkloadSpec,
     limit: Option<u64>,
@@ -214,25 +211,6 @@ fn oracle_fails(spec: &WorkloadSpec, oracle: &str, limit: Option<u64>, jobs: usi
                     Ok(digest) => digest != *want,
                     Err(_) => false,
                 })
-        }
-        "lanes" => {
-            let batch: Vec<Experiment> = CORPUS_SCHEMES
-                .iter()
-                .map(|scheme| {
-                    let mut e = Experiment::spec(spec.clone()).scheme(*scheme);
-                    if let Some(limit) = limit {
-                        e = e.instruction_limit(limit);
-                    }
-                    e
-                })
-                .collect();
-            match Experiment::run_scheme_batch(batch) {
-                Ok(runs) => runs
-                    .iter()
-                    .zip(&reference)
-                    .any(|(run, (_, _, want))| record_digest(&run.record) != *want),
-                Err(_) => false,
-            }
         }
         "counters" => {
             let base = invariant_counters(&reference[0].1);
@@ -308,7 +286,7 @@ pub fn corpus_specs(params: &CorpusParams) -> Vec<(WorkloadSpec, Option<u64>)> {
     specs
 }
 
-/// Runs the corpus: every workload through every scheme under the three
+/// Runs the corpus: every workload through every scheme under the two
 /// differential oracles. Infrastructure errors (a run that fails
 /// outright) abort; oracle violations are collected, minimized, and
 /// returned.
@@ -327,7 +305,7 @@ pub fn run_corpus(params: &CorpusParams, telemetry: &Telemetry) -> BenchResult<C
         rows: Vec::new(),
     };
 
-    // Pass A: scalar serial references, one digest per (workload, scheme).
+    // Serial references, one digest per (workload, scheme).
     let mut references = Vec::with_capacity(specs.len());
     for (spec, limit) in &specs {
         let reference = reference_digests(spec, *limit, telemetry)?;
@@ -335,7 +313,7 @@ pub fn run_corpus(params: &CorpusParams, telemetry: &Telemetry) -> BenchResult<C
         references.push(reference);
     }
 
-    // Pass B: the same runs as engine jobs on a jobs=N pool.
+    // The jobs oracle: the same runs as engine jobs on a jobs=N pool.
     let pool: Vec<Job<String>> = specs
         .iter()
         .flat_map(|(spec, limit)| {
@@ -358,7 +336,7 @@ pub fn run_corpus(params: &CorpusParams, telemetry: &Telemetry) -> BenchResult<C
             let got = job.result?;
             if got != *want {
                 let detail = format!(
-                    "{scheme}: jobs={} digest {got} != scalar reference {want}",
+                    "{scheme}: jobs={} digest {got} != serial reference {want}",
                     params.jobs
                 );
                 outcome
@@ -369,35 +347,8 @@ pub fn run_corpus(params: &CorpusParams, telemetry: &Telemetry) -> BenchResult<C
         }
     }
 
-    // Pass C: per workload, all schemes through the lane-batched driver.
-    for ((spec, limit), reference) in specs.iter().zip(&references) {
-        let batch: Vec<Experiment> = CORPUS_SCHEMES
-            .iter()
-            .map(|scheme| {
-                let mut e = Experiment::spec(spec.clone())
-                    .scheme(*scheme)
-                    .telemetry(telemetry);
-                if let Some(limit) = limit {
-                    e = e.instruction_limit(*limit);
-                }
-                e
-            })
-            .collect();
-        let runs = Experiment::run_scheme_batch(batch).map_err(crate::BenchError::from)?;
-        outcome.runs += runs.len();
-        for (run, (scheme, _, want)) in runs.iter().zip(reference) {
-            let got = record_digest(&run.record);
-            if got != *want {
-                let detail = format!("{scheme}: lane-batched digest {got} != scalar {want}");
-                outcome
-                    .failures
-                    .push(capture_failure(params, spec, *limit, "lanes", detail));
-                break;
-            }
-        }
-    }
-
-    // Oracle D: scheme-invariant counters, from the pass-A records.
+    // The counters oracle: scheme-invariant counters, from the
+    // reference records.
     for ((spec, limit), reference) in specs.iter().zip(&references) {
         let base = invariant_counters(&reference[0].1);
         if let Some((scheme, record, _)) = reference
@@ -517,7 +468,7 @@ pub fn render(params: &CorpusParams, outcome: &CorpusOutcome, out: &mut String) 
     );
     outln!(
         out,
-        "oracles: jobs=1 vs jobs={}, scalar vs lane-batched, scheme-invariant counters\n",
+        "oracles: jobs=1 vs jobs={}, scheme-invariant counters\n",
         params.jobs
     );
     let rows: Vec<Vec<String>> = outcome

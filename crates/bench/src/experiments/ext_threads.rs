@@ -5,7 +5,7 @@
 //! evaluation models it as interleaved task sets; this experiment runs a
 //! *really* time-multiplexed two-thread variant — two render workers with
 //! disjoint code, sharing one scene region and the one simulated core in
-//! 50 K-instruction quanta — and shows the hotspot framework keeps working
+//! 1 M-instruction quanta — and shows the hotspot framework keeps working
 //! when phases interleave at quantum granularity: per-thread call stacks
 //! keep detection sound, and the hardware guard absorbs the threads'
 //! competing configuration requests.

@@ -44,9 +44,7 @@ pub use baseline::{
 };
 pub use engine::{default_jobs, run_jobs, BenchError, BenchResult, Job, JobOutcome};
 
-use ace_core::{
-    BbvReport, Experiment, HotspotReport, RunConfig, RunRecord, Scheme, SchemeExt, SchemeRun,
-};
+use ace_core::{BbvReport, Experiment, HotspotReport, RunConfig, RunRecord, SchemeExt, SchemeRun};
 use ace_telemetry::Telemetry;
 use ace_workloads::PRESET_NAMES;
 use serde::{Deserialize, Serialize};
@@ -102,8 +100,8 @@ impl SchemeResults {
     }
 }
 
-/// The schemes [`ExperimentSet`] runs, in run order.
-pub const HEADLINE_SCHEMES: [Scheme; 3] = [Scheme::Baseline, Scheme::Bbv, Scheme::Hotspot];
+/// The scheme ids [`ExperimentSet`] runs, in run order.
+pub const HEADLINE_SCHEMES: [&str; 3] = ["baseline", "bbv", "hotspot"];
 
 /// One workload's results plus how they were obtained — the unit of the
 /// perf-baseline pipeline (`run_all --bench-out`).
@@ -122,11 +120,9 @@ pub struct WorkloadOutcome {
 /// schemes on the parallel [`engine`], with content-addressed caching.
 ///
 /// ```no_run
-/// use ace_bench::{ExperimentSet, HEADLINE_SCHEMES};
+/// use ace_bench::ExperimentSet;
 ///
-/// let results = ExperimentSet::all_presets()
-///     .schemes(&HEADLINE_SCHEMES)
-///     .run_parallel(4)?;
+/// let results = ExperimentSet::all_presets().run_parallel(4)?;
 /// for r in &results {
 ///     println!("{}: {:.1}% L1D saved", r.workload, r.hotspot_l1d_saving_pct());
 /// }
@@ -135,12 +131,10 @@ pub struct WorkloadOutcome {
 #[derive(Clone)]
 pub struct ExperimentSet {
     presets: Vec<String>,
-    schemes: Vec<Scheme>,
     base: RunConfig,
     fresh: bool,
     telemetry: Telemetry,
     results_dir: Option<PathBuf>,
-    lanes: usize,
 }
 
 impl ExperimentSet {
@@ -158,36 +152,11 @@ impl ExperimentSet {
     {
         ExperimentSet {
             presets: names.into_iter().map(Into::into).collect(),
-            schemes: HEADLINE_SCHEMES.to_vec(),
             base: RunConfig::default(),
             fresh: false,
             telemetry: Telemetry::off(),
             results_dir: None,
-            lanes: 1,
         }
-    }
-
-    /// Groups up to `lanes` consecutive runs into one lane-batched job
-    /// ([`ace_core::run_batch`]): the runs advance round-robin through
-    /// one machine batch, overlapping their dependency chains on a
-    /// single core. Results, caches, and the telemetry event stream are
-    /// byte-identical to `lanes = 1` — each lane traces into its own
-    /// buffered child, absorbed in member order. Only the engine's
-    /// scheduling metrics (`engine.jobs`, wall histograms) see the
-    /// different job shape. Default 1 (scalar); values are clamped to at
-    /// least 1.
-    pub fn lanes(mut self, lanes: usize) -> ExperimentSet {
-        self.lanes = lanes.max(1);
-        self
-    }
-
-    /// Selects the schemes to run. [`SchemeResults`] records exactly the
-    /// baseline/BBV/hotspot trio, so the set must equal
-    /// [`HEADLINE_SCHEMES`] (any order) — anything else is rejected at
-    /// [`ExperimentSet::run_parallel`] time.
-    pub fn schemes(mut self, schemes: &[Scheme]) -> ExperimentSet {
-        self.schemes = schemes.to_vec();
-        self
     }
 
     /// Base [`RunConfig`] shared by every run (default
@@ -229,15 +198,14 @@ impl ExperimentSet {
         self.run_parallel(width)
     }
 
-    /// Runs every (workload × scheme) pair as a job on a pool of `jobs`
-    /// workers and returns one [`SchemeResults`] per preset, in preset
-    /// order — byte-identical at any pool width.
+    /// Runs every (workload × [`HEADLINE_SCHEMES`]) pair as a job on a
+    /// pool of `jobs` workers and returns one [`SchemeResults`] per
+    /// preset, in preset order — byte-identical at any pool width.
     ///
     /// # Errors
     ///
-    /// Fails on unknown preset names, a scheme set other than
-    /// [`HEADLINE_SCHEMES`], or when any run fails; every job still runs,
-    /// and the error aggregates all failures.
+    /// Fails on unknown preset names or when any run fails; every job
+    /// still runs, and the error aggregates all failures.
     pub fn run_parallel(self, jobs: usize) -> BenchResult<Vec<SchemeResults>> {
         Ok(self
             .run_detailed(jobs)?
@@ -255,25 +223,12 @@ impl ExperimentSet {
     ///
     /// See [`ExperimentSet::run_parallel`].
     pub fn run_detailed(self, jobs: usize) -> BenchResult<Vec<WorkloadOutcome>> {
-        {
-            let mut want: Vec<&str> = HEADLINE_SCHEMES.iter().map(|s| s.name()).collect();
-            let mut got: Vec<&str> = self.schemes.iter().map(|s| s.name()).collect();
-            want.sort_unstable();
-            got.sort_unstable();
-            if got != want {
-                return Err(BenchError::msg(format!(
-                    "ExperimentSet runs exactly the baseline/bbv/hotspot trio \
-                     (SchemeResults records those three runs); got {got:?}"
-                )));
-            }
-        }
-
         let dir = self.results_dir.clone().unwrap_or_else(results_dir);
 
-        // Phase 1: resolve caches; collect (workload, scheme) runs for
+        // Phase 1: resolve caches; one job per (workload, scheme) run of
         // the misses, in submission order.
         let mut cached: Vec<Option<SchemeResults>> = Vec::with_capacity(self.presets.len());
-        let mut misses: Vec<(String, Scheme)> = Vec::new();
+        let mut pool: Vec<Job<SchemeRun>> = Vec::new();
         for name in &self.presets {
             let path = dir.join(cache_file_name(name, &self.base));
             if !self.fresh {
@@ -284,60 +239,22 @@ impl ExperimentSet {
             }
             cached.push(None);
             for scheme in HEADLINE_SCHEMES {
-                misses.push((name.clone(), scheme));
+                let name = name.clone();
+                let base = self.base.clone();
+                pool.push(Job::new(format!("{name}/{scheme}"), move |tel| {
+                    Ok(Experiment::preset(name)
+                        .config(base)
+                        .scheme(scheme)
+                        .telemetry(tel)
+                        .run_scheme()?)
+                }));
             }
         }
 
-        // Phase 2: fan out. Consecutive runs group into lane-batched
-        // jobs of up to `self.lanes` members (see [`ExperimentSet::lanes`]).
-        let groups: Vec<Vec<(String, Scheme)>> = misses
-            .chunks(self.lanes.max(1))
-            .map(<[(String, Scheme)]>::to_vec)
-            .collect();
-        let mut pool: Vec<Job<Vec<SchemeRun>>> = Vec::with_capacity(groups.len());
-        for group in &groups {
-            let key = match group.as_slice() {
-                [(name, scheme)] => format!("{name}/{}", scheme.name()),
-                _ => {
-                    let (first, last) = (&group[0], &group[group.len() - 1]);
-                    format!(
-                        "{}/{}..{}/{} [{} lanes]",
-                        first.0,
-                        first.1.name(),
-                        last.0,
-                        last.1.name(),
-                        group.len()
-                    )
-                }
-            };
-            let group = group.clone();
-            let base = self.base.clone();
-            pool.push(Job::new(key, move |tel| run_lane_group(&group, &base, tel)));
-        }
-        let outcomes = run_jobs(pool, jobs, &self.telemetry);
-
-        // Flatten group outcomes back to one outcome per run, dividing
-        // each group's worker wall-clock evenly across its members.
-        let mut flat: Vec<(String, BenchResult<SchemeRun>, Duration)> =
-            Vec::with_capacity(misses.len());
-        for (group, outcome) in groups.iter().zip(outcomes) {
-            let share = outcome.wall / group.len().max(1) as u32;
-            match outcome.result {
-                Ok(runs) => {
-                    for ((name, scheme), run) in group.iter().zip(runs) {
-                        flat.push((format!("{name}/{}", scheme.name()), Ok(run), share));
-                    }
-                }
-                Err(e) => {
-                    for (name, scheme) in group {
-                        flat.push((format!("{name}/{}", scheme.name()), Err(e.clone()), share));
-                    }
-                }
-            }
-        }
+        // Phase 2: fan out.
+        let mut outcomes = run_jobs(pool, jobs, &self.telemetry).into_iter();
 
         // Phase 3: merge in preset order; write caches; aggregate errors.
-        let mut outcomes = flat.into_iter();
         let mut results = Vec::with_capacity(self.presets.len());
         let mut failures: Vec<String> = Vec::new();
         for (name, hit) in self.presets.iter().zip(cached) {
@@ -352,11 +269,11 @@ impl ExperimentSet {
             let mut runs = Vec::with_capacity(HEADLINE_SCHEMES.len());
             let mut wall = Duration::ZERO;
             for _ in HEADLINE_SCHEMES {
-                let (key, result, run_wall) = outcomes.next().expect("one outcome per run");
-                wall += run_wall;
-                match result {
+                let outcome = outcomes.next().expect("one outcome per run");
+                wall += outcome.wall;
+                match outcome.result {
                     Ok(run) => runs.push(run),
-                    Err(e) => failures.push(format!("{key}: {e}")),
+                    Err(e) => failures.push(format!("{}: {e}", outcome.key)),
                 }
             }
             if runs.len() != HEADLINE_SCHEMES.len() {
@@ -394,51 +311,6 @@ impl ExperimentSet {
         }
         Ok(results)
     }
-}
-
-/// Runs one lane group inside an engine job. A single member runs
-/// scalar; two or more advance round-robin through the lane-batched
-/// driver ([`Experiment::run_scheme_batch`]). Each lane traces into its
-/// own buffered telemetry child, absorbed into the job's handle in
-/// member order, so the event stream the parent sees is byte-identical
-/// to the same runs executed scalar.
-fn run_lane_group(
-    group: &[(String, Scheme)],
-    base: &RunConfig,
-    tel: &Telemetry,
-) -> BenchResult<Vec<SchemeRun>> {
-    let experiment = |name: &str, scheme: Scheme, t: &Telemetry| {
-        Experiment::preset(name)
-            .config(base.clone())
-            .scheme(scheme)
-            .telemetry(t)
-    };
-    if let [(name, scheme)] = group {
-        return Ok(vec![experiment(name, *scheme, tel).run_scheme()?]);
-    }
-    let lanes: Vec<_> = group
-        .iter()
-        .map(|_| {
-            if tel.is_enabled() {
-                let (child, sink) = Telemetry::buffered();
-                (child, Some(sink))
-            } else {
-                (Telemetry::off(), None)
-            }
-        })
-        .collect();
-    let runs = Experiment::run_scheme_batch(
-        group
-            .iter()
-            .zip(&lanes)
-            .map(|((name, scheme), (child, _))| experiment(name, *scheme, child))
-            .collect(),
-    )?;
-    for (child, sink) in &lanes {
-        let events = sink.as_ref().map(|s| s.drain()).unwrap_or_default();
-        tel.absorb_child(child, &events);
-    }
-    Ok(runs)
 }
 
 /// Directory where cached results live: the `ACE_RESULTS_DIR` env var, or
@@ -735,21 +607,6 @@ mod tests {
             ..RunConfig::default()
         };
         assert_eq!(key, cache_key("db", &traced));
-    }
-
-    #[test]
-    fn scheme_set_must_be_the_headline_trio() {
-        let err = ExperimentSet::presets(["db"])
-            .schemes(&[Scheme::Baseline, Scheme::Positional, Scheme::Hotspot])
-            .run_parallel(1)
-            .unwrap_err();
-        assert!(err.to_string().contains("trio"), "{err}");
-        // Order does not matter, membership does.
-        let reordered = [Scheme::Hotspot, Scheme::Baseline, Scheme::Bbv];
-        assert!(ExperimentSet::presets(Vec::<String>::new())
-            .schemes(&reordered)
-            .run_parallel(1)
-            .is_ok());
     }
 
     #[test]

@@ -6,13 +6,19 @@
 //! [`crate::NullManager`], the
 //! paper's scheme [`crate::HotspotAceManager`], the temporal baseline
 //! [`crate::BbvAceManager`], and the ablations [`crate::FixedManager`].
+//!
+//! One step loop ([`run`]) serves both threading models. It is generic
+//! over where its steps come from: [`SingleThread`] steps the program's
+//! own executor, [`Threads`] time-multiplexes one executor per thread
+//! over the one simulated core. The source is a type parameter, so each
+//! compiles to its own loop without dynamic dispatch.
 
 use crate::manager::AceManager;
 use ace_energy::{EnergyBreakdown, EnergyModel};
 use ace_runtime::{DoConfig, DoStats, DoSystem, Table4Row};
 use ace_sim::{Block, ConfigError, Machine, MachineConfig, MachineCounters};
 use ace_telemetry::Telemetry;
-use ace_workloads::{Executor, Program, Step};
+use ace_workloads::{Executor, MethodId, MtStep, Program, Step, ThreadedExecutor};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of one run.
@@ -79,7 +85,7 @@ impl RunRecord {
 /// counters (`workload.walk_blocks.<kind>`). The same profile drives the
 /// hot-first ordering of the walk dispatch in `ace_workloads::Executor`;
 /// exporting it makes the measured mix inspectable from any metrics dump.
-pub(crate) fn publish_walk_profile(telemetry: &Telemetry, profile: [u64; 4]) {
+fn publish_walk_profile(telemetry: &Telemetry, profile: [u64; 4]) {
     if let Some(metrics) = telemetry.metrics() {
         for (name, count) in ace_workloads::WALK_KIND_NAMES.iter().zip(profile) {
             if count > 0 {
@@ -99,71 +105,188 @@ fn saving(ours: f64, base: f64) -> f64 {
     }
 }
 
-/// Runs `program` under `manager`.
+/// Where a run's steps come from.
+pub(crate) trait StepSource<'p> {
+    /// The next step; `buf` holds the block on [`Step::Block`]. A source
+    /// may act on the machine and the DO system between the steps it
+    /// returns (the scheduler switches of [`Threads`]).
+    fn step(&mut self, buf: &mut Block, machine: &mut Machine, dos: &mut DoSystem<'p>) -> Step;
+
+    /// Entry instret per live frame of the thread whose enter or exit
+    /// step came last.
+    fn entry_stack(&mut self) -> &mut Vec<u64>;
+
+    /// Blocks emitted per walk kind, summed over threads.
+    fn walk_profile(&self) -> [u64; 4];
+
+    /// The workload name the run record carries.
+    fn workload(&self, program: &Program) -> String;
+}
+
+/// A single-threaded run: the program's own executor. At the
+/// instruction limit it unwinds through the open exits.
+pub(crate) struct SingleThread<'p> {
+    exec: Executor<'p>,
+    entry_stack: Vec<u64>,
+}
+
+impl<'p> SingleThread<'p> {
+    pub(crate) fn new(program: &'p Program, cfg: &RunConfig) -> SingleThread<'p> {
+        let mut exec = match cfg.workload_seed {
+            Some(seed) => Executor::with_seed(program, seed),
+            None => Executor::new(program),
+        };
+        if let Some(limit) = cfg.instruction_limit {
+            exec.set_instruction_limit(limit);
+        }
+        SingleThread {
+            exec,
+            entry_stack: Vec::with_capacity(64),
+        }
+    }
+}
+
+impl<'p> StepSource<'p> for SingleThread<'p> {
+    #[inline]
+    fn step(&mut self, buf: &mut Block, _: &mut Machine, _: &mut DoSystem<'p>) -> Step {
+        self.exec.step(buf)
+    }
+
+    #[inline]
+    fn entry_stack(&mut self) -> &mut Vec<u64> {
+        &mut self.entry_stack
+    }
+
+    fn walk_profile(&self) -> [u64; 4] {
+        self.exec.walk_profile()
+    }
+
+    fn workload(&self, program: &Program) -> String {
+        program.name().to_string()
+    }
+}
+
+/// A multithreaded run: one executor per entry method (disjoint method
+/// subtrees), time-multiplexed in fixed instruction quanta over the one
+/// simulated core — the Dynamic SimpleScalar threading model, used by
+/// the dual-threaded mtrt experiment. Each thread keeps its own entry
+/// stack, and the run stops as soon as the machine reaches the
+/// instruction limit, without unwinding.
+pub(crate) struct Threads<'p> {
+    mt: ThreadedExecutor<'p>,
+    limit: Option<u64>,
+    entry_stacks: Vec<Vec<u64>>,
+    current: usize,
+}
+
+impl<'p> Threads<'p> {
+    /// One executor per entry; thread `i` runs on the run's executor
+    /// seed xor `i + 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` is empty or `quantum_instr` is zero;
+    /// [`crate::Experiment`] rejects both before it builds a source.
+    pub(crate) fn new(
+        program: &'p Program,
+        entries: &[MethodId],
+        quantum_instr: u64,
+        cfg: &RunConfig,
+    ) -> Threads<'p> {
+        let threads = entries
+            .iter()
+            .enumerate()
+            .map(|(i, &entry)| {
+                let seed = cfg.workload_seed.unwrap_or(program.seed()) ^ (i as u64 + 1);
+                Executor::with_entry(program, entry, seed)
+            })
+            .collect();
+        Threads {
+            mt: ThreadedExecutor::new(threads, quantum_instr),
+            limit: cfg.instruction_limit,
+            entry_stacks: vec![Vec::new(); entries.len()],
+            current: 0,
+        }
+    }
+}
+
+impl<'p> StepSource<'p> for Threads<'p> {
+    fn step(&mut self, buf: &mut Block, machine: &mut Machine, dos: &mut DoSystem<'p>) -> Step {
+        if self.limit.is_some_and(|limit| machine.instret() >= limit) {
+            return Step::Done;
+        }
+        match self.mt.step(buf) {
+            MtStep::Block(_) => Step::Block,
+            MtStep::Switch(tid) => {
+                dos.on_thread_switch(tid.0, machine);
+                // A context switch drains the pipeline and touches the
+                // scheduler's state: a small fixed cost. The switch itself
+                // is not a step; the switched-to thread's first step is.
+                machine.add_overhead_cycles(200);
+                self.step(buf, machine, dos)
+            }
+            MtStep::Enter(tid, m) => {
+                self.current = tid.0 as usize;
+                Step::Enter(m)
+            }
+            MtStep::Exit(tid, m) => {
+                self.current = tid.0 as usize;
+                Step::Exit(m)
+            }
+            MtStep::Done => Step::Done,
+        }
+    }
+
+    fn entry_stack(&mut self) -> &mut Vec<u64> {
+        &mut self.entry_stacks[self.current]
+    }
+
+    fn walk_profile(&self) -> [u64; 4] {
+        self.mt.walk_profile()
+    }
+
+    fn workload(&self, program: &Program) -> String {
+        format!("{}({}T)", program.name(), self.mt.thread_count())
+    }
+}
+
+/// Runs `program` under `manager`, taking its steps from `source`.
 ///
 /// # Errors
 ///
 /// Returns [`ConfigError`] if the machine configuration is invalid.
-///
-/// # Examples
-///
-/// ```
-/// use ace_core::{Experiment, NullManager};
-/// let record = Experiment::preset("db")
-///     .instruction_limit(1_000_000)
-///     .run_with(&mut NullManager)?;
-/// assert!(record.instret >= 1_000_000);
-/// assert!(record.ipc > 0.0);
-/// # Ok::<(), ace_core::ExperimentError>(())
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Experiment::preset(..).run()` / `.run_with(&mut mgr)` instead"
-)]
-pub fn run_with_manager<M: AceManager>(
-    program: &Program,
+pub(crate) fn run<'p, S, M>(
+    program: &'p Program,
     cfg: &RunConfig,
     manager: &mut M,
-) -> Result<RunRecord, ConfigError> {
-    run_with_manager_impl(program, cfg, manager)
-}
-
-pub(crate) fn run_with_manager_impl<M: AceManager + ?Sized>(
-    program: &Program,
-    cfg: &RunConfig,
-    manager: &mut M,
-) -> Result<RunRecord, ConfigError> {
+    mut source: S,
+) -> Result<RunRecord, ConfigError>
+where
+    S: StepSource<'p>,
+    M: AceManager + ?Sized,
+{
     let mut machine = Machine::new(cfg.machine.clone())?;
     let mut dos = DoSystem::new(program, cfg.do_config.clone());
     dos.set_telemetry(cfg.telemetry.clone());
     manager.set_telemetry(cfg.telemetry.clone());
     let _run_timer = cfg.telemetry.metrics().map(|m| m.timer("run_wall_ms"));
-    let mut exec = match cfg.workload_seed {
-        Some(seed) => Executor::with_seed(program, seed),
-        None => Executor::new(program),
-    };
-    if let Some(limit) = cfg.instruction_limit {
-        exec.set_instruction_limit(limit);
-    }
     let mut buf = Block::with_capacity(64);
-    // Entry instret per live frame, for raw method-exit sizes.
-    let mut entry_stack: Vec<u64> = Vec::with_capacity(64);
 
     manager.on_start(&mut machine);
     loop {
-        match exec.step(&mut buf) {
+        match source.step(&mut buf, &mut machine, &mut dos) {
             Step::Block => {
                 machine.exec_block(&buf);
                 manager.on_block(&buf, &mut machine);
             }
             Step::Enter(m) => {
-                entry_stack.push(machine.instret());
+                source.entry_stack().push(machine.instret());
                 manager.on_method_enter(m, &mut machine);
                 let event = dos.on_enter(m, &mut machine);
                 manager.on_event(event, &mut machine);
             }
             Step::Exit(m) => {
-                let entered = entry_stack.pop().unwrap_or(0);
+                let entered = source.entry_stack().pop().unwrap_or(0);
                 manager.on_method_exit(m, machine.instret() - entered, &mut machine);
                 let event = dos.on_exit(m, &mut machine);
                 manager.on_event(event, &mut machine);
@@ -172,113 +295,11 @@ pub(crate) fn run_with_manager_impl<M: AceManager + ?Sized>(
         }
     }
     manager.on_finish(&mut machine);
-    publish_walk_profile(&cfg.telemetry, exec.walk_profile());
+    publish_walk_profile(&cfg.telemetry, source.walk_profile());
 
     let counters = machine.counters().clone();
     Ok(RunRecord {
-        workload: program.name().to_string(),
-        instret: counters.instret,
-        cycles: counters.cycles,
-        ipc: counters.ipc(),
-        energy: cfg.energy.breakdown(&counters),
-        table4: dos.table4_summary(counters.instret),
-        do_stats: *dos.stats(),
-        counters,
-    })
-}
-
-/// Runs a multithreaded program: `entries` are the per-thread entry
-/// methods (disjoint method subtrees), time-multiplexed in `quantum_instr`
-/// slices over the one simulated core — the Dynamic SimpleScalar threading
-/// model, used by the dual-threaded mtrt experiment.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if the machine configuration is invalid.
-///
-/// # Panics
-///
-/// Panics if `entries` is empty.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Experiment::program(p).threaded(entries, quantum)` instead"
-)]
-pub fn run_threaded<M: AceManager>(
-    program: &Program,
-    entries: &[ace_workloads::MethodId],
-    quantum_instr: u64,
-    cfg: &RunConfig,
-    manager: &mut M,
-) -> Result<RunRecord, ConfigError> {
-    run_threaded_impl(program, entries, quantum_instr, cfg, manager)
-}
-
-pub(crate) fn run_threaded_impl<M: AceManager + ?Sized>(
-    program: &Program,
-    entries: &[ace_workloads::MethodId],
-    quantum_instr: u64,
-    cfg: &RunConfig,
-    manager: &mut M,
-) -> Result<RunRecord, ConfigError> {
-    use ace_workloads::{MtStep, ThreadedExecutor};
-
-    assert!(!entries.is_empty(), "need at least one thread entry");
-    let mut machine = Machine::new(cfg.machine.clone())?;
-    let mut dos = DoSystem::new(program, cfg.do_config.clone());
-    dos.set_telemetry(cfg.telemetry.clone());
-    manager.set_telemetry(cfg.telemetry.clone());
-    let _run_timer = cfg.telemetry.metrics().map(|m| m.timer("run_wall_ms"));
-    let threads: Vec<_> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, &entry)| {
-            let seed = cfg.workload_seed.unwrap_or(program.seed()) ^ (i as u64 + 1);
-            ace_workloads::Executor::with_entry(program, entry, seed)
-        })
-        .collect();
-    let mut mt = ThreadedExecutor::new(threads, quantum_instr);
-    let mut buf = Block::with_capacity(64);
-    let mut entry_stacks: Vec<Vec<u64>> = vec![Vec::new(); entries.len()];
-
-    manager.on_start(&mut machine);
-    loop {
-        if let Some(limit) = cfg.instruction_limit {
-            if machine.instret() >= limit {
-                break;
-            }
-        }
-        match mt.step(&mut buf) {
-            MtStep::Block(_) => {
-                machine.exec_block(&buf);
-                manager.on_block(&buf, &mut machine);
-            }
-            MtStep::Switch(tid) => {
-                dos.on_thread_switch(tid.0, &machine);
-                // A context switch drains the pipeline and touches the
-                // scheduler's state: a small fixed cost.
-                machine.add_overhead_cycles(200);
-            }
-            MtStep::Enter(tid, m) => {
-                entry_stacks[tid.0 as usize].push(machine.instret());
-                manager.on_method_enter(m, &mut machine);
-                let event = dos.on_enter(m, &mut machine);
-                manager.on_event(event, &mut machine);
-            }
-            MtStep::Exit(tid, m) => {
-                let entered = entry_stacks[tid.0 as usize].pop().unwrap_or(0);
-                manager.on_method_exit(m, machine.instret() - entered, &mut machine);
-                let event = dos.on_exit(m, &mut machine);
-                manager.on_event(event, &mut machine);
-            }
-            MtStep::Done => break,
-        }
-    }
-    manager.on_finish(&mut machine);
-    publish_walk_profile(&cfg.telemetry, mt.walk_profile());
-
-    let counters = machine.counters().clone();
-    Ok(RunRecord {
-        workload: format!("{}({}T)", program.name(), entries.len()),
+        workload: source.workload(program),
         instret: counters.instret,
         cycles: counters.cycles,
         ipc: counters.ipc(),
@@ -303,10 +324,18 @@ mod tests {
         }
     }
 
+    fn run_single<M: AceManager>(
+        program: &Program,
+        cfg: &RunConfig,
+        manager: &mut M,
+    ) -> Result<RunRecord, ConfigError> {
+        run(program, cfg, manager, SingleThread::new(program, cfg))
+    }
+
     #[test]
     fn baseline_run_produces_sane_record() {
         let p = ace_workloads::preset("compress").unwrap();
-        let r = run_with_manager_impl(&p, &small_cfg(3_000_000), &mut NullManager).unwrap();
+        let r = run_single(&p, &small_cfg(3_000_000), &mut NullManager).unwrap();
         assert!(r.instret >= 3_000_000);
         assert!(r.ipc > 0.5 && r.ipc < 4.0, "ipc {}", r.ipc);
         assert!(r.energy.total_nj() > 0.0);
@@ -316,8 +345,8 @@ mod tests {
     #[test]
     fn deterministic_records() {
         let p = ace_workloads::preset("jess").unwrap();
-        let a = run_with_manager_impl(&p, &small_cfg(2_000_000), &mut NullManager).unwrap();
-        let b = run_with_manager_impl(&p, &small_cfg(2_000_000), &mut NullManager).unwrap();
+        let a = run_single(&p, &small_cfg(2_000_000), &mut NullManager).unwrap();
+        let b = run_single(&p, &small_cfg(2_000_000), &mut NullManager).unwrap();
         assert_eq!(a.instret, b.instret);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.counters, b.counters);
@@ -328,12 +357,12 @@ mod tests {
         // db's working sets are tiny; pinning small caches must save energy
         // with modest slowdown.
         let p = ace_workloads::preset("db").unwrap();
-        let base = run_with_manager_impl(&p, &small_cfg(5_000_000), &mut NullManager).unwrap();
+        let base = run_single(&p, &small_cfg(5_000_000), &mut NullManager).unwrap();
         let mut small = FixedManager::new(AceConfig::both(
             SizeLevel::new(3).unwrap(),
             SizeLevel::new(2).unwrap(),
         ));
-        let r = run_with_manager_impl(&p, &small_cfg(5_000_000), &mut small).unwrap();
+        let r = run_single(&p, &small_cfg(5_000_000), &mut small).unwrap();
         assert!(
             r.l1d_saving_vs(&base) > 0.3,
             "L1D saving {:.3}",
@@ -354,7 +383,7 @@ mod tests {
     #[test]
     fn slowdown_sign_convention() {
         let p = ace_workloads::preset("db").unwrap();
-        let base = run_with_manager_impl(&p, &small_cfg(1_000_000), &mut NullManager).unwrap();
+        let base = run_single(&p, &small_cfg(1_000_000), &mut NullManager).unwrap();
         assert_eq!(base.slowdown_vs(&base), 0.0);
     }
 }

@@ -1,12 +1,10 @@
 //! The typed run façade: [`Experiment`] builds and executes one measured
-//! run, replacing the old free-function surface (`run_with_manager`,
-//! `run_threaded`).
+//! run.
 //!
 //! An experiment names a workload (a preset or an owned [`Program`]),
-//! picks a scheme (a registered id, a legacy [`Scheme`] value, or an
-//! owned [`crate::TuningScheme`] instance via
-//! [`SchemeSpec`](crate::SchemeSpec)), and layers run options on top of
-//! [`RunConfig::default`]:
+//! picks a scheme (a registered id, or an owned [`crate::TuningScheme`]
+//! instance via [`SchemeSpec`](crate::SchemeSpec)), and layers run
+//! options on top of [`RunConfig::default`]:
 //!
 //! ```
 //! use ace_core::Experiment;
@@ -25,80 +23,15 @@
 //! [`Experiment::run_with`] accepts any hand-built [`AceManager`] for
 //! ablations that perturb a manager's configuration.
 
-use crate::driver::{run_threaded_impl, run_with_manager_impl, RunConfig, RunRecord};
-use crate::scheme::{FixedScheme, SchemeCtx, SchemeRegistry, SchemeReport, SchemeSpec};
-use crate::{AceConfig, AceManager};
+use crate::driver::{self, RunConfig, RunRecord, SingleThread, Threads};
+use crate::scheme::{SchemeCtx, SchemeRegistry, SchemeReport, SchemeSpec};
+use crate::AceManager;
 use ace_energy::EnergyModel;
 use ace_runtime::DoConfig;
 use ace_sim::{ConfigError, MachineConfig};
 use ace_telemetry::Telemetry;
 use ace_workloads::{MethodId, Program};
 use std::fmt;
-use std::sync::Arc;
-
-/// The built-in management schemes, kept as thin compat constructors over
-/// the scheme registry (see [`crate::SchemeRegistry`]). New schemes
-/// register through the registry instead of extending this enum.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub enum Scheme {
-    /// Non-adaptive baseline: both caches pinned at their largest sizes.
-    Baseline,
-    /// The paper's DO-based hotspot scheme with CU decoupling.
-    Hotspot,
-    /// The temporal baseline: BBV phases + tune-all-combinations.
-    Bbv,
-    /// Huang et al.'s positional scheme (large-procedure boundaries).
-    Positional,
-    /// Phase Distance Mapping: hotspot substrate + behavioral-distance
-    /// prediction against already-tuned phases.
-    Pdm,
-    /// A fixed configuration installed at start (static-oracle points).
-    Fixed(AceConfig),
-}
-
-impl Scheme {
-    /// Stable lowercase name, used for job keys and CLI flags.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scheme::Baseline => "baseline",
-            Scheme::Hotspot => "hotspot",
-            Scheme::Bbv => "bbv",
-            Scheme::Positional => "positional",
-            Scheme::Pdm => "pdm",
-            Scheme::Fixed(_) => "fixed",
-        }
-    }
-
-    /// Parses a scheme name back to its variant. `"fixed"` is not
-    /// parseable (a fixed scheme is meaningless without its
-    /// [`AceConfig`]).
-    pub fn from_name(name: &str) -> Option<Scheme> {
-        match name {
-            "baseline" => Some(Scheme::Baseline),
-            "hotspot" => Some(Scheme::Hotspot),
-            "bbv" => Some(Scheme::Bbv),
-            "positional" => Some(Scheme::Positional),
-            "pdm" => Some(Scheme::Pdm),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Scheme {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl From<Scheme> for SchemeSpec {
-    fn from(scheme: Scheme) -> SchemeSpec {
-        match scheme {
-            Scheme::Fixed(config) => SchemeSpec::instance(Arc::new(FixedScheme(config))),
-            named => SchemeSpec::named(named.name()),
-        }
-    }
-}
 
 /// One completed scheme run: the measured record plus the manager report.
 #[derive(Debug, Clone)]
@@ -122,7 +55,9 @@ pub enum ExperimentError {
     /// The machine configuration was rejected by the simulator.
     Machine(ConfigError),
     /// The workload resolved but could not be loaded or built (unreadable
-    /// or unparsable spec file, spec failing validation).
+    /// or unparsable spec file, spec failing validation), or its
+    /// threading does not fit it (no thread entries, a zero quantum, an
+    /// entry that is not one of the program's methods).
     Workload(String),
 }
 
@@ -202,7 +137,7 @@ impl Experiment {
         let model = EnergyModel::default_180nm();
         Experiment {
             source,
-            scheme: Scheme::Baseline.into(),
+            scheme: SchemeSpec::named("baseline"),
             registry: SchemeRegistry::builtin(),
             cfg: RunConfig {
                 energy: model,
@@ -214,8 +149,8 @@ impl Experiment {
     }
 
     /// Selects the management scheme (default baseline): a registered id
-    /// (`"hotspot"`), a legacy [`Scheme`] value, or a
-    /// [`SchemeSpec`](crate::SchemeSpec) carrying an owned instance.
+    /// (`"hotspot"`) or a [`SchemeSpec`](crate::SchemeSpec) carrying an
+    /// owned instance.
     pub fn scheme(mut self, scheme: impl Into<SchemeSpec>) -> Experiment {
         self.scheme = scheme.into();
         self
@@ -276,14 +211,19 @@ impl Experiment {
 
     /// Runs the program time-multiplexed over `entries` (one executor per
     /// entry method) in `quantum_instr` slices — the threading model of
-    /// the dual-threaded mtrt experiment.
+    /// the dual-threaded mtrt experiment. The record's workload is named
+    /// `name(NT)` for `N` threads. Running fails with
+    /// [`ExperimentError::Workload`] if `entries` is empty, the quantum is
+    /// zero, or an entry is not a method of the program.
     pub fn threaded(mut self, entries: &[MethodId], quantum_instr: u64) -> Experiment {
         self.threading = Some((entries.to_vec(), quantum_instr));
         self
     }
 
+    /// Resolves the workload and checks the threading against it, before
+    /// anything runs.
     fn resolve(&self) -> Result<Program, ExperimentError> {
-        match &self.source {
+        let program = match &self.source {
             Source::Named(name) => ace_workloads::WorkloadRegistry::builtin()
                 .resolve_program(name)
                 .map_err(|e| match e {
@@ -296,7 +236,27 @@ impl Experiment {
                 .build()
                 .map_err(|e| ExperimentError::Workload(format!("building '{}': {e}", spec.name))),
             Source::Program(p) => Ok((**p).clone()),
+        }?;
+        if let Some((entries, quantum)) = &self.threading {
+            let invalid = |msg: String| Err(ExperimentError::Workload(msg));
+            if entries.is_empty() {
+                return invalid("a threaded run needs at least one thread entry".into());
+            }
+            if *quantum == 0 {
+                return invalid("a threaded run needs a nonzero quantum".into());
+            }
+            if let Some(entry) = entries
+                .iter()
+                .find(|m| m.0 as usize >= program.method_count())
+            {
+                return invalid(format!(
+                    "thread entry {entry} is not a method of '{}' ({} methods)",
+                    program.name(),
+                    program.method_count()
+                ));
+            }
         }
+        Ok(program)
     }
 
     /// Runs under the selected scheme and returns the record alone.
@@ -304,8 +264,10 @@ impl Experiment {
     /// # Errors
     ///
     /// [`ExperimentError::UnknownWorkload`] for an unknown preset name,
-    /// [`ExperimentError::UnknownScheme`] for an unregistered scheme id,
-    /// [`ExperimentError::Machine`] for an invalid machine configuration.
+    /// [`ExperimentError::Workload`] for an unbuildable workload or
+    /// invalid threading, [`ExperimentError::UnknownScheme`] for an
+    /// unregistered scheme id, [`ExperimentError::Machine`] for an invalid
+    /// machine configuration.
     pub fn run(self) -> Result<RunRecord, ExperimentError> {
         Ok(self.run_scheme()?.record)
     }
@@ -341,96 +303,6 @@ impl Experiment {
         })
     }
 
-    /// Runs several experiments to completion through the lane-batched
-    /// driver ([`crate::run_batch`]) and returns their [`SchemeRun`]s in
-    /// input order. Results are byte-identical to calling
-    /// [`Experiment::run_scheme`] on each experiment separately; the
-    /// batched schedule only overlaps the lanes' independent dependency
-    /// chains. Threaded experiments cannot share the block-level batch
-    /// and run scalar within the same call.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first experiment that fails to resolve (unknown
-    /// workload or scheme, invalid machine configuration); no lane runs
-    /// in that case.
-    pub fn run_scheme_batch(
-        experiments: Vec<Experiment>,
-    ) -> Result<Vec<SchemeRun>, ExperimentError> {
-        struct Prepared {
-            program: Program,
-            cfg: RunConfig,
-            manager: Box<dyn crate::SchemeManager>,
-            scheme_name: String,
-            threading: Option<(Vec<MethodId>, u64)>,
-        }
-        let mut prepared = Vec::with_capacity(experiments.len());
-        for e in experiments {
-            let program = e.resolve()?;
-            let scheme = e
-                .scheme
-                .resolve(&e.registry)
-                .ok_or_else(|| ExperimentError::UnknownScheme(e.scheme.id()))?;
-            let manager = scheme.build(&SchemeCtx {
-                program: &program,
-                model: e.model,
-            });
-            prepared.push(Prepared {
-                program,
-                cfg: e.cfg,
-                manager,
-                scheme_name: scheme.name().to_string(),
-                threading: e.threading,
-            });
-        }
-
-        // Threaded lanes cannot join the block batch: run them scalar.
-        let mut records: Vec<Option<RunRecord>> = (0..prepared.len()).map(|_| None).collect();
-        for (i, p) in prepared.iter_mut().enumerate() {
-            if let Some((entries, quantum)) = &p.threading {
-                records[i] = Some(run_threaded_impl(
-                    &p.program,
-                    entries,
-                    *quantum,
-                    &p.cfg,
-                    &mut *p.manager,
-                )?);
-            }
-        }
-        let lanes: Vec<crate::BatchLane<'_>> = prepared
-            .iter_mut()
-            .filter(|p| p.threading.is_none())
-            .map(|p| crate::BatchLane {
-                program: &p.program,
-                cfg: p.cfg.clone(),
-                manager: &mut *p.manager,
-            })
-            .collect();
-        let mut batched = crate::run_batch(lanes)?.into_iter();
-        for (i, p) in prepared.iter().enumerate() {
-            if p.threading.is_none() {
-                records[i] = Some(batched.next().expect("one record per lane"));
-            }
-        }
-
-        Ok(prepared
-            .into_iter()
-            .zip(records)
-            .map(|(p, record)| {
-                let record = record.expect("every lane produced a record");
-                let report = p.manager.scheme_report(&record);
-                if let Some(metrics) = p.cfg.telemetry.metrics() {
-                    report.record_metrics(metrics);
-                }
-                SchemeRun {
-                    scheme: p.scheme_name,
-                    record,
-                    report,
-                }
-            })
-            .collect())
-    }
-
     /// Runs under a caller-supplied manager, ignoring the selected scheme
     /// — the escape hatch for ablations that perturb manager
     /// configurations.
@@ -462,12 +334,17 @@ impl Experiment {
         program: &Program,
         manager: &mut M,
     ) -> Result<RunRecord, ExperimentError> {
-        match &self.threading {
-            Some((entries, quantum)) => Ok(run_threaded_impl(
-                program, entries, *quantum, &self.cfg, manager,
-            )?),
-            None => Ok(run_with_manager_impl(program, &self.cfg, manager)?),
-        }
+        let record = match &self.threading {
+            Some((entries, quantum)) => {
+                let threads = Threads::new(program, entries, *quantum, &self.cfg);
+                driver::run(program, &self.cfg, manager, threads)?
+            }
+            None => {
+                let single = SingleThread::new(program, &self.cfg);
+                driver::run(program, &self.cfg, manager, single)?
+            }
+        };
+        Ok(record)
     }
 }
 
@@ -475,7 +352,6 @@ impl Experiment {
 mod tests {
     use super::*;
     use crate::scheme::SchemeExt;
-    use crate::NullManager;
 
     #[test]
     fn builder_runs_a_preset() {
@@ -548,7 +424,7 @@ mod tests {
     #[test]
     fn scheme_runs_carry_reports() {
         let run = Experiment::preset("db")
-            .scheme(Scheme::Hotspot)
+            .scheme("hotspot")
             .instruction_limit(2_000_000)
             .run_scheme()
             .unwrap();
@@ -569,7 +445,7 @@ mod tests {
         // The unified report fills guard_rejections from the machine
         // counters for *every* scheme; before the redesign only the
         // hotspot arm did, so BBV reported 0 with a nonzero counter.
-        for scheme in [Scheme::Baseline, Scheme::Hotspot, Scheme::Bbv, Scheme::Pdm] {
+        for scheme in ["baseline", "hotspot", "bbv", "pdm"] {
             let run = Experiment::preset("javac")
                 .scheme(scheme)
                 .instruction_limit(4_000_000)
@@ -580,21 +456,6 @@ mod tests {
                 "{scheme} must report the machine's guard-rejection count"
             );
         }
-    }
-
-    #[test]
-    fn builder_matches_the_free_function_path() {
-        let a = Experiment::preset("jess")
-            .instruction_limit(2_000_000)
-            .run()
-            .unwrap();
-        let program = ace_workloads::preset("jess").unwrap();
-        let cfg = RunConfig {
-            instruction_limit: Some(2_000_000),
-            ..RunConfig::default()
-        };
-        let b = run_with_manager_impl(&program, &cfg, &mut NullManager).unwrap();
-        assert_eq!(a.counters, b.counters);
     }
 
     #[test]
@@ -621,5 +482,37 @@ mod tests {
             .unwrap();
         assert!(r.instret >= 4_000_000);
         assert!(r.workload.contains("2T"));
+    }
+
+    fn threaded_mtrt(entries: &[MethodId], quantum: u64) -> Result<RunRecord, ExperimentError> {
+        let (program, _) = ace_workloads::mtrt_threaded();
+        Experiment::program(program)
+            .threaded(entries, quantum)
+            .instruction_limit(1_000_000)
+            .run()
+    }
+
+    #[test]
+    fn threaded_without_entries_is_a_workload_error() {
+        let err = threaded_mtrt(&[], 500_000).unwrap_err();
+        assert!(matches!(err, ExperimentError::Workload(_)), "{err:?}");
+        assert!(err.to_string().contains("thread entry"), "{err}");
+    }
+
+    #[test]
+    fn threaded_with_zero_quantum_is_a_workload_error() {
+        let (_, entries) = ace_workloads::mtrt_threaded();
+        let err = threaded_mtrt(&entries, 0).unwrap_err();
+        assert!(matches!(err, ExperimentError::Workload(_)), "{err:?}");
+        assert!(err.to_string().contains("quantum"), "{err}");
+    }
+
+    #[test]
+    fn threaded_entry_outside_the_program_is_a_workload_error() {
+        let (program, entries) = ace_workloads::mtrt_threaded();
+        let outside = MethodId(program.method_count() as u32);
+        let err = threaded_mtrt(&[entries[0], outside], 500_000).unwrap_err();
+        assert!(matches!(err, ExperimentError::Workload(_)), "{err:?}");
+        assert!(err.to_string().contains(&outside.to_string()), "{err}");
     }
 }

@@ -28,10 +28,10 @@
 //! ## Example: compare the two schemes on one workload
 //!
 //! ```no_run
-//! use ace_core::{Experiment, Scheme};
+//! use ace_core::Experiment;
 //!
 //! let base = Experiment::preset("db").run()?;
-//! let ours = Experiment::preset("db").scheme(Scheme::Hotspot).run()?;
+//! let ours = Experiment::preset("db").scheme("hotspot").run()?;
 //! println!(
 //!     "L1D energy saving: {:.0}%, slowdown: {:.2}%",
 //!     100.0 * ours.l1d_saving_vs(&base),
@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod bbv_mgr;
 mod cu;
 mod driver;
@@ -57,13 +56,10 @@ mod scheme;
 mod tuner;
 mod warm;
 
-pub use batch::{run_batch, BatchLane};
 pub use bbv_mgr::{BbvAceManager, BbvManagerConfig, BbvReport};
 pub use cu::{combined_list, single_cu_list, AceConfig};
-#[allow(deprecated)]
-pub use driver::{run_threaded, run_with_manager};
 pub use driver::{RunConfig, RunRecord};
-pub use experiment::{Experiment, ExperimentError, Scheme, SchemeRun};
+pub use experiment::{Experiment, ExperimentError, SchemeRun};
 pub use hotspot::{CuSchemeStats, HotspotAceManager, HotspotManagerConfig, HotspotReport};
 pub use manager::{AceManager, FixedManager, NullManager};
 pub use measure::{Measurement, Probe};

@@ -247,14 +247,18 @@ impl AceManager for PositionalAceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_with_manager_impl as run_with_manager, RunConfig};
     use crate::manager::NullManager;
+    use crate::{Experiment, RunRecord};
 
-    fn limited(limit: u64) -> RunConfig {
-        RunConfig {
-            instruction_limit: Some(limit),
-            ..RunConfig::default()
-        }
+    fn run_limited<M: AceManager>(
+        program: &ace_workloads::Program,
+        limit: u64,
+        mgr: &mut M,
+    ) -> RunRecord {
+        Experiment::program(program.clone())
+            .instruction_limit(limit)
+            .run_with(mgr)
+            .unwrap()
     }
 
     #[test]
@@ -265,7 +269,7 @@ mod tests {
             PositionalManagerConfig::default(),
             EnergyModel::default_180nm(),
         );
-        let _ = run_with_manager(&program, &limited(40_000_000), &mut mgr).unwrap();
+        let _ = run_limited(&program, 40_000_000, &mut mgr);
         let r = mgr.report();
         // jess's two stage methods exceed the 500K cutoff.
         assert!(
@@ -282,16 +286,16 @@ mod tests {
         // procedure boundaries cannot see the kernels' diverse working
         // sets, so it captures less of the opportunity.
         let program = ace_workloads::preset("mpeg").unwrap();
-        let cfg = limited(60_000_000);
+        let limit = 60_000_000;
         let model = EnergyModel::default_180nm();
-        let base = run_with_manager(&program, &cfg, &mut NullManager).unwrap();
+        let base = run_limited(&program, limit, &mut NullManager);
 
         let mut pos =
             PositionalAceManager::new(&program, PositionalManagerConfig::default(), model);
-        let r_pos = run_with_manager(&program, &cfg, &mut pos).unwrap();
+        let r_pos = run_limited(&program, limit, &mut pos);
 
         let mut hs = crate::HotspotAceManager::new(crate::HotspotManagerConfig::default(), model);
-        let r_hs = run_with_manager(&program, &cfg, &mut hs).unwrap();
+        let r_hs = run_limited(&program, limit, &mut hs);
 
         let sav_pos = 1.0 - r_pos.energy.total_nj() / base.energy.total_nj();
         let sav_hs = 1.0 - r_hs.energy.total_nj() / base.energy.total_nj();
@@ -309,7 +313,7 @@ mod tests {
             PositionalManagerConfig::default(),
             EnergyModel::default_180nm(),
         );
-        let _ = run_with_manager(&program, &limited(10_000_000), &mut mgr).unwrap();
+        let _ = run_limited(&program, 10_000_000, &mut mgr);
         // Kernels (~150K instructions) are far below the 500K cutoff.
         assert!(mgr.report().large_procedures <= 4);
     }

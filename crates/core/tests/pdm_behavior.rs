@@ -4,7 +4,7 @@
 //! workload of behaviorally similar kernels produces prediction hits and
 //! measurably fewer trials.
 
-use ace_core::{Experiment, PdmManagerConfig, PdmScheme, Scheme, SchemeExt, SchemeSpec};
+use ace_core::{Experiment, PdmManagerConfig, PdmScheme, SchemeExt, SchemeSpec};
 use ace_workloads::{MemPattern, Program, ProgramBuilder, Stmt};
 use std::sync::Arc;
 
@@ -36,7 +36,7 @@ fn similar_kernels() -> Program {
 #[test]
 fn zero_threshold_degrades_exactly_to_search() {
     let hotspot = Experiment::program(similar_kernels())
-        .scheme(Scheme::Hotspot)
+        .scheme("hotspot")
         .run_scheme()
         .unwrap();
 
@@ -75,11 +75,11 @@ fn zero_threshold_degrades_exactly_to_search() {
 #[test]
 fn similar_kernels_predict_and_save_trials() {
     let hotspot = Experiment::program(similar_kernels())
-        .scheme(Scheme::Hotspot)
+        .scheme("hotspot")
         .run_scheme()
         .unwrap();
     let pdm = Experiment::program(similar_kernels())
-        .scheme(Scheme::Pdm)
+        .scheme("pdm")
         .run_scheme()
         .unwrap();
 

@@ -1,45 +1,33 @@
-//! Properties of the scheme-naming layer: `Scheme` parse ↔ `Display`
-//! round-trips, registry ids agree with the compat enum, and arbitrary
-//! strings never alias a registered scheme.
+//! Properties of the scheme registry: every builtin id resolves to a
+//! scheme of that name, directly and through a `SchemeSpec`, and
+//! arbitrary strings never alias a registered scheme.
 
-use ace_core::{Scheme, SchemeRegistry, SchemeSpec};
+use ace_core::{SchemeRegistry, SchemeSpec};
 use proptest::prelude::*;
 
-/// Every parseable scheme variant (the `Fixed` variant carries a config
-/// and is deliberately not parseable).
-const NAMED: [Scheme; 5] = [
-    Scheme::Baseline,
-    Scheme::Hotspot,
-    Scheme::Bbv,
-    Scheme::Positional,
-    Scheme::Pdm,
-];
+/// The builtin registry's ids, in registration order.
+const NAMED: [&str; 5] = ["baseline", "hotspot", "bbv", "positional", "pdm"];
 
 #[test]
-fn every_named_scheme_round_trips_and_resolves() {
+fn every_named_scheme_resolves() {
     let registry = SchemeRegistry::builtin();
-    for scheme in NAMED {
-        // name ↔ from_name round-trip, and Display agrees with name().
-        assert_eq!(Scheme::from_name(scheme.name()), Some(scheme));
-        assert_eq!(scheme.to_string(), scheme.name());
-
-        // The enum's names are exactly the registry's builtin ids.
+    assert!(registry.names().eq(NAMED));
+    for name in NAMED {
         let resolved = registry
-            .get(scheme.name())
-            .unwrap_or_else(|| panic!("{} not registered", scheme.name()));
-        assert_eq!(resolved.name(), scheme.name());
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} not registered"));
+        assert_eq!(resolved.name(), name);
 
-        // The compat From<Scheme> conversion produces a spec with the
-        // same id that resolves against the builtin registry.
-        let spec: SchemeSpec = scheme.into();
-        assert_eq!(spec.id(), scheme.name());
-        assert_eq!(spec.resolve(&registry).unwrap().name(), scheme.name());
+        // A named spec carries the id and resolves to the same scheme.
+        let spec = SchemeSpec::named(name);
+        assert_eq!(spec.id(), name);
+        assert_eq!(spec.resolve(&registry).unwrap().name(), name);
     }
 }
 
 /// Candidate scheme ids: half the cases draw a genuine name (possibly
 /// mutated by one appended letter), the rest a random lowercase string —
-/// so the property exercises both the parseable and unparseable sides.
+/// so the property exercises both the registered and unregistered sides.
 fn arb_name() -> impl Strategy<Value = String> {
     (
         0u64..10,
@@ -47,8 +35,8 @@ fn arb_name() -> impl Strategy<Value = String> {
         prop::option::of(97u8..123),
     )
         .prop_map(|(pick, bytes, tail)| {
-            if let Some(scheme) = NAMED.get(pick as usize) {
-                let mut name = scheme.name().to_string();
+            if let Some(name) = NAMED.get(pick as usize) {
+                let mut name = name.to_string();
                 if let Some(extra) = tail {
                     name.push(extra as char);
                 }
@@ -62,30 +50,14 @@ fn arb_name() -> impl Strategy<Value = String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Parsing is exact: a string parses iff it is one of the five
-    /// names, and then round-trips through Display.
+    /// Lookup is exact: a string resolves in the builtin registry iff it
+    /// is one of the builtin ids.
     #[test]
-    fn parse_is_exact_and_round_trips(name in arb_name()) {
-        match Scheme::from_name(&name) {
-            Some(scheme) => {
-                prop_assert_eq!(scheme.to_string(), name.clone());
-                prop_assert!(NAMED.contains(&scheme));
-            }
-            None => {
-                prop_assert!(NAMED.iter().all(|s| s.name() != name));
-            }
-        }
-    }
-
-    /// Registry lookup agrees with enum parsing for arbitrary ids: a
-    /// string resolves in the builtin registry iff the enum parses it
-    /// (the registry holds exactly the named variants by default).
-    #[test]
-    fn builtin_lookup_matches_enum_parse(name in arb_name()) {
+    fn builtin_lookup_is_exact(name in arb_name()) {
         let registry = SchemeRegistry::builtin();
         prop_assert_eq!(
             registry.get(&name).is_some(),
-            Scheme::from_name(&name).is_some()
+            NAMED.contains(&name.as_str())
         );
     }
 }

@@ -9,13 +9,6 @@
 //!   `--seed-base <N>` / `--limit <instr>` — override the preset shape.
 //! * `--jobs <N>` — worker-pool width; stdout is byte-identical at any
 //!   width (throughput goes to stderr).
-//! * `--lanes <N>` — machines per lane-batched job (default 1, i.e.
-//!   scalar stepping). Grouped machines sharing a preset advance
-//!   round-robin through one machine batch on a single worker,
-//!   overlapping their dependency chains; stdout, the store log, the
-//!   obs series, and the telemetry stream are byte-identical at any
-//!   lane count. Scalar is the default because fleet lanes diverge by
-//!   seed and measured slower batched (see `benchmarks/JOURNAL.md`).
 //! * `--store <path>` — tuning-store log (default
 //!   `results/fleet_store.jsonl`). A pre-existing log warm-starts the
 //!   first pass.
@@ -94,9 +87,6 @@ impl Args {
 fn parse_args() -> Args {
     let mut preset = "standard".to_string();
     let mut overrides: Vec<(String, String)> = Vec::new();
-    // A perf knob, not key material: --lanes never changes results, so it
-    // neither joins `overrides` nor disables report caching.
-    let mut lanes: Option<usize> = None;
     let mut args = Args {
         cfg: FleetConfig::default(),
         jobs: default_jobs(),
@@ -133,16 +123,6 @@ fn parse_args() -> Args {
                     Ok(n) if n > 0 => args.jobs = n,
                     _ => {
                         eprintln!("--jobs requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--lanes" => {
-                let value = take(&mut it, "--lanes");
-                match value.parse::<usize>() {
-                    Ok(n) if n > 0 => lanes = Some(n),
-                    _ => {
-                        eprintln!("--lanes requires a positive integer");
                         std::process::exit(2);
                     }
                 }
@@ -198,9 +178,6 @@ fn parse_args() -> Args {
             std::process::exit(2);
         }
     };
-    if let Some(lanes) = lanes {
-        args.cfg.lanes = lanes;
-    }
     args.cacheable = overrides.is_empty();
     for (flag, value) in overrides {
         let parse = |v: &str| -> u64 {

@@ -147,7 +147,6 @@ pub fn run_corpus_oracle(count: usize, jobs: usize, telemetry: &Telemetry) -> Be
         seed_base: 1,
         instruction_limit: CORPUS_LIMIT,
         measure_baseline: false,
-        lanes: 1,
     };
     let reference = fleet_fingerprints(&cfg, jobs, telemetry)?;
     let serial = fleet_fingerprints(&cfg, 1, telemetry)?;

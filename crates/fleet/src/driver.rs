@@ -20,13 +20,13 @@ use crate::store::TuningStore;
 use crate::FLEET_SCHEMA_VERSION;
 use ace_bench::{run_jobs, BenchError, BenchResult, Job};
 use ace_core::{
-    registry_version, run_batch, BatchLane, Experiment, NullManager, RunConfig, RunRecord,
-    SchemeCtx, SchemeRegistry, StorePublication, WarmStartContext,
+    registry_version, Experiment, NullManager, SchemeCtx, SchemeRegistry, StorePublication,
+    WarmStartContext,
 };
 use ace_energy::EnergyModel;
 use ace_runtime::DoConfig;
 use ace_sim::MachineConfig;
-use ace_telemetry::{Event, MemorySink, Telemetry};
+use ace_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
@@ -83,28 +83,6 @@ pub struct FleetConfig {
     /// Whether each machine also runs a non-adaptive baseline for energy
     /// accounting (doubles the work; the binary needs it, tests may not).
     pub measure_baseline: bool,
-    /// Machines per lane-batched job: up to this many admitted machines
-    /// **sharing a workload preset** advance round-robin through one
-    /// [`ace_core::run_batch`] group, overlapping their dependency
-    /// chains on a single core. Grouping is preset-affine because the
-    /// lane win only exists for similar workloads — mixed lanes thrash
-    /// the host cache and measure slower than scalar. Outcomes, the
-    /// store log, the report, the obs series, and the telemetry event
-    /// stream are byte-identical at any lane count (each lane traces
-    /// into its own buffered child, and the wave merge re-sorts members
-    /// into machine-index order before anything observable happens);
-    /// only throughput changes. `0` and `1` both mean scalar stepping.
-    /// Excluded from the serialized cache-key material for the same
-    /// reason `wall` is: it cannot change results.
-    ///
-    /// Presets default to `1`: fleet lanes share a preset but differ in
-    /// executor seed, and at fleet block counts that divergence (plus
-    /// eight machines' simulated-cache metadata resident at once) costs
-    /// more host-cache pressure than the dependency-chain break buys —
-    /// the standard preset measured 9.2 machines/sec scalar vs 7.4 at 8
-    /// lanes (see `benchmarks/JOURNAL.md`).
-    #[serde(skip, default)]
-    pub lanes: usize,
 }
 
 impl Default for FleetConfig {
@@ -138,7 +116,6 @@ impl FleetConfig {
             seed_base: 1,
             instruction_limit: 8_000_000,
             measure_baseline: true,
-            lanes: 1,
         })
     }
 
@@ -378,78 +355,34 @@ pub fn run_fleet_observed(
         let wave_start = outcome.machines.len();
         let span = telemetry.span_at("wave", cum_instret, cum_cycle);
         let snapshot = store.snapshot();
-        // Lane groups are preset-affine: the batched win only exists
-        // when a group's lanes run similar workloads (mixed-preset lanes
-        // thrash the host cache and measure *slower* than scalar), and
-        // fleet machine `i` runs preset `i % presets.len()`, so
-        // consecutive machines are maximally dissimilar. Bucket the
-        // admitted slice by preset (machine-index order within each
-        // bucket), chunk each bucket into lane groups, and submit groups
-        // ordered by first member index. Group shape cannot affect
-        // results — every machine tunes against the wave's frozen
-        // snapshot — and the merge below re-sorts members into
-        // machine-index order before anything observable happens.
-        let lanes = cfg.lanes.max(1);
-        let mut buckets: Vec<(&str, Vec<MachineSpec>)> = Vec::new();
-        for spec in admitted {
-            match buckets.iter_mut().find(|(p, _)| *p == spec.preset) {
-                Some((_, bucket)) => bucket.push(spec.clone()),
-                None => buckets.push((spec.preset.as_str(), vec![spec.clone()])),
-            }
-        }
-        let mut groups: Vec<Vec<MachineSpec>> = buckets
-            .into_iter()
-            .flat_map(|(_, bucket)| {
-                bucket
-                    .chunks(lanes)
-                    .map(<[MachineSpec]>::to_vec)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        groups.sort_by_key(|group| group[0].index);
-        let pool: Vec<Job<Vec<GroupMember>>> = groups
-            .into_iter()
-            .map(|group| {
-                let key = match group.as_slice() {
-                    [spec] => format!("m{}/{}#{}", spec.index, spec.preset, spec.seed),
-                    _ => format!(
-                        "m{}..m{} [{}x {}]",
-                        group[0].index,
-                        group[group.len() - 1].index,
-                        group.len(),
-                        group[0].preset
-                    ),
-                };
+        let pool: Vec<Job<(MachineOutcome, Vec<StorePublication>)>> = admitted
+            .iter()
+            .map(|spec| {
+                let spec = spec.clone();
                 let snapshot = snapshot.clone();
                 let limit = cfg.instruction_limit;
                 let measure_baseline = cfg.measure_baseline;
-                Job::new(key, move |tel| {
-                    run_machine_group(&group, &snapshot, limit, measure_baseline, tel)
-                })
+                Job::new(
+                    format!("m{}/{}#{}", spec.index, spec.preset, spec.seed),
+                    move |tel| run_machine(spec, snapshot, limit, measure_baseline, tel),
+                )
             })
             .collect();
-        let mut wave_members: Vec<GroupMember> = Vec::new();
         for job_outcome in run_jobs(pool, jobs, telemetry) {
             outcome.wall += job_outcome.wall;
             match job_outcome.result {
-                Ok(members) => wave_members.extend(members),
+                Ok((machine, publications)) => {
+                    for publication in publications {
+                        store.publish(publication)?;
+                    }
+                    cum_instret += machine.instret;
+                    if machine.ipc > 0.0 {
+                        cum_cycle += (machine.instret as f64 / machine.ipc) as u64;
+                    }
+                    outcome.machines.push(machine);
+                }
                 Err(e) => failures.push(format!("{}: {e}", job_outcome.key)),
             }
-        }
-        // Machine-index order restored here — publish order, cumulative
-        // span counters, the outcome rows, and the absorbed telemetry
-        // event stream all match scalar stepping byte-for-byte.
-        wave_members.sort_by_key(|member| member.machine.spec.index);
-        for member in wave_members {
-            telemetry.absorb_child(&member.telemetry, &member.events);
-            for publication in member.publications {
-                store.publish(publication)?;
-            }
-            cum_instret += member.machine.instret;
-            if member.machine.ipc > 0.0 {
-                cum_cycle += (member.machine.instret as f64 / member.machine.ipc) as u64;
-            }
-            outcome.machines.push(member.machine);
         }
         span.end_at(cum_instret, cum_cycle);
         if !failures.is_empty() {
@@ -478,17 +411,6 @@ pub fn run_fleet_observed(
         return Err(BenchError::msg(failures.join("; ")));
     }
     Ok(outcome)
-}
-
-/// One machine's complete product, buffered so the wave merge can
-/// restore machine-index order across lane groups: the outcome row, the
-/// store publications, and the machine's telemetry (counter handle plus
-/// drained event buffer) held back for index-ordered absorption.
-struct GroupMember {
-    machine: MachineOutcome,
-    publications: Vec<StorePublication>,
-    telemetry: Telemetry,
-    events: Vec<Event>,
 }
 
 fn run_machine(
@@ -559,175 +481,6 @@ fn run_machine(
         spec,
     };
     Ok((machine, publications))
-}
-
-/// The [`RunConfig`] a fleet leg runs under — field-for-field what
-/// [`run_machine`]'s `Experiment` builder produces, so the batched and
-/// scalar paths run byte-identical configurations.
-fn fleet_run_config(seed: u64, limit: u64, telemetry: &Telemetry) -> RunConfig {
-    RunConfig {
-        energy: EnergyModel::default_180nm(),
-        do_config: fleet_do_config(),
-        instruction_limit: Some(limit),
-        workload_seed: Some(seed),
-        telemetry: telemetry.clone(),
-        ..RunConfig::default()
-    }
-}
-
-/// Gives one lane its telemetry: a buffered child of `telemetry` when
-/// tracing is on (so the wave merge can absorb lanes in machine-index
-/// order regardless of group shape), or a disabled handle.
-fn lane_telemetry(telemetry: &Telemetry) -> (Telemetry, Option<std::sync::Arc<MemorySink>>) {
-    if telemetry.is_enabled() {
-        let (child, sink) = Telemetry::buffered();
-        (child, Some(sink))
-    } else {
-        (Telemetry::off(), None)
-    }
-}
-
-/// Runs one lane group inside an engine job. A single member runs
-/// through the scalar [`run_machine`]; two or more advance round-robin
-/// through [`run_batch`] — managed legs first, then (when measured) the
-/// untraced baseline legs. Per machine, the operation sequence matches
-/// [`run_machine`] exactly. Every member (singles included) traces into
-/// its own buffered telemetry child which is returned, *not* absorbed:
-/// lane groups are preset-affine so members of one group may be
-/// non-consecutive, and only the wave merge knows the machine-index
-/// order that keeps the parent event stream byte-identical to scalar.
-fn run_machine_group(
-    specs: &[MachineSpec],
-    snapshot: &WarmStartContext,
-    limit: u64,
-    measure_baseline: bool,
-    telemetry: &Telemetry,
-) -> BenchResult<Vec<GroupMember>> {
-    if let [spec] = specs {
-        let (child, sink) = lane_telemetry(telemetry);
-        let (machine, publications) = run_machine(
-            spec.clone(),
-            snapshot.clone(),
-            limit,
-            measure_baseline,
-            &child,
-        )?;
-        let events = sink.as_ref().map(|s| s.drain()).unwrap_or_default();
-        return Ok(vec![GroupMember {
-            machine,
-            publications,
-            telemetry: child,
-            events,
-        }]);
-    }
-    let registry = SchemeRegistry::builtin();
-    let scheme = registry
-        .get(FLEET_SCHEME)
-        .ok_or_else(|| BenchError::msg(format!("scheme {FLEET_SCHEME:?} is not registered")))?;
-    let mut programs = Vec::with_capacity(specs.len());
-    let mut managers = Vec::with_capacity(specs.len());
-    let mut children = Vec::with_capacity(specs.len());
-    let workloads = ace_workloads::WorkloadRegistry::builtin();
-    for spec in specs {
-        let program = workloads
-            .resolve_program(&spec.preset)
-            .map_err(|e| BenchError::msg(e.to_string()))?;
-        let mut mgr = scheme.build(&SchemeCtx {
-            program: &program,
-            model: EnergyModel::default_180nm(),
-        });
-        match mgr.warm_start() {
-            Some(ws) => ws.set_warm_start(snapshot.clone()),
-            None => {
-                return Err(BenchError::msg(format!(
-                    "fleet scheme {FLEET_SCHEME:?} does not support warm starts"
-                )))
-            }
-        }
-        programs.push(program);
-        managers.push(mgr);
-        children.push(lane_telemetry(telemetry));
-    }
-
-    // Managed legs, lane-batched.
-    let records = run_batch(
-        specs
-            .iter()
-            .zip(&programs)
-            .zip(managers.iter_mut())
-            .zip(&children)
-            .map(|(((spec, program), mgr), (child, _))| BatchLane {
-                program,
-                cfg: fleet_run_config(spec.seed, limit, child),
-                manager: &mut **mgr,
-            })
-            .collect(),
-    )
-    .map_err(|e| BenchError::msg(e.to_string()))?;
-
-    // Baseline legs are energy accounting, not fleet behavior: untraced,
-    // lane-batched like the managed legs.
-    let baselines: Vec<Option<RunRecord>> = if measure_baseline {
-        let mut nulls: Vec<NullManager> = specs.iter().map(|_| NullManager).collect();
-        run_batch(
-            specs
-                .iter()
-                .zip(&programs)
-                .zip(nulls.iter_mut())
-                .map(|((spec, program), null)| BatchLane {
-                    program,
-                    cfg: fleet_run_config(spec.seed, limit, &Telemetry::off()),
-                    manager: null,
-                })
-                .collect(),
-        )
-        .map_err(|e| BenchError::msg(e.to_string()))?
-        .into_iter()
-        .map(Some)
-        .collect()
-    } else {
-        specs.iter().map(|_| None).collect()
-    };
-
-    let mut members = Vec::with_capacity(specs.len());
-    for (((spec, mgr), (child, sink)), (record, base)) in specs
-        .iter()
-        .zip(managers.iter_mut())
-        .zip(children)
-        .zip(records.into_iter().zip(baselines))
-    {
-        let report = mgr.scheme_report(&record);
-        if let Some(metrics) = child.metrics() {
-            report.record_metrics(metrics);
-        }
-        let events = sink.as_ref().map(|s| s.drain()).unwrap_or_default();
-        let publications = mgr
-            .warm_start()
-            .and_then(|ws| ws.take_warm_start())
-            .map(WarmStartContext::into_publications)
-            .unwrap_or_default();
-        let machine = MachineOutcome {
-            ipc: record.ipc,
-            instret: record.instret,
-            l1d_nj: record.energy.l1d_nj,
-            l2_nj: record.energy.l2_nj,
-            baseline: base.map(|b| (b.ipc, b.energy.l1d_nj, b.energy.l2_nj)),
-            tunings: report.tunings,
-            tuned_hotspots: report.tuned_scopes,
-            warm_hits: report.warm_hits,
-            warm_misses: report.warm_misses,
-            warm_trials_saved: report.warm_trials_saved,
-            store_publishes: report.store_publishes,
-            spec: spec.clone(),
-        };
-        members.push(GroupMember {
-            machine,
-            publications,
-            telemetry: child,
-            events,
-        });
-    }
-    Ok(members)
 }
 
 /// Renders the deterministic two-pass fleet report (the `fleet` binary's

@@ -1,6 +1,14 @@
 //! End-to-end fleet behavior: determinism across worker counts, the
-//! warm-start payoff (a warm fleet measurably out-tunes a cold one), and
-//! store persistence across "process restarts".
+//! pinned event stream of a two-preset fleet, the warm-start payoff (a
+//! warm fleet measurably out-tunes a cold one), and store persistence
+//! across "process restarts".
+//!
+//! Regenerate the event-stream fixture (only after an *intentional*
+//! behaviour change):
+//!
+//! ```text
+//! ACE_BLESS_GOLDEN=1 cargo test -p ace-fleet --test fleet_behavior
+//! ```
 
 use ace_fleet::{
     fleet_registry_version, render_report, run_fleet, FleetConfig, FleetOutcome, TuningStore,
@@ -29,91 +37,110 @@ fn fingerprint(outcome: &FleetOutcome) -> String {
     serde_json::to_string(outcome).expect("outcome serializes")
 }
 
+/// Everything observable about a cold then a warm pass: both outcome
+/// fingerprints, the report text, the full telemetry event stream (one
+/// JSON line per event) and the final store entries.
+struct Traced {
+    cold: String,
+    warm: String,
+    report: String,
+    events: String,
+    entries: String,
+}
+
+fn traced_passes(cfg: &FleetConfig, jobs: usize) -> Traced {
+    let (tel, sink) = Telemetry::buffered();
+    let mut store = memory_store();
+    let cold = run_fleet(cfg, &mut store, jobs, &tel).expect("cold pass");
+    let warm = run_fleet(cfg, &mut store, jobs, &tel).expect("warm pass");
+    let mut events = String::new();
+    for event in sink.drain() {
+        events.push_str(&serde_json::to_string(&event).expect("event serializes"));
+        events.push('\n');
+    }
+    Traced {
+        cold: fingerprint(&cold),
+        warm: fingerprint(&warm),
+        report: render_report(cfg, &cold, &warm, &store),
+        events,
+        entries: format!("{:?}", store.entries_sorted()),
+    }
+}
+
 #[test]
 fn fleet_is_byte_identical_across_worker_counts() {
     let cfg = test_config();
-    let run_at = |jobs: usize| {
-        let tel = Telemetry::counting();
-        let mut store = memory_store();
-        let cold = run_fleet(&cfg, &mut store, jobs, &tel).expect("cold pass");
-        let warm = run_fleet(&cfg, &mut store, jobs, &tel).expect("warm pass");
-        let report = render_report(&cfg, &cold, &warm, &store);
-        let counts: Vec<u64> = [
-            EventKind::WarmStartHit,
-            EventKind::WarmStartMiss,
-            EventKind::StorePublish,
-            EventKind::TuningConverged,
-            EventKind::Reconfigured,
-        ]
-        .iter()
-        .map(|&k| tel.count(k))
-        .collect();
-        (
-            fingerprint(&cold),
-            fingerprint(&warm),
-            report,
-            counts,
-            store.entries_sorted(),
-        )
-    };
-    let serial = run_at(1);
-    let parallel = run_at(8);
-    assert_eq!(serial.0, parallel.0, "cold pass differs across widths");
-    assert_eq!(serial.1, parallel.1, "warm pass differs across widths");
-    assert_eq!(serial.2, parallel.2, "report text differs across widths");
-    assert_eq!(
-        serial.3, parallel.3,
-        "telemetry counts differ across widths"
+    let serial = traced_passes(&cfg, 1);
+    let parallel = traced_passes(&cfg, 8);
+    assert!(
+        !serial.events.is_empty(),
+        "the traced fleet must emit events"
     );
-    assert_eq!(serial.4, parallel.4, "final store differs across widths");
+    assert_eq!(
+        serial.cold, parallel.cold,
+        "cold pass differs across widths"
+    );
+    assert_eq!(
+        serial.warm, parallel.warm,
+        "warm pass differs across widths"
+    );
+    assert_eq!(
+        serial.report, parallel.report,
+        "report text differs across widths"
+    );
+    assert_eq!(
+        serial.events, parallel.events,
+        "telemetry event stream differs across widths"
+    );
+    assert_eq!(
+        serial.entries, parallel.entries,
+        "final store differs across widths"
+    );
 }
 
-/// The lane-batching determinism matrix. The smoke shape cycles 7
-/// presets, so at `wave_size <= 7` every preset-affine bucket is a
-/// singleton and multi-lane groups never form; this shape runs 2
-/// presets in waves of 8 so each wave builds two 4-machine affine
-/// groups. Everything observable — both pass fingerprints, the report,
-/// the final store, and the full telemetry *event stream* (order
-/// included, since the wave merge absorbs lanes in machine-index
-/// order) — must be byte-identical across jobs x lanes.
+/// A two-preset fleet: 16 machines alternating db and compress in waves
+/// of 8 at 400 k instructions each — short enough for a debug build,
+/// long enough that machines tune, publish and hit across waves.
+fn two_preset_config() -> FleetConfig {
+    let mut cfg = test_config();
+    cfg.presets = vec!["db".into(), "compress".into()];
+    cfg.machines = 16;
+    cfg.wave_size = 8;
+    cfg.admit_limit = 8;
+    cfg.instruction_limit = 400_000;
+    cfg
+}
+
 #[test]
-fn fleet_is_byte_identical_across_lane_counts() {
-    let run_at = |jobs: usize, lanes: usize| {
-        let mut cfg = test_config();
-        cfg.presets = vec!["db".into(), "compress".into()];
-        cfg.machines = 16;
-        cfg.wave_size = 8;
-        cfg.admit_limit = 8;
-        cfg.instruction_limit = 400_000;
-        cfg.lanes = lanes;
-        let (tel, sink) = Telemetry::buffered();
-        let mut store = memory_store();
-        let cold = run_fleet(&cfg, &mut store, jobs, &tel).expect("cold pass");
-        let warm = run_fleet(&cfg, &mut store, jobs, &tel).expect("warm pass");
-        let report = render_report(&cfg, &cold, &warm, &store);
-        let events: Vec<String> = sink
-            .drain()
+fn two_preset_fleet_event_stream_matches_fixture() {
+    let traced = traced_passes(&two_preset_config(), 2);
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden")
+        .join("two-preset-fleet.events.jsonl");
+    if std::env::var_os("ACE_BLESS_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().expect("fixture dir")).expect("create fixture dir");
+        std::fs::write(&path, &traced.events).expect("write fixture");
+        return;
+    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
+    if traced.events != want {
+        let got: Vec<&str> = traced.events.lines().collect();
+        let want: Vec<&str> = want.lines().collect();
+        let first_diff = got
             .iter()
-            .map(|e| serde_json::to_string(e).expect("event serializes"))
-            .collect();
-        (
-            fingerprint(&cold),
-            fingerprint(&warm),
-            report,
-            events,
-            store.entries_sorted(),
-        )
-    };
-    let base = run_at(1, 1);
-    assert!(!base.3.is_empty(), "the traced fleet must emit events");
-    for (jobs, lanes) in [(1usize, 4usize), (8, 1), (8, 4)] {
-        let other = run_at(jobs, lanes);
-        let at = format!("jobs={jobs} lanes={lanes}");
-        assert_eq!(base.0, other.0, "cold pass differs at {at}");
-        assert_eq!(base.1, other.1, "warm pass differs at {at}");
-        assert_eq!(base.2, other.2, "report text differs at {at}");
-        assert_eq!(base.3, other.3, "telemetry event stream differs at {at}");
-        assert_eq!(base.4, other.4, "final store differs at {at}");
+            .zip(&want)
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| got.len().min(want.len()));
+        panic!(
+            "fleet event stream drifted ({} vs {} events), first diff at line {}:\n  got: {}\n want: {}",
+            got.len(),
+            want.len(),
+            first_diff + 1,
+            got.get(first_diff).unwrap_or(&"<eof>"),
+            want.get(first_diff).unwrap_or(&"<eof>"),
+        );
     }
 }
 

@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod branch;
 mod cache;
 mod config;
@@ -53,7 +52,6 @@ mod tlb;
 mod trace;
 mod trace_io;
 
-pub use batch::{MachineBatch, MAX_LANES};
 pub use branch::{BranchPredictor, BranchStats};
 pub use cache::{AccessOutcome, Cache, CacheStats, FlushReport};
 pub use config::{CacheGeometry, ConfigError, MachineConfig, SizeLevel, NUM_SIZE_LEVELS};

@@ -173,9 +173,8 @@ pub(crate) struct RefConsts {
     line_shift: u32,
 }
 
-/// Per-block accumulator state of the data-reference loop. One lives on
-/// the scalar stack in [`Machine::exec_block`]; the lane-batched path
-/// keeps one per lane while stepping references across machines.
+/// Per-block accumulator state of the data-reference loop; one lives on
+/// the stack of [`Machine::exec_block`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct RefCursor {
     /// Previously referenced cache line (fused same-line fast path).
@@ -345,10 +344,7 @@ impl Machine {
     /// blocks, so they are loop-invariant.
     ///
     /// The body is assembled from `pub(crate)` pieces (`fetch_stalls`,
-    /// `data_ref`, `retire_block`), and the lane-batched path
-    /// ([`crate::MachineBatch`]) executes exactly this function per
-    /// (lane, block) — one implementation, two schedules — which is what
-    /// makes batched and scalar stepping byte-identical by construction.
+    /// `data_ref`, `retire_block`).
     pub fn exec_block(&mut self, block: &Block) {
         let mut stalls = self.fetch_stalls(block.pc);
         let consts = self.ref_consts();

@@ -128,7 +128,7 @@ pub fn preset_spec(name: &str) -> Option<WorkloadSpec> {
 /// Builds the genuinely dual-threaded mtrt variant: one program holding
 /// two disjoint render-worker subtrees that share the scene region, with
 /// one entry method per thread. Run it with
-/// [`crate::ThreadedExecutor`] / `ace_core::run_threaded`.
+/// [`crate::ThreadedExecutor`] / `ace_core::Experiment::threaded`.
 ///
 /// Returns the program and the two thread entries.
 pub fn mtrt_threaded() -> (Program, [MethodId; 2]) {

@@ -6,9 +6,10 @@
 //! cargo run --release --example cache_explorer [workload]
 //! ```
 
-use ace::core::{AceConfig, Experiment, Scheme};
+use ace::core::{AceConfig, Experiment, FixedScheme, SchemeSpec};
 use ace::sim::SizeLevel;
 use std::error::Error;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let name = std::env::args()
@@ -31,7 +32,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         for l2 in 0..4u8 {
             let fixed = AceConfig::both(SizeLevel::new(l1d).unwrap(), SizeLevel::new(l2).unwrap());
             let r = Experiment::preset(name.as_str())
-                .scheme(Scheme::Fixed(fixed))
+                .scheme(SchemeSpec::instance(Arc::new(FixedScheme(fixed))))
                 .run()?;
             let saving = 100.0 * (1.0 - r.energy.total_nj() / base.energy.total_nj());
             let slow = 100.0 * r.slowdown_vs(&base);

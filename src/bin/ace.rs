@@ -3,8 +3,8 @@
 //! ```text
 //! ace list                                   show the preset workloads
 //! ace run <workload> [--scheme S] [--limit N] [--telemetry <file>]
-//!                                            run one workload; S is one of
-//!                                            baseline | hotspot | bbv | positional
+//!                                            run one workload; S is a registered
+//!                                            scheme id (see `SchemeRegistry`)
 //! ace sweep <workload>                       16-point static-oracle grid
 //! ace trace summarize <trace.jsonl>          analyze a telemetry trace
 //! ace trace timeline <trace.jsonl>           chronological episode/phase view
@@ -15,12 +15,7 @@
 //! ace replay <file>                          simulate a recorded trace
 //! ```
 
-use ace::core::{
-    AceConfig, BbvAceManager, BbvManagerConfig, Experiment, HotspotAceManager,
-    HotspotManagerConfig, PositionalAceManager, PositionalManagerConfig, RunConfig, RunRecord,
-    Scheme,
-};
-use ace::energy::EnergyModel;
+use ace::core::{AceConfig, Experiment, FixedScheme, RunConfig, RunRecord, SchemeSpec};
 use ace::sim::{record_trace, Block, BlockSource, Machine, MachineConfig, SizeLevel, TraceReader};
 use ace::telemetry::Telemetry;
 use ace::trace::{
@@ -29,6 +24,7 @@ use ace::trace::{
 use ace::workloads::{Executor, Program, PRESET_NAMES};
 use std::error::Error;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -59,7 +55,7 @@ fn print_usage() {
          \n\
          usage:\n  \
          ace list\n  \
-         ace run <workload> [--scheme baseline|hotspot|bbv|positional] [--limit N] [--telemetry <file>]\n  \
+         ace run <workload> [--scheme baseline|hotspot|bbv|positional|pdm] [--limit N] [--telemetry <file>]\n  \
          ace sweep <workload>\n  \
          ace trace summarize <trace.jsonl>\n  \
          ace trace timeline <trace.jsonl>\n  \
@@ -142,58 +138,21 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn Error>> {
         None => Telemetry::off(),
     };
     cfg.telemetry = telemetry.clone();
-    let model = EnergyModel::default_180nm();
-
     let base = Experiment::program(program.clone())
         .config(cfg.clone())
         .run()?;
     summarize("baseline", &base, None);
-    match scheme.as_str() {
-        "baseline" => {}
-        "hotspot" => {
-            let mut mgr = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-            let r = Experiment::program(program.clone())
-                .config(cfg.clone())
-                .run_with(&mut mgr)?;
-            summarize("hotspot", &r, Some(&base));
-            let rep = mgr.report();
-            println!(
-                "            {} L1D + {} L2 hotspots, {:.0}% tuned, {} + {} reconfigs",
-                rep.l1d_hotspots(),
-                rep.l2_hotspots(),
-                100.0 * rep.tuned_fraction(),
-                rep.l1d().reconfigs,
-                rep.l2().reconfigs,
-            );
-        }
-        "bbv" => {
-            let mut mgr = BbvAceManager::new(BbvManagerConfig::default(), model);
-            let r = Experiment::program(program.clone())
-                .config(cfg.clone())
-                .run_with(&mut mgr)?;
-            summarize("bbv", &r, Some(&base));
-            let rep = mgr.report();
-            println!(
-                "            {} phases ({} tuned), {:.0}% stable intervals",
-                rep.phases,
-                rep.tuned_phases,
-                100.0 * rep.stability.stable_fraction(),
-            );
-        }
-        "positional" => {
-            let mut mgr =
-                PositionalAceManager::new(&program, PositionalManagerConfig::default(), model);
-            let r = Experiment::program(program.clone())
-                .config(cfg.clone())
-                .run_with(&mut mgr)?;
-            summarize("positional", &r, Some(&base));
-            let rep = mgr.report();
-            println!(
-                "            {} large procedures ({} tuned), {} reconfigs",
-                rep.large_procedures, rep.tuned, rep.reconfigs,
-            );
-        }
-        other => return Err(format!("unknown scheme {other:?}").into()),
+    if scheme != "baseline" {
+        let run = Experiment::program(program)
+            .config(cfg)
+            .scheme(scheme)
+            .run_scheme()?;
+        summarize(&run.scheme, &run.record, Some(&base));
+        let rep = &run.report;
+        println!(
+            "            {} tuned scopes, {} trials, {} reconfigs, {} guard rejections",
+            rep.tuned_scopes, rep.tunings, rep.reconfigs, rep.guard_rejections,
+        );
     }
     telemetry.flush();
     Ok(())
@@ -210,7 +169,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn Error>> {
         for l2 in 0..4u8 {
             let fixed = AceConfig::both(SizeLevel::new(l1d).unwrap(), SizeLevel::new(l2).unwrap());
             let r = Experiment::program(program.clone())
-                .scheme(Scheme::Fixed(fixed))
+                .scheme(SchemeSpec::instance(Arc::new(FixedScheme(fixed))))
                 .run()?;
             print!(
                 "  {:>5.1}/{:<4.1}",

@@ -20,10 +20,10 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use ace::core::{Experiment, Scheme};
+//! use ace::core::Experiment;
 //!
 //! let baseline = Experiment::preset("db").run()?;
-//! let adaptive = Experiment::preset("db").scheme(Scheme::Hotspot).run()?;
+//! let adaptive = Experiment::preset("db").scheme("hotspot").run()?;
 //! println!("L1D energy saving: {:.0}%", 100.0 * adaptive.l1d_saving_vs(&baseline));
 //! # Ok::<(), ace::core::ExperimentError>(())
 //! ```

@@ -2,7 +2,8 @@
 //! through the real binary: `summarize`/`timeline`/`chrome` succeed on a
 //! recorded trace, `diff` exits zero on identical runs and nonzero when a
 //! synthetic regression exceeds the thresholds, and the legacy
-//! `ace trace <workload> <file>` recorder still works.
+//! `ace trace <workload> <file>` recorder still works. `ace run` resolves
+//! its `--scheme` through the scheme registry.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -178,4 +179,19 @@ fn legacy_block_trace_recorder_still_works() {
     let replay = ace(&["replay", trace.to_str().unwrap()]);
     let _ = std::fs::remove_dir_all(&dir);
     assert!(replay.status.success());
+}
+
+#[test]
+fn run_accepts_every_registered_scheme() {
+    let out = ace(&["run", "db", "--scheme", "pdm", "--limit", "2000000"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("pdm"));
+
+    let bad = ace(&["run", "db", "--scheme", "warp-drive", "--limit", "200000"]);
+    assert!(!bad.status.success());
+    assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown scheme"));
 }

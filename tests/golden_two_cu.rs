@@ -14,8 +14,12 @@
 //! ```text
 //! ACE_BLESS_GOLDEN=1 cargo test --test golden_two_cu
 //! ```
+//!
+//! The threaded case pins the time-multiplexed path the same way: the
+//! dual-threaded mtrt under the hotspot scheme, capped short of its
+//! natural end so the stop-at-limit behaviour is part of the fixture.
 
-use ace::core::{Experiment, Scheme, SchemeExt};
+use ace::core::{Experiment, SchemeExt};
 use ace::telemetry::Telemetry;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -23,12 +27,19 @@ use std::path::PathBuf;
 const SEED: u64 = 42;
 const RING_CAPACITY: usize = 1 << 20;
 
-const CASES: &[(&str, Scheme)] = &[
-    ("db", Scheme::Hotspot),
-    ("db", Scheme::Bbv),
-    ("jess", Scheme::Hotspot),
-    ("jess", Scheme::Bbv),
+const CASES: &[(&str, &str)] = &[
+    ("db", "hotspot"),
+    ("db", "bbv"),
+    ("jess", "hotspot"),
+    ("jess", "bbv"),
 ];
+
+/// Scheduler quantum of the threaded case, in instructions.
+const THREADED_QUANTUM: u64 = 1_000_000;
+
+/// Instruction cap of the threaded case: well short of the program's
+/// natural length, so the run ends at the limit.
+const THREADED_LIMIT: u64 = 20_000_000;
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -37,9 +48,9 @@ fn fixture_dir() -> PathBuf {
 }
 
 /// Runs one seeded case, returning (telemetry stream, headline digest).
-fn run_case(workload: &str, scheme: Scheme) -> (String, String) {
+fn run_case(experiment: Experiment, scheme: &str) -> (String, String) {
     let (tel, ring) = Telemetry::ring(RING_CAPACITY);
-    let run = Experiment::preset(workload)
+    let run = experiment
         .scheme(scheme)
         .seed(SEED)
         .telemetry(&tel)
@@ -55,15 +66,15 @@ fn run_case(workload: &str, scheme: Scheme) -> (String, String) {
         stream.push_str(&serde_json::to_string(ev).expect("event serializes"));
         stream.push('\n');
     }
-    (stream, digest(workload, scheme, &run))
+    (stream, digest(scheme, &run))
 }
 
 /// Renders the headline summary through stable accessors only; `{:?}`
 /// float formatting makes any bit-level drift visible.
-fn digest(workload: &str, scheme: Scheme, run: &ace::core::SchemeRun) -> String {
+fn digest(scheme: &str, run: &ace::core::SchemeRun) -> String {
     let r = &run.record;
     let mut out = String::new();
-    let _ = writeln!(out, "workload {workload} scheme {}", scheme.name());
+    let _ = writeln!(out, "workload {} scheme {scheme}", r.workload);
     let _ = writeln!(out, "instret {}", r.instret);
     let _ = writeln!(out, "cycles {}", r.cycles);
     let _ = writeln!(out, "ipc {:?}", r.ipc);
@@ -129,47 +140,63 @@ fn digest(workload: &str, scheme: Scheme, run: &ace::core::SchemeRun) -> String 
     out
 }
 
+/// Compares one case against its fixtures, or rewrites them under
+/// `ACE_BLESS_GOLDEN`.
+fn check_fixture(stem: &str, stream: &str, digest: &str) {
+    let dir = fixture_dir();
+    let events_path = dir.join(format!("{stem}.events.jsonl"));
+    let digest_path = dir.join(format!("{stem}.digest.txt"));
+    if std::env::var_os("ACE_BLESS_GOLDEN").is_some() {
+        std::fs::create_dir_all(&dir).expect("create fixture dir");
+        std::fs::write(&events_path, stream).expect("write events fixture");
+        std::fs::write(&digest_path, digest).expect("write digest fixture");
+        return;
+    }
+    let want_digest = std::fs::read_to_string(&digest_path)
+        .unwrap_or_else(|e| panic!("missing fixture {}: {e}", digest_path.display()));
+    assert_eq!(
+        digest, want_digest,
+        "{stem}: headline digest drifted from pre-refactor bytes"
+    );
+    let want_stream = std::fs::read_to_string(&events_path)
+        .unwrap_or_else(|e| panic!("missing fixture {}: {e}", events_path.display()));
+    if stream != want_stream {
+        let got: Vec<&str> = stream.lines().collect();
+        let want: Vec<&str> = want_stream.lines().collect();
+        let first_diff = got
+            .iter()
+            .zip(want.iter())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| got.len().min(want.len()));
+        panic!(
+            "{stem}: telemetry stream drifted ({} vs {} events), first diff at line {}:\n  got: {}\n want: {}",
+            got.len(),
+            want.len(),
+            first_diff + 1,
+            got.get(first_diff).unwrap_or(&"<eof>"),
+            want.get(first_diff).unwrap_or(&"<eof>"),
+        );
+    }
+}
+
 #[test]
 fn two_cu_runs_match_pre_refactor_bytes() {
-    let bless = std::env::var_os("ACE_BLESS_GOLDEN").is_some();
-    let dir = fixture_dir();
-    if bless {
-        std::fs::create_dir_all(&dir).expect("create fixture dir");
-    }
     for &(workload, scheme) in CASES {
-        let (stream, digest) = run_case(workload, scheme);
-        let stem = format!("{workload}-{}", scheme.name());
-        let events_path = dir.join(format!("{stem}.events.jsonl"));
-        let digest_path = dir.join(format!("{stem}.digest.txt"));
-        if bless {
-            std::fs::write(&events_path, &stream).expect("write events fixture");
-            std::fs::write(&digest_path, &digest).expect("write digest fixture");
-            continue;
-        }
-        let want_digest = std::fs::read_to_string(&digest_path)
-            .unwrap_or_else(|e| panic!("missing fixture {}: {e}", digest_path.display()));
-        assert_eq!(
-            digest, want_digest,
-            "{stem}: headline digest drifted from pre-refactor bytes"
-        );
-        let want_stream = std::fs::read_to_string(&events_path)
-            .unwrap_or_else(|e| panic!("missing fixture {}: {e}", events_path.display()));
-        if stream != want_stream {
-            let got: Vec<&str> = stream.lines().collect();
-            let want: Vec<&str> = want_stream.lines().collect();
-            let first_diff = got
-                .iter()
-                .zip(want.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| got.len().min(want.len()));
-            panic!(
-                "{stem}: telemetry stream drifted ({} vs {} events), first diff at line {}:\n  got: {}\n want: {}",
-                got.len(),
-                want.len(),
-                first_diff + 1,
-                got.get(first_diff).unwrap_or(&"<eof>"),
-                want.get(first_diff).unwrap_or(&"<eof>"),
-            );
-        }
+        let (stream, digest) = run_case(Experiment::preset(workload), scheme);
+        check_fixture(&format!("{workload}-{scheme}"), &stream, &digest);
     }
+}
+
+#[test]
+fn threaded_mtrt_matches_fixture_bytes() {
+    let (program, entries) = ace::workloads::mtrt_threaded();
+    let experiment = Experiment::program(program)
+        .threaded(&entries, THREADED_QUANTUM)
+        .instruction_limit(THREADED_LIMIT);
+    let (stream, digest) = run_case(experiment, "hotspot");
+    assert!(
+        digest.starts_with("workload mtrt-mt(2T) "),
+        "threaded records are named after their thread count:\n{digest}"
+    );
+    check_fixture("mtrt-threaded-hotspot", &stream, &digest);
 }
