@@ -138,6 +138,18 @@ fn bench_predictor_tlb(c: &mut Criterion) {
             black_box(tlb.translate(black_box(p << 12)))
         })
     });
+    group.bench_function("tlb_translate_alternating_sets", |b| {
+        // Two pages in different sets, translated alternately: each
+        // translation misses the one-page memo and hits its set's MRU way.
+        let mut tlb = Tlb::new(128, 4096);
+        tlb.translate(0);
+        tlb.translate(1 << 12);
+        let mut page = 0u64;
+        b.iter(|| {
+            page ^= 1;
+            black_box(tlb.translate(black_box(page << 12)))
+        })
+    });
     group.finish();
 }
 

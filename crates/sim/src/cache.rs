@@ -32,7 +32,9 @@
 //!   is the LRU victim. Promotion increments the ranks below the touched
 //!   line's old rank and clears the touched one, lane by lane in one
 //!   branch-free pass, replacing the old per-line 8-byte monotonic
-//!   timestamp and its scan-for-minimum victim search.
+//!   timestamp and its scan-for-minimum victim search. In a 2-way set
+//!   (Table 2's L1I and L1D) the two ranks are always a permutation of
+//!   {0, 1}, so promotion is two stores: `rank[w] = 0; rank[w ^ 1] = 1`.
 //!
 //! On top of that, the cache memoizes the most recently touched line
 //! ([`Cache::mru_key`]): consecutive accesses to the same line — the
@@ -55,11 +57,13 @@
 //!
 //! Both run with the way count as a compile-time constant for Table 2's
 //! associativities (2 and 4, fully unrolled) and with a loop for any
-//! other (at most 32 ways: one mask bit per way). The miss path stays out
-//! of line and `#[cold]`: without `#[cold]`, in-process runs of the
-//! miss-heavy benchmark spec gained 1.53x over the early-exit scans
-//! instead of 1.68x, and the hit path got slower (`benchmarks/JOURNAL.md`
-//! §7).
+//! other (at most 32 ways: one mask bit per way). The access path up to
+//! the hit is `#[inline(always)]`, so an L1D or L1I hit runs in the block
+//! loop's registers and returns its outcome there rather than through
+//! memory (`benchmarks/JOURNAL.md` §9). The miss path stays out of line
+//! and `#[cold]`: without `#[cold]`, in-process runs of the miss-heavy
+//! benchmark spec gained 1.53x over the early-exit scans instead of
+//! 1.68x, and the hit path got slower (`benchmarks/JOURNAL.md` §7).
 //!
 //! The replacement behavior is bit-for-bit identical to the previous
 //! array-of-structs implementation: true per-set LRU with invalid ways
@@ -274,7 +278,10 @@ impl Cache {
     /// leaves [`CacheStats`] byte-identical to per-reference counting.
     /// Misses and writebacks are still counted here (they are decided per
     /// reference, on the cold path).
-    #[inline]
+    ///
+    /// Always inlined, so an L1D or L1I hit runs in its caller's registers
+    /// and returns its outcome in them; the miss path stays out of line.
+    #[inline(always)]
     pub(crate) fn access_uncounted(&mut self, addr: u64, is_store: bool) -> AccessOutcome {
         let line = addr >> self.offset_bits;
         debug_assert!(line < 1 << 62, "line address too wide to pack");
@@ -318,9 +325,10 @@ impl Cache {
         let ways = if W == 0 { self.ways } else { W };
         let hits = way_mask(&self.meta[base..base + ways], |m| m & !DIRTY == key);
         if hits != 0 {
-            let slot = base + hits.trailing_zeros() as usize;
+            let way = hits.trailing_zeros() as usize;
+            let slot = base + way;
             self.meta[slot] |= (is_store as u64) << 1;
-            promote(&mut self.rank[base..base + ways], slot - base);
+            promote_ways::<W>(&mut self.rank[base..base + ways], way);
             self.mru_key = key;
             self.mru_slot = slot as u32;
             return AccessOutcome {
@@ -358,7 +366,7 @@ impl Cache {
         self.stats.misses[lvl] += 1;
         let rank = &mut self.rank[base..base + ways];
         let way = victim_way(&self.meta[base..base + ways], rank, |m| m & VALID == 0);
-        promote(rank, way);
+        promote_ways::<W>(rank, way);
         let slot = base + way;
         let old = self.meta[slot];
         let writeback = if old & (VALID | DIRTY) == VALID | DIRTY {
@@ -500,6 +508,19 @@ pub(crate) fn promote(rank: &mut [u8], way: usize) {
     for x in rank.iter_mut() {
         let promoted = ((*x == r) as u8).wrapping_neg();
         *x = (*x + (*x < r) as u8) & !promoted;
+    }
+}
+
+/// [`promote`] for a set of `W` ways (0: the runtime way count). Two
+/// ranks are always a permutation of {0, 1}, so a 2-way promotion is two
+/// stores: the touched way becomes MRU and the other LRU.
+#[inline(always)]
+fn promote_ways<const W: usize>(rank: &mut [u8], way: usize) {
+    if W == 2 {
+        rank[way] = 0;
+        rank[way ^ 1] = 1;
+    } else {
+        promote(rank, way);
     }
 }
 

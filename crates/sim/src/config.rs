@@ -188,7 +188,8 @@ pub struct MachineConfig {
     pub l2: CacheGeometry,
     /// Main memory access latency in cycles.
     pub mem_latency: u32,
-    /// DTLB entries (16-way set-associative approximation of fully assoc.).
+    /// DTLB entries (16-way set-associative approximation of fully assoc.):
+    /// 16 times a power-of-two set count.
     pub dtlb_entries: u32,
     /// DTLB miss penalty in cycles (software-walked at this era).
     pub tlb_miss_penalty: u32,
@@ -343,9 +344,9 @@ impl MachineConfig {
         if !self.page_bytes.is_power_of_two() {
             return Err(ConfigError::new("page size must be a power of two"));
         }
-        if self.dtlb_entries == 0 || !self.dtlb_entries.is_multiple_of(16) {
+        if !self.dtlb_entries.is_multiple_of(16) || !(self.dtlb_entries / 16).is_power_of_two() {
             return Err(ConfigError::new(
-                "DTLB entries must be a nonzero multiple of 16",
+                "DTLB entries must be 16 times a power of two",
             ));
         }
         if self.miss_exposure_pct > 100
@@ -466,6 +467,24 @@ mod tests {
         let mut cfg2 = MachineConfig::table2();
         cfg2.miss_exposure_pct = 150;
         assert!(cfg2.validate().is_err());
+    }
+
+    #[test]
+    fn dtlb_entries_need_a_power_of_two_set_count() {
+        for ok in [16, 32, 128, 1024] {
+            let cfg = MachineConfig {
+                dtlb_entries: ok,
+                ..MachineConfig::table2()
+            };
+            cfg.validate().unwrap();
+        }
+        for bad in [0, 8, 40, 48, 96, 144] {
+            let cfg = MachineConfig {
+                dtlb_entries: bad,
+                ..MachineConfig::table2()
+            };
+            assert!(cfg.validate().is_err(), "{bad} DTLB entries accepted");
+        }
     }
 
     #[test]

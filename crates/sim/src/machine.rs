@@ -913,6 +913,18 @@ mod tests {
     }
 
     #[test]
+    fn dtlb_without_power_of_two_sets_is_a_config_error() {
+        // 48 entries is a multiple of 16 but 3 sets; the set index masks
+        // with `sets - 1`, so `validate` must refuse it before `Tlb::new`
+        // would panic.
+        let cfg = MachineConfig {
+            dtlb_entries: 48,
+            ..MachineConfig::table2()
+        };
+        assert!(Machine::new(cfg).is_err());
+    }
+
+    #[test]
     fn dtlb_cu_registers_resizes_and_guards() {
         let mut cfg = MachineConfig::table2();
         cfg.dtlb_configurable = true;

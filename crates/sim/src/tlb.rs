@@ -14,6 +14,14 @@
 //! page-granular locality of the workload streams (every line of a 4 KB
 //! page translates to the same entry) skips the probe entirely.
 //!
+//! Each set also keeps the index of the way that holds rank 0, its most
+//! recently used entry. When the one-page memo misses, the probe first
+//! compares that way's key: on a match the translation is a hit whose
+//! promotion is the identity, so it returns before the fingerprint
+//! compare. This serves streams that alternate between pages in
+//! different sets, which defeat the one-page memo. The index moves with
+//! every promotion and fill, and [`Tlb::resize`] resets it with the set.
+//!
 //! A probe compares the set's 16 fingerprints as one `[u16; 16]` (a
 //! constant-trip loop LLVM vectorises) into a candidate mask, then
 //! verifies each candidate against the full key; two pages share a
@@ -29,7 +37,7 @@
 //! implementation: true per-set LRU with invalid ways (lowest index first)
 //! preferred as victims. `tlb_reference_model.rs` checks it against a
 //! naive timestamp-LRU model, including pages built to share one
-//! fingerprint inside one set.
+//! fingerprint inside one set and streams cycling across sets.
 
 use crate::cache::{promote, victim_way, way_mask, FlushReport};
 use crate::config::{SizeLevel, NUM_SIZE_LEVELS};
@@ -124,6 +132,8 @@ pub(crate) struct TlbSet {
     rank: [u8; WAYS],
     /// Packed per-entry metadata: `page << 1 | valid`.
     meta: [u64; WAYS],
+    /// The way holding rank 0, the set's most recently used entry.
+    mru: u8,
 }
 
 impl TlbSet {
@@ -139,6 +149,7 @@ impl TlbSet {
             r
         },
         meta: [0; WAYS],
+        mru: 0,
     };
 }
 
@@ -259,8 +270,13 @@ impl Tlb {
             return true;
         }
         let idx = ((page as u32) & (self.sets - 1)) as usize;
-        let fp = Tlb::fingerprint(page);
         let set = &mut self.table[idx];
+        // The set's MRU entry: a hit whose promotion is the identity.
+        if set.meta[set.mru as usize] == key {
+            self.mru_key = key;
+            return true;
+        }
+        let fp = Tlb::fingerprint(page);
         // Candidates are the ways whose fingerprint matches; verify each
         // against the full key. Distinct pages share a fingerprint with
         // probability 2^-16, so this loop almost never runs twice.
@@ -269,6 +285,7 @@ impl Tlb {
             let way = candidates.trailing_zeros() as usize;
             if set.meta[way] == key {
                 promote(&mut set.rank, way);
+                set.mru = way as u8;
                 self.mru_key = key;
                 return true;
             }
@@ -305,6 +322,7 @@ impl Tlb {
         set.meta[way] = key;
         set.fp[way] = fp;
         promote(&mut set.rank, way);
+        set.mru = way as u8;
         self.mru_key = key;
         false
     }
@@ -409,6 +427,23 @@ mod tests {
             "64 pages cannot stay resident in 16 entries: {} misses",
             d.misses
         );
+    }
+
+    #[test]
+    fn resize_forgets_each_sets_mru_way() {
+        let mut t = Tlb::new(128, 4096);
+        // Pages 1 and 2 sit in sets 1 and 2: alternating them misses the
+        // one-page memo and hits each set's MRU way.
+        for p in [1u64, 2, 1, 2] {
+            t.translate(p << 12);
+        }
+        assert_eq!(t.stats().misses, 2);
+        assert_eq!(t.table[1].meta[t.table[1].mru as usize], 1 << 1 | VALID);
+        t.resize(SizeLevel::LARGEST);
+        // Page 2 was its set's MRU entry; after the flush it must miss.
+        assert!(!t.translate(2 << 12));
+        assert!(!t.translate(1 << 12));
+        assert_eq!(t.stats().misses, 4);
     }
 
     #[test]

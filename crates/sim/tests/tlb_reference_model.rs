@@ -9,7 +9,10 @@
 //! counted eagerly at the current level. Streams mix random pages with
 //! pages built to share one fingerprint inside one set, so the candidate
 //! verification loop meets several candidates, and resize to all four
-//! levels.
+//! levels. Further streams cycle among pages in two or three sets, so
+//! consecutive translations miss the one-page memo but find their page in
+//! its set's MRU way, with conflicting pages in the same sets moving that
+//! way.
 
 use ace_sim::{SizeLevel, Tlb};
 use proptest::prelude::*;
@@ -159,6 +162,48 @@ proptest! {
         ops in prop::collection::vec((0u8..12, any::<u64>()), 1..1500),
     ) {
         check(adversarial_pool(), &ops)?;
+    }
+
+    /// The same on streams that cycle among one page in each of 2-3 sets
+    /// (hits served by each set's MRU way, not the one-page memo),
+    /// interleaved with resizes and with bursts of up to 48 distinct pages
+    /// drawn from 64 conflicting pages per set (more than a set holds, so
+    /// the MRU way moves and the LRU order decides who survives a burst).
+    #[test]
+    fn tlb_matches_model_when_cycling_across_sets(
+        nsets in 2usize..4,
+        first in 0..BASE_SETS,
+        ops in prop::collection::vec((0u8..20, any::<u64>()), 1..800),
+    ) {
+        let sets: Vec<u64> = [0, 1, 3][..nsets]
+            .iter()
+            .map(|d| (first + d) % BASE_SETS)
+            .collect();
+        // Pool: the cycled page of each set first, then the conflicts.
+        let mut pool = sets.clone();
+        for k in 1..=64 {
+            pool.extend(sets.iter().map(|s| s + k * BASE_SETS));
+        }
+        let cycled = nsets as u64;
+        let conflicts = pool.len() as u64 - cycled;
+        let mut next = 0;
+        let ops: Vec<(u8, u64)> = ops
+            .into_iter()
+            .flat_map(|(kind, value)| match kind {
+                0 => vec![(0, value)],
+                1..=13 => {
+                    next += 1;
+                    vec![(1, next % cycled)]
+                }
+                _ => {
+                    let burst = 1 + (value >> 32) % 48;
+                    (0..burst)
+                        .map(|i| (1, cycled + (value % conflicts + i) % conflicts))
+                        .collect()
+                }
+            })
+            .collect();
+        check(&pool, &ops)?;
     }
 
     /// The same on streams drawn only from the colliding pages: every

@@ -153,8 +153,7 @@ impl<'p> Executor<'p> {
     /// This is the measured dispatch-frequency profile: across the seven
     /// headline presets strided/streaming walks dominate (they are the
     /// default for resident and streaming patterns), which is why
-    /// the block-emission dispatch tests them first and gives them the
-    /// fused no-store fast path.
+    /// the block-emission dispatch tests them first.
     pub fn walk_profile(&self) -> [u64; 4] {
         self.walk_blocks
     }
@@ -306,15 +305,19 @@ impl<'p> Executor<'p> {
         // The walk kind is per-pattern, so dispatch once per block, not
         // once per reference, with the arms ordered by the measured block
         // frequency ([`Executor::walk_profile`]: strided/streaming walks
-        // dominate every headline preset). Each arm fills the buffer via
-        // `extend` over an exact-size iterator (one capacity reservation,
-        // no per-push growth check) and draws from the RNG in exactly the
+        // dominate every headline preset). Each arm is a plain loop over
+        // locals: the RNG state is copied in and written back after the
+        // loop, and the cursor, base and bounds are plain values, so the
+        // per-reference state stays in registers. (`extend` over a mapped
+        // range would leave the fold out of line with all of them captured
+        // by reference: loaded, and the cursor and RNG words stored back,
+        // on every reference.) Each arm draws from the RNG in exactly the
         // order the unspecialized per-reference match did.
         self.walk_blocks[walk_index(&pat.walk)] += 1;
         let base = pat.base;
         let store_pct = pat.store_pct;
         let ws = pat.working_set;
-        let rng = &mut self.rng;
+        let mut rng = self.rng.clone();
         match pat.walk {
             // The cursor is kept reduced (`pos < working_set`, see the
             // reduction after the advance), so the per-reference modulo
@@ -324,34 +327,16 @@ impl<'p> Executor<'p> {
             // mod `working_set`.
             Walk::Strided { stride } | Walk::Streaming { stride } => {
                 let mut pos = cursor.pos;
-                if store_pct == 0 {
-                    // Fused store-free handler: `chance(0)` is always
-                    // false but must still draw; advance the stream
-                    // without the wide multiply and compare.
-                    out.accesses.extend((0..nrefs).map(|_| {
-                        let offset = pos;
-                        pos += stride as u64;
-                        if pos >= ws {
-                            pos %= ws;
-                        }
-                        let _ = rng.next_u64();
-                        MemAccess {
-                            addr: base + (offset & !7),
-                            is_store: false,
-                        }
-                    }));
-                } else {
-                    out.accesses.extend((0..nrefs).map(|_| {
-                        let offset = pos;
-                        pos += stride as u64;
-                        if pos >= ws {
-                            pos %= ws;
-                        }
-                        MemAccess {
-                            addr: base + (offset & !7),
-                            is_store: rng.chance(store_pct),
-                        }
-                    }));
+                for _ in 0..nrefs {
+                    let offset = pos;
+                    pos += stride as u64;
+                    if pos >= ws {
+                        pos %= ws;
+                    }
+                    out.accesses.push(MemAccess {
+                        addr: base + (offset & !7),
+                        is_store: rng.chance(store_pct),
+                    });
                 }
                 cursor.pos = pos;
             }
@@ -360,28 +345,29 @@ impl<'p> Executor<'p> {
                 hot_refs_pct,
             } => {
                 let hot_bytes = (ws * hot_bytes_pct as u64 / 100).max(64);
-                out.accesses.extend((0..nrefs).map(|_| {
+                for _ in 0..nrefs {
                     let offset = if rng.chance(hot_refs_pct) {
                         rng.below(hot_bytes)
                     } else {
                         rng.below(ws)
                     };
-                    MemAccess {
+                    out.accesses.push(MemAccess {
                         addr: base + (offset & !7),
                         is_store: rng.chance(store_pct),
-                    }
-                }));
+                    });
+                }
             }
             Walk::Random => {
-                out.accesses.extend((0..nrefs).map(|_| {
+                for _ in 0..nrefs {
                     let offset = rng.below(ws);
-                    MemAccess {
+                    out.accesses.push(MemAccess {
                         addr: base + (offset & !7),
                         is_store: rng.chance(store_pct),
-                    }
-                }));
+                    });
+                }
             }
         }
+        self.rng = rng;
 
         // Terminating branch.
         out.branch = Some(BranchEvent {

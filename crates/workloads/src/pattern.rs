@@ -23,8 +23,10 @@ pub enum Walk {
     /// Uniformly random within the working set; reuse only if the whole set
     /// fits in cache.
     Random,
-    /// Advances monotonically through a large region without wrap —
-    /// streaming behavior with no temporal reuse.
+    /// Walks a large region with a fixed stride, wrapping at
+    /// `working_set` exactly like `Strided`; over a region much larger
+    /// than the caches this streams, with no temporal reuse before the
+    /// wrap.
     Streaming {
         /// Bytes between consecutive accesses.
         stride: u32,
