@@ -1,10 +1,9 @@
 //! **Extension** — Phase Distance Mapping, prediction vs search.
 //!
-//! Wrapper over `ace_bench::experiments::pdm`. Unlike the one-line
-//! sibling wrappers it accepts `--jobs <N>` (results are byte-identical
-//! at any width) and `--fresh` (ignore the `results/pdm-*` caches —
-//! required for a complete `--telemetry` trace, since cache hits skip
-//! their runs).
+//! Wrapper over `ace_bench::experiments::pdm`. Unlike `run_all pdm` it
+//! accepts `--jobs <N>` (results are byte-identical at any width) and
+//! `--fresh` (ignore the `results/pdm-*` caches — required for a
+//! complete `--telemetry` trace, since cache hits skip their runs).
 
 use ace_bench::experiments::{commit_report, pdm};
 use ace_bench::{default_jobs, print_telemetry_summary, telemetry_from_args};

@@ -1,175 +1,220 @@
-//! CI throughput gate: compares a fresh `BENCH_run.json` against the
-//! committed baseline and fails (exit 1) when any headline workload's
-//! wall-clock regressed beyond the threshold.
+//! Microbench half of the same-runner perf gate
+//! (`benchmarks/same_runner_gate.py`): compares the parent's and the
+//! change's `ACE_MICROBENCH_JSON` streams and fails (exit 1) when any
+//! benchmark's median ns/iter in the change is more than 50 % above the
+//! parent's.
 //!
 //! ```text
-//! perf_gate <baseline.json> <current.json> [--threshold-pct <N>]
-//!           [--micro <baseline.jsonl> <current.jsonl>] [--micro-threshold-pct <N>]
+//! perf_gate <parent.jsonl> <change.jsonl>
 //! ```
 //!
-//! Only uncached `workload` and `fleet` entries gate (fleet entries also
-//! gate on a machines/sec drop); sibling experiments and
-//! cache-hit entries (which time nothing) are reported as skipped. Wall
-//! clocks are machine-dependent, so the default threshold (25 %) is
-//! deliberately loose — it catches order-of-magnitude slips and
-//! accidental de-optimization, not noise.
-//!
-//! `--micro` adds the microbench trajectory gate: both operands are
-//! `ACE_MICROBENCH_JSON` JSONL streams (see the vendored criterion), and
-//! each benchmark's ns/iter gates under its own, even looser threshold
-//! (default 50 %) — single-digit-nanosecond loops swing harder with host
-//! state than whole-workload walls do.
+//! Each stream holds one `{"name":"<group>/<bench>","ns_per_iter":N}`
+//! line per benchmark per `cargo bench -p ace-bench` run, so a name
+//! repeats once per run and the gate compares the per-name medians. A
+//! benchmark in only one stream (added or removed by the change) is
+//! listed but does not gate. Exit 2 on an unreadable stream.
 
-use ace_bench::{gate_against_baseline, BenchRun, GateReport};
+use serde::Deserialize;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: perf_gate <baseline.json> <current.json> [--threshold-pct <N>] \
-     [--micro <baseline.jsonl> <current.jsonl>] [--micro-threshold-pct <N>]";
+/// How much slower, as a share of the parent's median, a benchmark may
+/// read before it gates: single-digit-nanosecond loops swing harder with
+/// host state than whole workloads do.
+const THRESHOLD: f64 = 0.5;
 
-struct Args {
-    baseline: String,
-    current: String,
-    threshold_pct: f64,
-    micro: Option<(String, String)>,
-    micro_threshold_pct: f64,
+#[derive(Deserialize)]
+struct Record {
+    name: String,
+    ns_per_iter: f64,
 }
 
-fn parse_args() -> Args {
-    let mut positional = Vec::new();
-    let mut threshold_pct = 25.0;
-    let mut micro = None;
-    let mut micro_threshold_pct = 50.0;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--threshold-pct" | "--micro-threshold-pct" => {
-                let value = it.next().and_then(|v| v.parse::<f64>().ok());
-                match value {
-                    Some(n) if n > 0.0 => {
-                        if arg == "--threshold-pct" {
-                            threshold_pct = n;
-                        } else {
-                            micro_threshold_pct = n;
-                        }
-                    }
-                    _ => {
-                        eprintln!("{arg} requires a positive number");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--micro" => match (it.next(), it.next()) {
-                (Some(base), Some(cur)) => micro = Some((base, cur)),
-                _ => {
-                    eprintln!("--micro requires two JSONL paths (baseline, current)");
-                    std::process::exit(2);
-                }
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => positional.push(other.to_string()),
+/// One benchmark's medians; `None` on the side that lacks it.
+#[derive(Debug, PartialEq)]
+struct Row {
+    name: String,
+    parent: Option<f64>,
+    change: Option<f64>,
+}
+
+impl Row {
+    fn regressed(&self) -> bool {
+        matches!((self.parent, self.change), (Some(p), Some(c)) if c > p * (1.0 + THRESHOLD))
+    }
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[mid]
+    } else {
+        (v[mid - 1] + v[mid]) / 2.0
+    }
+}
+
+/// Per-name medians, in first-seen order.
+fn medians(records: &[(String, f64)]) -> Vec<(String, f64)> {
+    let mut groups: Vec<(String, Vec<f64>)> = Vec::new();
+    for (name, ns) in records {
+        match groups.iter_mut().find(|(n, _)| n == name) {
+            Some((_, samples)) => samples.push(*ns),
+            None => groups.push((name.clone(), vec![*ns])),
         }
     }
-    if positional.len() != 2 {
-        eprintln!("{USAGE}");
-        std::process::exit(2);
-    }
-    let mut it = positional.into_iter();
-    Args {
-        baseline: it.next().unwrap(),
-        current: it.next().unwrap(),
-        threshold_pct,
-        micro,
-        micro_threshold_pct,
-    }
+    groups
+        .into_iter()
+        .map(|(name, samples)| (name, median(samples)))
+        .collect()
 }
 
-fn print_report(report: &GateReport, label: &str) {
-    println!(
-        "{:<32} {:>12} {:>12} {:>8}  verdict",
-        label, "baseline", "current", "delta"
-    );
-    for row in &report.rows {
-        println!(
-            "{:<32} {:>12.1} {:>12.1} {:>+7.1}%  {}",
-            row.name,
-            row.baseline_ms,
-            row.current_ms,
-            row.delta_pct,
-            if row.regressed { "REGRESSED" } else { "ok" }
-        );
+/// One row per benchmark: the parent's in stream order, then those only
+/// the change has.
+fn compare(parent: &[(String, f64)], change: &[(String, f64)]) -> Vec<Row> {
+    let parent = medians(parent);
+    let change = medians(change);
+    let lookup =
+        |side: &[(String, f64)], name: &str| side.iter().find(|(n, _)| n == name).map(|&(_, m)| m);
+    let mut rows: Vec<Row> = parent
+        .iter()
+        .map(|(name, m)| Row {
+            name: name.clone(),
+            parent: Some(*m),
+            change: lookup(&change, name),
+        })
+        .collect();
+    for (name, m) in &change {
+        if lookup(&parent, name).is_none() {
+            rows.push(Row {
+                name: name.clone(),
+                parent: None,
+                change: Some(*m),
+            });
+        }
     }
-    for s in &report.skipped {
-        println!("skipped: {s}");
-    }
+    rows
+}
+
+fn load(path: &str) -> Result<Vec<(String, f64)>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    text.lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|line| {
+            serde_json::from_str::<Record>(line)
+                .map(|r| (r.name, r.ns_per_iter))
+                .map_err(|e| format!("{path}: {e}"))
+        })
+        .collect()
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    let baseline = match BenchRun::load(&args.baseline) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("perf_gate: cannot load baseline: {e}");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [parent, change] = args.as_slice() else {
+        eprintln!("usage: perf_gate <parent.jsonl> <change.jsonl>");
+        return ExitCode::from(2);
+    };
+    let (parent, change) = match (load(parent), load(change)) {
+        (Ok(p), Ok(c)) => (p, c),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("perf_gate: {e}");
             return ExitCode::from(2);
         }
     };
-    let current = match BenchRun::load(&args.current) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("perf_gate: cannot load current run: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = gate_against_baseline(&baseline, &current, args.threshold_pct);
-
+    let rows = compare(&parent, &change);
+    let cell = |m: Option<f64>| m.map_or_else(|| "-".to_string(), |v| format!("{v:.1}"));
     println!(
-        "perf gate: threshold +{:.0}% (baseline jobs={}, current jobs={})",
-        report.threshold_pct, baseline.jobs, current.jobs
+        "{:<44} {:>12} {:>12} {:>8}  verdict (> +{:.0}% regresses)",
+        "benchmark (median ns/iter)",
+        "parent",
+        "change",
+        "delta",
+        THRESHOLD * 100.0
     );
-    print_report(&report, "workload (ms)");
-
-    let micro_report = match &args.micro {
-        None => None,
-        Some((base_path, cur_path)) => {
-            let load = |path: &str| match BenchRun::load_microbench_jsonl(path) {
-                Ok(run) => Some(run),
-                Err(e) => {
-                    eprintln!("perf_gate: cannot load microbench stream: {e}");
-                    None
-                }
-            };
-            let (Some(micro_base), Some(micro_cur)) = (load(base_path), load(cur_path)) else {
-                return ExitCode::from(2);
-            };
-            let micro = gate_against_baseline(&micro_base, &micro_cur, args.micro_threshold_pct);
-            println!("\nmicrobench gate: threshold +{:.0}%", micro.threshold_pct);
-            print_report(&micro, "benchmark (ns/iter)");
-            Some(micro)
-        }
-    };
-
-    let comparable =
-        !report.rows.is_empty() || micro_report.as_ref().is_some_and(|m| !m.rows.is_empty());
-    if !comparable {
-        println!("perf gate: nothing comparable — pass (vacuous)");
-        return ExitCode::SUCCESS;
-    }
-    if report.regressed() {
-        eprintln!(
-            "perf gate: FAIL — workload wall-clock regressed more than {:.0}%",
-            report.threshold_pct
+    for row in &rows {
+        let (delta, verdict) = match (row.parent, row.change) {
+            (Some(p), Some(c)) => (
+                format!("{:>+7.1}%", (c / p - 1.0) * 100.0),
+                if row.regressed() { "REGRESSED" } else { "ok" },
+            ),
+            _ => (String::new(), "one side only"),
+        };
+        println!(
+            "{:<44} {:>12} {:>12} {delta:>8}  {verdict}",
+            row.name,
+            cell(row.parent),
+            cell(row.change)
         );
-        return ExitCode::FAILURE;
     }
-    if micro_report.as_ref().is_some_and(GateReport::regressed) {
-        eprintln!(
-            "perf gate: FAIL — a microbench regressed more than {:.0}% ns/iter",
-            args.micro_threshold_pct
+    let regressed = rows.iter().filter(|r| r.regressed()).count();
+    println!("{} benchmarks, {regressed} regressed", rows.len());
+    if regressed == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn stream(records: &[(&str, f64)]) -> Vec<(String, f64)> {
+        records.iter().map(|&(n, v)| (n.to_string(), v)).collect()
+    }
+
+    #[test]
+    fn medians_pool_repeated_names() {
+        let runs = stream(&[
+            ("cache/a", 10.0),
+            ("cache/b", 4.0),
+            ("cache/a", 30.0),
+            ("cache/a", 12.0),
+            ("cache/b", 6.0),
+        ]);
+        assert_eq!(
+            medians(&runs),
+            stream(&[("cache/a", 12.0), ("cache/b", 5.0)])
         );
-        return ExitCode::FAILURE;
     }
-    println!("perf gate: pass");
-    ExitCode::SUCCESS
+
+    #[test]
+    fn only_a_slowdown_past_half_gates() {
+        let parent = stream(&[("a", 100.0), ("b", 100.0), ("a", 102.0), ("b", 98.0)]);
+        // `a` reads 1.1x slower, `b` 2x slower.
+        let change = stream(&[("a", 110.0), ("b", 200.0), ("a", 112.2), ("b", 196.0)]);
+        let rows = compare(&parent, &change);
+        let flagged: Vec<&str> = rows
+            .iter()
+            .filter(|r| r.regressed())
+            .map(|r| r.name.as_str())
+            .collect();
+        assert_eq!(flagged, vec!["b"]);
+    }
+
+    #[test]
+    fn one_sided_rows_are_listed_but_never_gate() {
+        let parent = stream(&[("kept", 10.0), ("removed", 10.0)]);
+        let change = stream(&[("kept", 10.0), ("added", 1e9)]);
+        let rows = compare(&parent, &change);
+        assert_eq!(
+            rows,
+            vec![
+                Row {
+                    name: "kept".into(),
+                    parent: Some(10.0),
+                    change: Some(10.0)
+                },
+                Row {
+                    name: "removed".into(),
+                    parent: Some(10.0),
+                    change: None
+                },
+                Row {
+                    name: "added".into(),
+                    parent: None,
+                    change: Some(1e9)
+                },
+            ]
+        );
+        assert!(rows.iter().all(|r| !r.regressed()));
+    }
 }

@@ -4,7 +4,10 @@
 //! registered sibling experiment as a job, saving each one's output under
 //! `results/<name>.txt` and its sections into `results/SUMMARY.md`.
 //!
-//! Flags:
+//! ```text
+//! run_all [--jobs <N>] [--fresh] [--headline-only] [--list] [--telemetry <path>]
+//! run_all <experiment> [--telemetry <path>]
+//! ```
 //!
 //! * `--jobs <N>` — worker-pool width (default: `ACE_JOBS` or the
 //!   machine's available parallelism). Output is byte-identical at any
@@ -17,78 +20,98 @@
 //!   reconfiguration, promotion) as JSONL and print a summary at the end.
 //!   Cached results skip their runs, so combine with `--fresh` for a
 //!   complete trace.
-//! * `--bench-out <path>` — write a perf-baseline JSON file
-//!   (`BENCH_run.json`) with one timed entry per headline workload and
-//!   per sibling experiment; see `ace_bench::baseline`.
+//! * `<experiment>` — run just that registry entry (`--list` names
+//!   them): print its report and commit its `results/SUMMARY.md`
+//!   sections. An unknown name exits 2 and lists the registry.
 //!
 //! Any failing experiment is reported at the end and the process exits
 //! nonzero.
 
-use ace_bench::experiments::{commit_report, ExpCtx, Report, REGISTRY};
+use ace_bench::experiments::{commit_report, find, run_experiment, ExpCtx, Report, REGISTRY};
 use ace_bench::{
     default_jobs, format_table, mean, print_telemetry_summary, results_dir, run_jobs,
-    telemetry_from_args, BenchRun, ExperimentSet, Job,
+    telemetry_from_args, ExperimentSet, Job,
 };
+use ace_telemetry::Telemetry;
 use std::process::ExitCode;
 
 struct Args {
-    jobs: usize,
+    jobs: Option<usize>,
     fresh: bool,
     headline_only: bool,
     list: bool,
-    bench_out: Option<String>,
+    experiment: Option<String>,
+}
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}; see the run_all docs");
+    std::process::exit(2);
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
-        jobs: default_jobs(),
+        jobs: None,
         fresh: false,
         headline_only: false,
         list: false,
-        bench_out: None,
+        experiment: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--jobs" => {
-                let value = it.next().and_then(|v| v.parse::<usize>().ok());
-                match value {
-                    Some(n) if n > 0 => args.jobs = n,
-                    _ => {
-                        eprintln!("--jobs requires a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
+            "--jobs" => match it.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(n) if n > 0 => args.jobs = Some(n),
+                _ => usage_error("--jobs requires a positive integer"),
+            },
             "--fresh" => args.fresh = true,
             "--headline-only" => args.headline_only = true,
             "--list" => args.list = true,
             "--telemetry" => {
                 it.next(); // handled by telemetry_from_args
             }
-            "--bench-out" => match it.next() {
-                Some(path) => args.bench_out = Some(path),
-                None => {
-                    eprintln!("--bench-out requires a file path");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!("unknown flag {other}; see the run_all docs");
-                std::process::exit(2);
+            name if !name.starts_with('-') && args.experiment.is_none() => {
+                args.experiment = Some(name.to_string());
             }
+            other => usage_error(&format!("unexpected argument {other}")),
         }
     }
+    let whole_run_flag = args.jobs.is_some() || args.fresh || args.headline_only || args.list;
+    if args.experiment.is_some() && whole_run_flag {
+        usage_error("an experiment name takes only --telemetry");
+    }
     args
+}
+
+/// One `name  summary` line per registered experiment.
+fn registry_listing() -> String {
+    REGISTRY
+        .iter()
+        .map(|def| format!("  {:<24} {}\n", def.name, def.summary))
+        .collect()
+}
+
+/// `run_all <experiment>`: runs one registry entry, prints its report and
+/// commits its `SUMMARY.md` sections.
+fn run_one(name: &str, telemetry: &Telemetry) -> ExitCode {
+    match run_experiment(name, telemetry) {
+        Ok(report) => {
+            print!("{}", report.text);
+            commit_report(&report);
+            print_telemetry_summary(telemetry);
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn main() -> ExitCode {
     let args = parse_args();
     if args.list {
         println!("experiments ({}):", REGISTRY.len());
-        for def in REGISTRY {
-            println!("  {:<24} {}", def.name, def.summary);
-        }
+        print!("{}", registry_listing());
         let workloads = ace_workloads::WorkloadRegistry::builtin();
         let names = workloads.names();
         println!("workloads ({}):", names.len());
@@ -98,24 +121,30 @@ fn main() -> ExitCode {
         println!("(workload names also accept a path to a WorkloadSpec JSON file)");
         return ExitCode::SUCCESS;
     }
+    if let Some(name) = &args.experiment {
+        if find(name).is_none() {
+            eprintln!(
+                "unknown experiment {name:?}; registered experiments:\n{}",
+                registry_listing()
+            );
+            return ExitCode::from(2);
+        }
+        return run_one(name, &telemetry_from_args());
+    }
+    let jobs = args.jobs.unwrap_or_else(default_jobs);
     let telemetry = telemetry_from_args();
 
-    let outcomes = match ExperimentSet::all_presets()
+    let all = match ExperimentSet::all_presets()
         .fresh(args.fresh)
         .telemetry(&telemetry)
-        .run_detailed(args.jobs)
+        .run_parallel(jobs)
     {
-        Ok(outcomes) => outcomes,
+        Ok(all) => all,
         Err(e) => {
             eprintln!("headline runs failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let mut bench_run = BenchRun::new(args.jobs);
-    for outcome in &outcomes {
-        bench_run.push_workload(outcome);
-    }
-    let all: Vec<_> = outcomes.into_iter().map(|o| o.results).collect();
 
     let mut rows = Vec::new();
     for r in &all {
@@ -199,10 +228,7 @@ fn main() -> ExitCode {
 
     let mut failed = Vec::new();
     if !args.headline_only {
-        eprintln!(
-            "regenerating every experiment artifact ({} jobs):",
-            args.jobs
-        );
+        eprintln!("regenerating every experiment artifact ({jobs} jobs):");
         let pool: Vec<Job<Report>> = REGISTRY
             .iter()
             .map(|def| {
@@ -215,8 +241,7 @@ fn main() -> ExitCode {
             })
             .collect();
         let _ = std::fs::create_dir_all(results_dir());
-        for outcome in run_jobs(pool, args.jobs, &telemetry) {
-            bench_run.push_experiment(&outcome.key, outcome.wall);
+        for outcome in run_jobs(pool, jobs, &telemetry) {
             match outcome.result {
                 Ok(report) => {
                     let path = results_dir().join(format!("{}.txt", report.name));
@@ -238,19 +263,6 @@ fn main() -> ExitCode {
             }
         }
         eprintln!("done; see results/ and results/SUMMARY.md");
-    }
-
-    if let Some(path) = &args.bench_out {
-        match bench_run.write(path) {
-            Ok(()) => eprintln!(
-                "wrote perf baseline ({} entries) to {path}",
-                bench_run.entries.len()
-            ),
-            Err(e) => {
-                eprintln!("cannot write bench baseline {path}: {e}");
-                failed.push("--bench-out".to_string());
-            }
-        }
     }
 
     print_telemetry_summary(&telemetry);

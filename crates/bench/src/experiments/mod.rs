@@ -2,9 +2,8 @@
 //!
 //! Every table, figure, ablation, and extension of the evaluation is a
 //! library entry point `fn run(&ExpCtx) -> BenchResult<Report>` registered
-//! in [`REGISTRY`]; the binaries under `src/bin/` are one-line
-//! [`cli_main`] wrappers around it, and `run_all` schedules the whole
-//! registry as jobs on the [`crate::engine`] pool.
+//! in [`REGISTRY`]; `run_all <name>` runs one entry, and `run_all`
+//! schedules the whole registry as jobs on the [`crate::engine`] pool.
 //!
 //! Experiments never print or touch shared files: they render into a
 //! [`Report`] (stdout text plus named `SUMMARY.md` sections) which the
@@ -100,7 +99,8 @@ impl ExpCtx {
 
 /// One registered experiment.
 pub struct ExperimentDef {
-    /// Registry name — the binary name and the `results/<name>.txt` stem.
+    /// Registry name — the `run_all <name>` argument and the
+    /// `results/<name>.txt` stem.
     pub name: &'static str,
     /// One-line description (shown by `run_all`'s failure report).
     pub summary: &'static str,
@@ -240,29 +240,11 @@ pub fn run_experiment(name: &str, telemetry: &Telemetry) -> BenchResult<Report> 
 }
 
 /// Commits a report's `SUMMARY.md` sections. Call from one thread at a
-/// time, in report order — `run_all`'s merge phase, or a standalone
-/// binary's tail.
+/// time, in report order — `run_all`'s merge phase, or the tail of a
+/// single-experiment run.
 pub fn commit_report(report: &Report) {
     for (section, body) in &report.sections {
         append_summary(section, body);
-    }
-}
-
-/// The shared `main` of every experiment binary: parse `--telemetry`,
-/// run, print, commit, summarize.
-pub fn cli_main(name: &'static str) -> std::process::ExitCode {
-    let telemetry = crate::telemetry_from_args();
-    match run_experiment(name, &telemetry) {
-        Ok(report) => {
-            print!("{}", report.text);
-            commit_report(&report);
-            crate::print_telemetry_summary(&telemetry);
-            std::process::ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            std::process::ExitCode::FAILURE
-        }
     }
 }
 

@@ -1,9 +1,9 @@
 //! # ace-bench — parallel deterministic experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation section.
-//! Each experiment lives in [`experiments`] as a library entry point (the
-//! binaries under `src/bin/` are one-line wrappers); this library holds
-//! the shared machinery:
+//! Each experiment lives in [`experiments`] as a library entry point
+//! (`run_all <experiment>` runs one by name); this library holds the
+//! shared machinery:
 //!
 //! * [`engine`] — the work-stealing job pool every run fans out on,
 //! * [`ExperimentSet`] — the builder running workload presets under the
@@ -35,13 +35,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod engine;
 pub mod experiments;
 
-pub use baseline::{
-    gate_against_baseline, BenchEntry, BenchRun, FleetMetrics, GateReport, GateRow, HeadlineMetrics,
-};
 pub use engine::{default_jobs, run_jobs, BenchError, BenchResult, Job, JobOutcome};
 
 use ace_core::{BbvReport, Experiment, HotspotReport, RunConfig, RunRecord, SchemeExt, SchemeRun};
@@ -49,7 +45,6 @@ use ace_telemetry::Telemetry;
 use ace_workloads::PRESET_NAMES;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// The three runs of one workload plus the scheme reports.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -102,19 +97,6 @@ impl SchemeResults {
 
 /// The scheme ids [`ExperimentSet`] runs, in run order.
 pub const HEADLINE_SCHEMES: [&str; 3] = ["baseline", "bbv", "hotspot"];
-
-/// One workload's results plus how they were obtained — the unit of the
-/// perf-baseline pipeline (`run_all --bench-out`).
-#[derive(Debug, Clone)]
-pub struct WorkloadOutcome {
-    /// The three scheme runs.
-    pub results: SchemeResults,
-    /// Total worker wall-clock across the workload's scheme jobs
-    /// ([`Duration::ZERO`] for cache hits).
-    pub wall: Duration,
-    /// Whether the results came from the content-addressed cache.
-    pub cached: bool,
-}
 
 /// Builder running a set of preset workloads under the three headline
 /// schemes on the parallel [`engine`], with content-addressed caching.
@@ -207,22 +189,6 @@ impl ExperimentSet {
     /// Fails on unknown preset names or when any run fails; every job
     /// still runs, and the error aggregates all failures.
     pub fn run_parallel(self, jobs: usize) -> BenchResult<Vec<SchemeResults>> {
-        Ok(self
-            .run_detailed(jobs)?
-            .into_iter()
-            .map(|o| o.results)
-            .collect())
-    }
-
-    /// [`ExperimentSet::run_parallel`], but each workload's results come
-    /// with its worker wall-clock and cache provenance — the raw material
-    /// of `run_all --bench-out`. Results are identical to `run_parallel`;
-    /// only the wall-clock annotations vary run to run.
-    ///
-    /// # Errors
-    ///
-    /// See [`ExperimentSet::run_parallel`].
-    pub fn run_detailed(self, jobs: usize) -> BenchResult<Vec<WorkloadOutcome>> {
         let dir = self.results_dir.clone().unwrap_or_else(results_dir);
 
         // Phase 1: resolve caches; one job per (workload, scheme) run of
@@ -259,18 +225,12 @@ impl ExperimentSet {
         let mut failures: Vec<String> = Vec::new();
         for (name, hit) in self.presets.iter().zip(cached) {
             if let Some(hit) = hit {
-                results.push(WorkloadOutcome {
-                    results: hit,
-                    wall: Duration::ZERO,
-                    cached: true,
-                });
+                results.push(hit);
                 continue;
             }
             let mut runs = Vec::with_capacity(HEADLINE_SCHEMES.len());
-            let mut wall = Duration::ZERO;
             for _ in HEADLINE_SCHEMES {
                 let outcome = outcomes.next().expect("one outcome per run");
-                wall += outcome.wall;
                 match outcome.result {
                     Ok(run) => runs.push(run),
                     Err(e) => failures.push(format!("{}: {e}", outcome.key)),
@@ -300,11 +260,7 @@ impl ExperimentSet {
             if let Err(e) = save(&path, &assembled) {
                 eprintln!("warning: could not cache {}: {e}", path.display());
             }
-            results.push(WorkloadOutcome {
-                results: assembled,
-                wall,
-                cached: false,
-            });
+            results.push(assembled);
         }
         if !failures.is_empty() {
             return Err(BenchError::msg(failures.join("; ")));

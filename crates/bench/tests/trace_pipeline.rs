@@ -1,12 +1,12 @@
 //! End-to-end contract of the trace pipeline: a JSONL trace recorded by
-//! the parallel engine is byte-identical at any pool width, analyzes
-//! identically, and round-trips the perf-baseline machinery.
+//! the parallel engine is byte-identical at any pool width and analyzes
+//! identically.
 //!
 //! This is the test behind `ace trace summarize` being diffable in CI:
 //! it runs the same experiment set at width 1 and width 4, then asserts
 //! the trace files, analyses, and rendered summaries are equal.
 
-use ace_bench::{BenchRun, ExperimentSet};
+use ace_bench::ExperimentSet;
 use ace_core::RunConfig;
 use ace_telemetry::Telemetry;
 use std::path::PathBuf;
@@ -84,63 +84,4 @@ fn engine_histograms_cover_every_scheme_job() {
     assert!(summary.contains("engine.queue_wait_ms"), "{summary}");
     // 2 presets x 3 schemes = 6 jobs, one histogram sample each.
     assert!(summary.contains("n=6"), "{summary}");
-}
-
-#[test]
-fn bench_baseline_records_one_entry_per_workload() {
-    let dir = temp_dir("bench");
-    let outcomes = ExperimentSet::presets(PRESETS)
-        .config(limited())
-        .fresh(true)
-        .results_dir(&dir)
-        .run_detailed(2)
-        .expect("runs succeed");
-    assert_eq!(outcomes.len(), PRESETS.len());
-    assert!(outcomes.iter().all(|o| !o.cached));
-    assert!(outcomes.iter().all(|o| o.wall.as_nanos() > 0));
-
-    let mut bench = BenchRun::new(2);
-    for outcome in &outcomes {
-        bench.push_workload(outcome);
-    }
-    let path = dir.join("BENCH_run.json");
-    bench.write(&path).expect("baseline writes");
-    let back = BenchRun::load(&path).expect("baseline loads");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(back.entries.len(), PRESETS.len());
-    for (entry, preset) in back.entries.iter().zip(PRESETS) {
-        assert_eq!(entry.kind, "workload");
-        assert_eq!(entry.name, preset);
-        assert!(entry.wall_ms > 0.0);
-        let headline = entry
-            .headline
-            .as_ref()
-            .expect("workload entries carry metrics");
-        assert!(headline.baseline_ipc > 0.0);
-    }
-}
-
-#[test]
-fn cache_hits_are_marked_and_free() {
-    let dir = temp_dir("cache");
-    let first = ExperimentSet::presets(["db"])
-        .config(limited())
-        .fresh(true)
-        .results_dir(&dir)
-        .run_detailed(1)
-        .expect("fresh run");
-    assert!(!first[0].cached);
-    let second = ExperimentSet::presets(["db"])
-        .config(limited())
-        .results_dir(&dir)
-        .run_detailed(1)
-        .expect("cached run");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(second[0].cached);
-    assert_eq!(second[0].wall.as_nanos(), 0);
-    assert_eq!(
-        serde_json::to_string(&first[0].results).unwrap(),
-        serde_json::to_string(&second[0].results).unwrap(),
-        "cache must return identical results"
-    );
 }

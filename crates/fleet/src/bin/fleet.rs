@@ -17,9 +17,6 @@
 //! * `--fresh` — ignore a cached fleet report and re-run.
 //! * `--assert-warm-hits` — exit nonzero unless the warm pass hit the
 //!   store (the CI smoke gate).
-//! * `--bench-out <path>` — append-style perf baseline
-//!   (`ace_bench::baseline`) with one `fleet/cold` and one `fleet/warm`
-//!   entry (kind `fleet`, including machines/sec for the perf gate).
 //! * `--telemetry <path>` — stream decision events as JSONL.
 //! * `--check-cache` — validate `results/fleet-*.json` against current
 //!   cache keys and exit (the fleet half of `check_results`).
@@ -42,19 +39,20 @@
 //! * `--watch` — run the fleet watchdog over both passes and exit
 //!   nonzero on a breach; `--max-shed-rate F`, `--min-hit-rate F` and
 //!   `--max-convergence-slowdown F` tune the thresholds (the hit-rate
-//!   floor applies to the warm pass only).
+//!   floor applies to the warm pass only). A threshold must be a number
+//!   and not NaN, which would silently disable its check; values past 1
+//!   are accepted, so `--min-hit-rate 1.01` trips the watchdog on
+//!   purpose.
 
-use ace_bench::{
-    default_jobs, print_telemetry_summary, results_dir, telemetry_from_args, BenchRun, FleetMetrics,
-};
+use ace_bench::{default_jobs, print_telemetry_summary, results_dir, telemetry_from_args};
 use ace_fleet::{
     check_fleet_caches, fleet_cache_file_name, fleet_cache_key, fleet_registry_version,
-    render_report, run_fleet_observed, FleetCache, FleetConfig, FleetOutcome, ObsGate, ObsSampler,
-    TuningStore, FLEET_SCHEMA_VERSION,
+    render_report, run_fleet_observed, FleetCache, FleetConfig, ObsGate, ObsSampler, TuningStore,
+    FLEET_SCHEMA_VERSION,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 struct Args {
     cfg: FleetConfig,
@@ -62,7 +60,6 @@ struct Args {
     store: Option<PathBuf>,
     fresh: bool,
     assert_warm_hits: bool,
-    bench_out: Option<String>,
     check_cache: bool,
     corpus: Option<usize>,
     /// Report caching is reserved for unmodified presets — `--check-cache`
@@ -93,7 +90,6 @@ fn parse_args() -> Args {
         store: None,
         fresh: false,
         assert_warm_hits: false,
-        bench_out: None,
         check_cache: false,
         corpus: None,
         cacheable: true,
@@ -131,7 +127,6 @@ fn parse_args() -> Args {
             "--no-baseline" => overrides.push(("--no-baseline".to_string(), String::new())),
             "--fresh" => args.fresh = true,
             "--assert-warm-hits" => args.assert_warm_hits = true,
-            "--bench-out" => args.bench_out = Some(take(&mut it, "--bench-out")),
             "--telemetry" => {
                 it.next(); // handled by telemetry_from_args
             }
@@ -152,10 +147,13 @@ fn parse_args() -> Args {
             "--watch" => args.watch = true,
             "--max-shed-rate" | "--min-hit-rate" | "--max-convergence-slowdown" => {
                 let value = take(&mut it, &arg);
-                let parsed = value.parse::<f64>().unwrap_or_else(|_| {
-                    eprintln!("{arg} requires a number");
-                    std::process::exit(2);
-                });
+                let parsed = match value.parse::<f64>() {
+                    Ok(v) if !v.is_nan() => v,
+                    _ => {
+                        eprintln!("{arg} requires a number");
+                        std::process::exit(2);
+                    }
+                };
                 match arg.as_str() {
                     "--max-shed-rate" => args.gate.max_shed_rate = parsed,
                     "--min-hit-rate" => args.gate.min_hit_rate = parsed,
@@ -255,22 +253,6 @@ fn main() -> ExitCode {
             if cache.key == fleet_cache_key(&args.cfg) {
                 print!("{}", cache.report);
                 eprintln!("(cached fleet report; --fresh re-runs)");
-                if let Some(path) = &args.bench_out {
-                    // Cache-served passes time nothing; the perf gate
-                    // reports them as skipped.
-                    let zero = FleetMetrics {
-                        machines_per_sec: 0.0,
-                        shed: 0,
-                        warm_hit_rate: 0.0,
-                    };
-                    let mut bench = BenchRun::new(args.jobs);
-                    bench.push_fleet("fleet/cold", Duration::ZERO, true, zero);
-                    bench.push_fleet("fleet/warm", Duration::ZERO, true, zero);
-                    if let Err(e) = bench.write(path) {
-                        eprintln!("cannot write bench baseline {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
                 return gate_warm_hits(args.assert_warm_hits, cache.warm_hits);
             }
         }
@@ -301,8 +283,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let cold_wall = start.elapsed();
-    let warm_start = Instant::now();
     let warm = match run_fleet_observed(
         &args.cfg,
         &mut store,
@@ -316,7 +296,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let warm_wall = warm_start.elapsed();
 
     let report = render_report(&args.cfg, &cold, &warm, &store);
     print!("{report}");
@@ -343,29 +322,6 @@ fn main() -> ExitCode {
         };
         if let Err(e) = cache.write(&cache_path) {
             eprintln!("warning: could not cache fleet report: {e}");
-        }
-    }
-
-    if let Some(path) = &args.bench_out {
-        let mut bench = BenchRun::new(args.jobs);
-        bench.push_fleet(
-            "fleet/cold",
-            cold_wall,
-            false,
-            fleet_metrics(&cold, cold_wall),
-        );
-        bench.push_fleet(
-            "fleet/warm",
-            warm_wall,
-            false,
-            fleet_metrics(&warm, warm_wall),
-        );
-        match bench.write(path) {
-            Ok(()) => eprintln!("wrote fleet bench entries to {path}"),
-            Err(e) => {
-                eprintln!("cannot write bench baseline {path}: {e}");
-                return ExitCode::FAILURE;
-            }
         }
     }
 
@@ -435,15 +391,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     gate_warm_hits(args.assert_warm_hits, warm.hits())
-}
-
-/// Throughput plus health for one pass's `--bench-out` entry.
-fn fleet_metrics(outcome: &FleetOutcome, wall: Duration) -> FleetMetrics {
-    FleetMetrics {
-        machines_per_sec: outcome.ran() as f64 / wall.as_secs_f64().max(1e-9),
-        shed: outcome.shed,
-        warm_hit_rate: outcome.hit_rate(),
-    }
 }
 
 fn gate_warm_hits(assert_warm_hits: bool, warm_hits: u64) -> ExitCode {

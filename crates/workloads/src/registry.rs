@@ -239,6 +239,20 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_spec_file_is_a_parse_error() {
+        let dir = std::env::temp_dir().join(format!("ace-registry-deep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("deep.json");
+        std::fs::write(&path, "[".repeat(50_000)).unwrap();
+        let err = load_spec_file(path.to_str().unwrap()).unwrap_err();
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            matches!(&err, WorkloadError::Parse { msg, .. } if msg.contains("nesting")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn missing_spec_file_is_io_error() {
         let reg = WorkloadRegistry::builtin();
         assert!(matches!(
