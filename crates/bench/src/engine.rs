@@ -1,11 +1,12 @@
 //! # Work-stealing experiment engine
 //!
-//! Every unit of evaluation work — one (workload × scheme) run, one
-//! sibling experiment — becomes a [`Job`] with a deterministic key. Jobs
-//! fan out across a fixed-size pool of scoped OS threads pulling from a
-//! shared queue ([`run_jobs`]); results and telemetry are merged back **in
-//! submission order**, so every output table, cached JSON file, and
-//! telemetry summary is byte-identical to a serial (`--jobs 1`) run.
+//! Every unit of evaluation work — one workload's scheme trio run as
+//! legs of one shared run, one sibling experiment — becomes a [`Job`]
+//! with a deterministic key. Jobs fan out across a fixed-size pool of
+//! scoped OS threads pulling from a shared queue ([`run_jobs`]); results
+//! and telemetry are merged back **in submission order**, so every
+//! output table, cached JSON file, and telemetry summary is
+//! byte-identical to a serial (`--jobs 1`) run.
 //!
 //! Determinism recipe:
 //!

@@ -16,6 +16,11 @@
 //!    equal across *all* schemes for one workload (misses, cycles, IPC
 //!    and energy legitimately differ — those are what the schemes
 //!    change).
+//! 3. **shared stream** — all five schemes run again as legs of one
+//!    shared run ([`Experiment::run_schemes`]), in lockstep off a single
+//!    executor; every leg's record must be byte-identical to its solo
+//!    reference. Catches state leaking between legs and a stream that
+//!    depends on the machine it feeds.
 //!
 //! A workload that trips any oracle is written to the failure directory
 //! as a spec file, then handed to [`ace_workloads::minimize`] with the
@@ -97,7 +102,7 @@ impl Default for CorpusParams {
 pub struct CorpusFailure {
     /// Workload name (`gen-<seed>` or a preset name).
     pub workload: String,
-    /// Oracle id: `"jobs"` or `"counters"`.
+    /// Oracle id: `"jobs"`, `"counters"` or `"shared"`.
     pub oracle: String,
     /// Human-readable mismatch detail.
     pub detail: String,
@@ -152,19 +157,32 @@ fn invariant_counters(r: &RunRecord) -> (u64, u64, u64, u64, u64, u64) {
     )
 }
 
+fn experiment(spec: &WorkloadSpec, limit: Option<u64>, telemetry: &Telemetry) -> Experiment {
+    let e = Experiment::spec(spec.clone()).telemetry(telemetry);
+    match limit {
+        Some(limit) => e.instruction_limit(limit),
+        None => e,
+    }
+}
+
 fn run_one(
     spec: &WorkloadSpec,
     scheme: &str,
     limit: Option<u64>,
     telemetry: &Telemetry,
 ) -> BenchResult<RunRecord> {
-    let mut e = Experiment::spec(spec.clone())
-        .scheme(scheme)
-        .telemetry(telemetry);
-    if let Some(limit) = limit {
-        e = e.instruction_limit(limit);
-    }
-    e.run().map_err(crate::BenchError::from)
+    let e = experiment(spec, limit, telemetry);
+    e.scheme(scheme).run().map_err(crate::BenchError::from)
+}
+
+/// Digests of every corpus scheme run as a leg of one shared run.
+fn shared_digests(
+    spec: &WorkloadSpec,
+    limit: Option<u64>,
+    telemetry: &Telemetry,
+) -> BenchResult<Vec<String>> {
+    let runs = experiment(spec, limit, telemetry).run_schemes(CORPUS_SCHEMES)?;
+    Ok(runs.iter().map(|run| record_digest(&run.record)).collect())
 }
 
 /// Serial reference digests for every scheme of one spec.
@@ -218,6 +236,12 @@ fn oracle_fails(spec: &WorkloadSpec, oracle: &str, limit: Option<u64>, jobs: usi
                 .iter()
                 .any(|(_, record, _)| invariant_counters(record) != base)
         }
+        "shared" => shared_digests(spec, limit, &off).is_ok_and(|shared| {
+            shared
+                .iter()
+                .zip(&reference)
+                .any(|(got, (_, _, want))| got != want)
+        }),
         _ => false,
     }
 }
@@ -286,7 +310,7 @@ pub fn corpus_specs(params: &CorpusParams) -> Vec<(WorkloadSpec, Option<u64>)> {
     specs
 }
 
-/// Runs the corpus: every workload through every scheme under the two
+/// Runs the corpus: every workload through every scheme under the three
 /// differential oracles. Infrastructure errors (a run that fails
 /// outright) abort; oracle violations are collected, minimized, and
 /// returned.
@@ -344,6 +368,34 @@ pub fn run_corpus(params: &CorpusParams, telemetry: &Telemetry) -> BenchResult<C
                     .push(capture_failure(params, spec, *limit, "jobs", detail));
                 break;
             }
+        }
+    }
+
+    // The shared-stream oracle: every scheme as a leg of one shared run,
+    // one engine job per workload.
+    let pool: Vec<Job<Vec<String>>> = specs
+        .iter()
+        .map(|(spec, limit)| {
+            let spec = spec.clone();
+            let limit = *limit;
+            Job::new(format!("{}/shared", spec.name), move |tel| {
+                shared_digests(&spec, limit, tel)
+            })
+        })
+        .collect();
+    let shared = run_jobs(pool, params.jobs, telemetry);
+    for (((spec, limit), reference), job) in specs.iter().zip(&references).zip(shared) {
+        let digests = job.result?;
+        outcome.runs += digests.len();
+        let mismatch = digests
+            .iter()
+            .zip(reference)
+            .find(|(got, (_, _, want))| *got != want);
+        if let Some((got, (scheme, _, want))) = mismatch {
+            let detail = format!("{scheme}: shared-stream digest {got} != solo reference {want}");
+            outcome
+                .failures
+                .push(capture_failure(params, spec, *limit, "shared", detail));
         }
     }
 
@@ -468,7 +520,7 @@ pub fn render(params: &CorpusParams, outcome: &CorpusOutcome, out: &mut String) 
     );
     outln!(
         out,
-        "oracles: jobs=1 vs jobs={}, scheme-invariant counters\n",
+        "oracles: jobs=1 vs jobs={}, scheme-invariant counters, shared stream\n",
         params.jobs
     );
     let rows: Vec<Vec<String>> = outcome

@@ -180,9 +180,10 @@ impl ExperimentSet {
         self.run_parallel(width)
     }
 
-    /// Runs every (workload × [`HEADLINE_SCHEMES`]) pair as a job on a
-    /// pool of `jobs` workers and returns one [`SchemeResults`] per
-    /// preset, in preset order — byte-identical at any pool width.
+    /// Runs every workload as a job on a pool of `jobs` workers, its
+    /// [`HEADLINE_SCHEMES`] as legs of one shared run
+    /// ([`Experiment::run_schemes`]), and returns one [`SchemeResults`]
+    /// per preset, in preset order — byte-identical at any pool width.
     ///
     /// # Errors
     ///
@@ -191,10 +192,10 @@ impl ExperimentSet {
     pub fn run_parallel(self, jobs: usize) -> BenchResult<Vec<SchemeResults>> {
         let dir = self.results_dir.clone().unwrap_or_else(results_dir);
 
-        // Phase 1: resolve caches; one job per (workload, scheme) run of
-        // the misses, in submission order.
+        // Phase 1: resolve caches; one job per missing workload, running
+        // its scheme trio as legs of one shared run, in submission order.
         let mut cached: Vec<Option<SchemeResults>> = Vec::with_capacity(self.presets.len());
-        let mut pool: Vec<Job<SchemeRun>> = Vec::new();
+        let mut pool: Vec<Job<Vec<SchemeRun>>> = Vec::new();
         for name in &self.presets {
             let path = dir.join(cache_file_name(name, &self.base));
             if !self.fresh {
@@ -204,17 +205,14 @@ impl ExperimentSet {
                 }
             }
             cached.push(None);
-            for scheme in HEADLINE_SCHEMES {
-                let name = name.clone();
-                let base = self.base.clone();
-                pool.push(Job::new(format!("{name}/{scheme}"), move |tel| {
-                    Ok(Experiment::preset(name)
-                        .config(base)
-                        .scheme(scheme)
-                        .telemetry(tel)
-                        .run_scheme()?)
-                }));
-            }
+            let name = name.clone();
+            let base = self.base.clone();
+            pool.push(Job::new(name.clone(), move |tel| {
+                Ok(Experiment::preset(name)
+                    .config(base)
+                    .telemetry(tel)
+                    .run_schemes(HEADLINE_SCHEMES)?)
+            }));
         }
 
         // Phase 2: fan out.
@@ -228,21 +226,17 @@ impl ExperimentSet {
                 results.push(hit);
                 continue;
             }
-            let mut runs = Vec::with_capacity(HEADLINE_SCHEMES.len());
-            for _ in HEADLINE_SCHEMES {
-                let outcome = outcomes.next().expect("one outcome per run");
-                match outcome.result {
-                    Ok(run) => runs.push(run),
-                    Err(e) => failures.push(format!("{}: {e}", outcome.key)),
+            let outcome = outcomes.next().expect("one outcome per workload");
+            let runs = match outcome.result {
+                Ok(runs) => runs,
+                Err(e) => {
+                    failures.push(format!("{}: {e}", outcome.key));
+                    continue;
                 }
-            }
-            if runs.len() != HEADLINE_SCHEMES.len() {
-                continue; // failure already recorded
-            }
-            let mut runs = runs.into_iter();
-            let baseline = runs.next().expect("baseline run");
-            let bbv = runs.next().expect("bbv run");
-            let hotspot = runs.next().expect("hotspot run");
+            };
+            let Ok([baseline, bbv, hotspot]) = <[SchemeRun; 3]>::try_from(runs) else {
+                unreachable!("one run per scheme of HEADLINE_SCHEMES")
+            };
             let (SchemeExt::Bbv(bbv_report), SchemeExt::Hotspot(hotspot_report)) =
                 (bbv.report.ext, hotspot.report.ext)
             else {

@@ -12,6 +12,13 @@
 //! own executor, [`Threads`] time-multiplexes one executor per thread
 //! over the one simulated core. The source is a type parameter, so each
 //! compiles to its own loop without dynamic dispatch.
+//!
+//! The loop feeds every step to one or more *legs*, each its own
+//! machine, DO system, manager and telemetry handle. The step stream is
+//! a pure function of program, seed, instruction limit and threading,
+//! so runs that agree on those (a scheme and its baseline) execute in
+//! lockstep off one source instead of generating the stream once each.
+//! A single run is the one-leg case.
 
 use crate::manager::AceManager;
 use ace_energy::{EnergyBreakdown, EnergyModel};
@@ -34,9 +41,11 @@ pub struct RunConfig {
     pub instruction_limit: Option<u64>,
     /// Overrides the program's own executor seed (sensitivity studies).
     pub workload_seed: Option<u64>,
-    /// Observability handle handed to the DO system and the manager.
-    /// Defaults to [`Telemetry::off`], which costs one never-taken branch
-    /// per decision point.
+    /// Observability handle handed to the DO system and the manager; a
+    /// shared run replays each scheme's events into it in scheme order
+    /// ([`crate::Experiment::run_schemes`]). Defaults to
+    /// [`Telemetry::off`], which costs one never-taken branch per decision
+    /// point.
     pub telemetry: Telemetry,
 }
 
@@ -105,12 +114,47 @@ fn saving(ours: f64, base: f64) -> f64 {
     }
 }
 
+/// One run fed by the shared step stream: its own machine, DO system,
+/// manager and telemetry handle.
+pub(crate) struct Leg<'p, 'm, M: ?Sized> {
+    machine: Machine,
+    dos: DoSystem<'p>,
+    manager: &'m mut M,
+    telemetry: Telemetry,
+}
+
+/// The legs of one run. The first leg is held apart from the rest, so a
+/// one-leg run keeps its machine in the loop's own frame and visits no
+/// slice.
+pub(crate) struct Legs<'p, 'm, M: ?Sized> {
+    first: Leg<'p, 'm, M>,
+    rest: Vec<Leg<'p, 'm, M>>,
+}
+
+impl<'p, 'm, M: ?Sized> Legs<'p, 'm, M> {
+    /// Calls `f` on every leg, first to last.
+    #[inline(always)]
+    fn each(&mut self, mut f: impl FnMut(&mut Leg<'p, 'm, M>)) {
+        f(&mut self.first);
+        for leg in &mut self.rest {
+            f(leg);
+        }
+    }
+
+    /// Instructions retired so far, equal in every leg.
+    #[inline]
+    fn instret(&self) -> u64 {
+        self.first.machine.instret()
+    }
+}
+
 /// Where a run's steps come from.
 pub(crate) trait StepSource<'p> {
     /// The next step; `buf` holds the block on [`Step::Block`]. A source
-    /// may act on the machine and the DO system between the steps it
+    /// may act on every leg's machine and DO system between the steps it
     /// returns (the scheduler switches of [`Threads`]).
-    fn step(&mut self, buf: &mut Block, machine: &mut Machine, dos: &mut DoSystem<'p>) -> Step;
+    fn step<M: AceManager + ?Sized>(&mut self, buf: &mut Block, legs: &mut Legs<'p, '_, M>)
+        -> Step;
 
     /// Entry instret per live frame of the thread whose enter or exit
     /// step came last.
@@ -148,7 +192,7 @@ impl<'p> SingleThread<'p> {
 
 impl<'p> StepSource<'p> for SingleThread<'p> {
     #[inline]
-    fn step(&mut self, buf: &mut Block, _: &mut Machine, _: &mut DoSystem<'p>) -> Step {
+    fn step<M: AceManager + ?Sized>(&mut self, buf: &mut Block, _: &mut Legs<'p, '_, M>) -> Step {
         self.exec.step(buf)
     }
 
@@ -211,19 +255,26 @@ impl<'p> Threads<'p> {
 }
 
 impl<'p> StepSource<'p> for Threads<'p> {
-    fn step(&mut self, buf: &mut Block, machine: &mut Machine, dos: &mut DoSystem<'p>) -> Step {
-        if self.limit.is_some_and(|limit| machine.instret() >= limit) {
+    fn step<M: AceManager + ?Sized>(
+        &mut self,
+        buf: &mut Block,
+        legs: &mut Legs<'p, '_, M>,
+    ) -> Step {
+        if self.limit.is_some_and(|limit| legs.instret() >= limit) {
             return Step::Done;
         }
         match self.mt.step(buf) {
             MtStep::Block(_) => Step::Block,
             MtStep::Switch(tid) => {
-                dos.on_thread_switch(tid.0, machine);
-                // A context switch drains the pipeline and touches the
-                // scheduler's state: a small fixed cost. The switch itself
-                // is not a step; the switched-to thread's first step is.
-                machine.add_overhead_cycles(200);
-                self.step(buf, machine, dos)
+                legs.each(|leg| {
+                    leg.dos.on_thread_switch(tid.0, &leg.machine);
+                    // A context switch drains the pipeline and touches the
+                    // scheduler's state: a small fixed cost. The switch
+                    // itself is not a step; the switched-to thread's first
+                    // step is.
+                    leg.machine.add_overhead_cycles(200);
+                });
+                self.step(buf, legs)
             }
             MtStep::Enter(tid, m) => {
                 self.current = tid.0 as usize;
@@ -250,64 +301,100 @@ impl<'p> StepSource<'p> for Threads<'p> {
     }
 }
 
-/// Runs `program` under `manager`, taking its steps from `source`.
+/// Runs `program` once per leg, every leg fed the same steps from
+/// `source`. Each leg pairs a manager with the telemetry handle its DO
+/// system and manager trace into; the records come back in leg order.
+/// No leg, no run: an empty `legs` returns no records.
 ///
 /// # Errors
 ///
 /// Returns [`ConfigError`] if the machine configuration is invalid.
-pub(crate) fn run<'p, S, M>(
+pub(crate) fn run<'p, 'm, S, M>(
     program: &'p Program,
     cfg: &RunConfig,
-    manager: &mut M,
+    legs: impl IntoIterator<Item = (&'m mut M, Telemetry)>,
     mut source: S,
-) -> Result<RunRecord, ConfigError>
+) -> Result<Vec<RunRecord>, ConfigError>
 where
     S: StepSource<'p>,
-    M: AceManager + ?Sized,
+    M: AceManager + ?Sized + 'm,
 {
-    let mut machine = Machine::new(cfg.machine.clone())?;
-    let mut dos = DoSystem::new(program, cfg.do_config.clone());
-    dos.set_telemetry(cfg.telemetry.clone());
-    manager.set_telemetry(cfg.telemetry.clone());
-    let _run_timer = cfg.telemetry.metrics().map(|m| m.timer("run_wall_ms"));
+    let mut rest = legs
+        .into_iter()
+        .map(|(manager, telemetry)| {
+            let machine = Machine::new(cfg.machine.clone())?;
+            let mut dos = DoSystem::new(program, cfg.do_config.clone());
+            dos.set_telemetry(telemetry.clone());
+            manager.set_telemetry(telemetry.clone());
+            Ok(Leg {
+                machine,
+                dos,
+                manager,
+                telemetry,
+            })
+        })
+        .collect::<Result<Vec<_>, ConfigError>>()?;
+    if rest.is_empty() {
+        return Ok(Vec::new());
+    }
+    let mut legs = Legs {
+        first: rest.remove(0),
+        rest,
+    };
+    let mut run_timers = Vec::new();
+    legs.each(|leg| run_timers.extend(leg.telemetry.metrics().map(|m| m.timer("run_wall_ms"))));
     let mut buf = Block::with_capacity(64);
 
-    manager.on_start(&mut machine);
+    legs.each(|leg| leg.manager.on_start(&mut leg.machine));
     loop {
-        match source.step(&mut buf, &mut machine, &mut dos) {
-            Step::Block => {
-                machine.exec_block(&buf);
-                manager.on_block(&buf, &mut machine);
-            }
+        match source.step(&mut buf, &mut legs) {
+            Step::Block => legs.each(|leg| {
+                leg.machine.exec_block(&buf);
+                leg.manager.on_block(&buf, &mut leg.machine);
+            }),
             Step::Enter(m) => {
-                source.entry_stack().push(machine.instret());
-                manager.on_method_enter(m, &mut machine);
-                let event = dos.on_enter(m, &mut machine);
-                manager.on_event(event, &mut machine);
+                source.entry_stack().push(legs.instret());
+                legs.each(|leg| {
+                    leg.manager.on_method_enter(m, &mut leg.machine);
+                    let event = leg.dos.on_enter(m, &mut leg.machine);
+                    leg.manager.on_event(event, &mut leg.machine);
+                });
             }
             Step::Exit(m) => {
                 let entered = source.entry_stack().pop().unwrap_or(0);
-                manager.on_method_exit(m, machine.instret() - entered, &mut machine);
-                let event = dos.on_exit(m, &mut machine);
-                manager.on_event(event, &mut machine);
+                let invocation_instr = legs.instret() - entered;
+                legs.each(|leg| {
+                    leg.manager
+                        .on_method_exit(m, invocation_instr, &mut leg.machine);
+                    let event = leg.dos.on_exit(m, &mut leg.machine);
+                    leg.manager.on_event(event, &mut leg.machine);
+                });
             }
             Step::Done => break,
         }
     }
-    manager.on_finish(&mut machine);
-    publish_walk_profile(&cfg.telemetry, source.walk_profile());
 
-    let counters = machine.counters().clone();
-    Ok(RunRecord {
-        workload: source.workload(program),
-        instret: counters.instret,
-        cycles: counters.cycles,
-        ipc: counters.ipc(),
-        energy: cfg.energy.breakdown(&counters),
-        table4: dos.table4_summary(counters.instret),
-        do_stats: *dos.stats(),
-        counters,
-    })
+    let walk_profile = source.walk_profile();
+    let workload = source.workload(program);
+    let Legs { first, rest } = legs;
+    Ok(std::iter::once(first)
+        .chain(rest)
+        .map(|mut leg| {
+            leg.manager.on_finish(&mut leg.machine);
+            publish_walk_profile(&leg.telemetry, walk_profile);
+            let counters = leg.machine.counters().clone();
+            RunRecord {
+                workload: workload.clone(),
+                instret: counters.instret,
+                cycles: counters.cycles,
+                ipc: counters.ipc(),
+                energy: cfg.energy.breakdown(&counters),
+                table4: leg.dos.table4_summary(counters.instret),
+                do_stats: *leg.dos.stats(),
+                counters,
+            }
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -329,7 +416,9 @@ mod tests {
         cfg: &RunConfig,
         manager: &mut M,
     ) -> Result<RunRecord, ConfigError> {
-        run(program, cfg, manager, SingleThread::new(program, cfg))
+        let legs = [(manager, cfg.telemetry.clone())];
+        let mut records = run(program, cfg, legs, SingleThread::new(program, cfg))?;
+        Ok(records.pop().expect("one record per leg"))
     }
 
     #[test]

@@ -22,9 +22,31 @@
 //! unified [`SchemeReport`](crate::SchemeReport), and
 //! [`Experiment::run_with`] accepts any hand-built [`AceManager`] for
 //! ablations that perturb a manager's configuration.
+//!
+//! Runs that share the workload, seed, instruction limit and threading
+//! replay one instruction stream, so they can run as *legs* of one
+//! shared run, in lockstep off a single executor:
+//! [`Experiment::run_schemes`] takes registry schemes and returns one
+//! [`SchemeRun`] each, [`Experiment::run_legs`] takes caller-built
+//! managers, each with its own telemetry handle ([`Leg`]). Every leg's
+//! record equals the record of its run alone.
+//!
+//! ```
+//! use ace_core::Experiment;
+//!
+//! let runs = Experiment::preset("db")
+//!     .instruction_limit(1_000_000)
+//!     .run_schemes(["baseline", "hotspot"])?;
+//! let solo = Experiment::preset("db")
+//!     .scheme("hotspot")
+//!     .instruction_limit(1_000_000)
+//!     .run()?;
+//! assert_eq!(runs[1].record.counters, solo.counters);
+//! # Ok::<(), ace_core::ExperimentError>(())
+//! ```
 
 use crate::driver::{self, RunConfig, RunRecord, SingleThread, Threads};
-use crate::scheme::{SchemeCtx, SchemeRegistry, SchemeReport, SchemeSpec};
+use crate::scheme::{SchemeCtx, SchemeManager, SchemeRegistry, SchemeReport, SchemeSpec};
 use crate::AceManager;
 use ace_energy::EnergyModel;
 use ace_runtime::DoConfig;
@@ -83,6 +105,25 @@ impl std::error::Error for ExperimentError {}
 impl From<ConfigError> for ExperimentError {
     fn from(e: ConfigError) -> ExperimentError {
         ExperimentError::Machine(e)
+    }
+}
+
+/// One caller-built leg of a shared run ([`Experiment::run_legs`]): a
+/// manager plus the telemetry handle its DO system and manager trace
+/// into.
+pub struct Leg<'m> {
+    manager: &'m mut dyn AceManager,
+    telemetry: Telemetry,
+}
+
+impl<'m> Leg<'m> {
+    /// A leg running `manager`, traced into `telemetry` (cloned; handles
+    /// share sinks). Pass [`Telemetry::off`] for an untraced leg.
+    pub fn new(manager: &'m mut dyn AceManager, telemetry: &Telemetry) -> Leg<'m> {
+        Leg {
+            manager,
+            telemetry: telemetry.clone(),
+        }
     }
 }
 
@@ -280,27 +321,83 @@ impl Experiment {
     ///
     /// See [`Experiment::run`].
     pub fn run_scheme(self) -> Result<SchemeRun, ExperimentError> {
+        let scheme = self.scheme.clone();
+        let mut runs = self.run_schemes([scheme])?;
+        Ok(runs.pop().expect("one run per scheme"))
+    }
+
+    /// Runs every scheme of `schemes` as one leg of a shared run and
+    /// returns one [`SchemeRun`] per scheme, in order. The legs share one
+    /// executor stream; each run equals what [`Experiment::run_scheme`]
+    /// returns for its scheme alone. The scheme selected with
+    /// [`Experiment::scheme`] is not run.
+    ///
+    /// With telemetry on and more than one scheme, each leg traces into
+    /// a buffered handle of its own, replayed into the experiment's
+    /// handle in scheme order once the run ends: the event stream and
+    /// metrics equal those of the solo runs one after another.
+    ///
+    /// # Errors
+    ///
+    /// See [`Experiment::run`]; an unregistered id in `schemes` fails the
+    /// whole run before anything executes.
+    pub fn run_schemes<I>(self, schemes: I) -> Result<Vec<SchemeRun>, ExperimentError>
+    where
+        I: IntoIterator,
+        I::Item: Into<SchemeSpec>,
+    {
         let program = self.resolve()?;
-        let scheme = self
-            .scheme
-            .resolve(&self.registry)
-            .ok_or_else(|| ExperimentError::UnknownScheme(self.scheme.id()))?;
-        let mut manager = scheme.build(&SchemeCtx {
+        let schemes = schemes
+            .into_iter()
+            .map(|spec| {
+                let spec = spec.into();
+                spec.resolve(&self.registry)
+                    .ok_or_else(|| ExperimentError::UnknownScheme(spec.id()))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let ctx = SchemeCtx {
             program: &program,
             model: self.model,
-        });
-        let record = self.drive(&program, &mut *manager)?;
-        let report = manager.scheme_report(&record);
-        // Metrics registry only — the recorded event stream stays
-        // byte-identical to a run without metrics enabled.
-        if let Some(metrics) = self.cfg.telemetry.metrics() {
-            report.record_metrics(metrics);
+        };
+        let mut managers: Vec<Box<dyn SchemeManager>> =
+            schemes.iter().map(|scheme| scheme.build(&ctx)).collect();
+        let shared = &self.cfg.telemetry;
+        let buffered = managers.len() > 1 && shared.is_enabled();
+        let handles: Vec<_> = managers
+            .iter()
+            .map(|_| {
+                if buffered {
+                    let (telemetry, sink) = Telemetry::buffered();
+                    (telemetry, Some(sink))
+                } else {
+                    (shared.clone(), None)
+                }
+            })
+            .collect();
+        let legs = managers
+            .iter_mut()
+            .map(|manager| &mut **manager)
+            .zip(handles.iter().map(|(telemetry, _)| telemetry.clone()));
+        let records = self.drive(&program, legs)?;
+        let mut runs = Vec::with_capacity(records.len());
+        for (i, record) in records.into_iter().enumerate() {
+            let (telemetry, sink) = &handles[i];
+            let report = managers[i].scheme_report(&record);
+            // Metrics registry only — the recorded event stream stays
+            // byte-identical to a run without metrics enabled.
+            if let Some(metrics) = telemetry.metrics() {
+                report.record_metrics(metrics);
+            }
+            if let Some(sink) = sink {
+                shared.absorb_child(telemetry, &sink.drain());
+            }
+            runs.push(SchemeRun {
+                scheme: schemes[i].name().to_string(),
+                record,
+                report,
+            });
         }
-        Ok(SchemeRun {
-            scheme: scheme.name().to_string(),
-            record,
-            report,
-        })
+        Ok(runs)
     }
 
     /// Runs under a caller-supplied manager, ignoring the selected scheme
@@ -326,25 +423,61 @@ impl Experiment {
         manager: &mut M,
     ) -> Result<RunRecord, ExperimentError> {
         let program = self.resolve()?;
-        self.drive(&program, manager)
+        let leg = (manager, self.cfg.telemetry.clone());
+        let mut records = self.drive(&program, [leg])?;
+        Ok(records.pop().expect("one record per leg"))
     }
 
-    fn drive<M: AceManager + ?Sized>(
+    /// Runs caller-built managers as legs of one shared run and returns
+    /// one record per leg, in order; each equals what
+    /// [`Experiment::run_with`] returns for that manager alone. Every leg
+    /// traces into its own [`Leg`] handle, so the experiment's
+    /// [`Experiment::telemetry`] handle is not used.
+    ///
+    /// ```
+    /// use ace_core::{Experiment, FixedManager, AceConfig, Leg, NullManager};
+    /// use ace_telemetry::Telemetry;
+    ///
+    /// let (traced, untraced) = (Telemetry::counting(), Telemetry::off());
+    /// let mut fixed = FixedManager::new(AceConfig::default());
+    /// let records = Experiment::preset("db")
+    ///     .instruction_limit(1_000_000)
+    ///     .run_legs([
+    ///         Leg::new(&mut fixed, &traced),
+    ///         Leg::new(&mut NullManager, &untraced),
+    ///     ])?;
+    /// assert_eq!(records[0].instret, records[1].instret);
+    /// # Ok::<(), ace_core::ExperimentError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// See [`Experiment::run`].
+    pub fn run_legs<'m>(
+        self,
+        legs: impl IntoIterator<Item = Leg<'m>>,
+    ) -> Result<Vec<RunRecord>, ExperimentError> {
+        let program = self.resolve()?;
+        let legs = legs.into_iter().map(|leg| (leg.manager, leg.telemetry));
+        self.drive(&program, legs)
+    }
+
+    fn drive<'m, M: AceManager + ?Sized + 'm>(
         &self,
         program: &Program,
-        manager: &mut M,
-    ) -> Result<RunRecord, ExperimentError> {
-        let record = match &self.threading {
+        legs: impl IntoIterator<Item = (&'m mut M, Telemetry)>,
+    ) -> Result<Vec<RunRecord>, ExperimentError> {
+        let records = match &self.threading {
             Some((entries, quantum)) => {
                 let threads = Threads::new(program, entries, *quantum, &self.cfg);
-                driver::run(program, &self.cfg, manager, threads)?
+                driver::run(program, &self.cfg, legs, threads)?
             }
             None => {
                 let single = SingleThread::new(program, &self.cfg);
-                driver::run(program, &self.cfg, manager, single)?
+                driver::run(program, &self.cfg, legs, single)?
             }
         };
-        Ok(record)
+        Ok(records)
     }
 }
 

@@ -59,7 +59,7 @@ mod warm;
 pub use bbv_mgr::{BbvAceManager, BbvManagerConfig, BbvReport};
 pub use cu::{combined_list, single_cu_list, AceConfig};
 pub use driver::{RunConfig, RunRecord};
-pub use experiment::{Experiment, ExperimentError, SchemeRun};
+pub use experiment::{Experiment, ExperimentError, Leg, SchemeRun};
 pub use hotspot::{CuSchemeStats, HotspotAceManager, HotspotManagerConfig, HotspotReport};
 pub use manager::{AceManager, FixedManager, NullManager};
 pub use measure::{Measurement, Probe};

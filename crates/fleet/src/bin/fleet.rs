@@ -7,6 +7,9 @@
 //!   `standard`: 1000 machines in waves of 125).
 //! * `--machines <N>` / `--wave-size <N>` / `--admit-limit <N>` /
 //!   `--seed-base <N>` / `--limit <instr>` — override the preset shape.
+//!   All but `--seed-base` must be positive (zero exits 2). A wave size
+//!   above the preset's admit limit raises the limit to the wave size,
+//!   unless `--admit-limit` is given, in either order.
 //! * `--jobs <N>` — worker-pool width; stdout is byte-identical at any
 //!   width (throughput goes to stderr).
 //! * `--store <path>` — tuning-store log (default
@@ -177,22 +180,36 @@ fn parse_args() -> Args {
         }
     };
     args.cacheable = overrides.is_empty();
+    let explicit_admit_limit = overrides.iter().any(|(flag, _)| flag == "--admit-limit");
     for (flag, value) in overrides {
         let parse = |v: &str| -> u64 {
             v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} requires a positive integer");
+                eprintln!("{flag} requires a non-negative integer");
                 std::process::exit(2);
             })
         };
-        match flag.as_str() {
-            "--machines" => args.cfg.machines = parse(&value).max(1) as usize,
-            "--wave-size" => {
-                args.cfg.wave_size = parse(&value).max(1) as usize;
-                args.cfg.admit_limit = args.cfg.admit_limit.max(args.cfg.wave_size);
+        let positive = |v: &str| -> u64 {
+            match v.parse() {
+                Ok(n) if n > 0 => n,
+                _ => {
+                    eprintln!("{flag} requires a positive integer");
+                    std::process::exit(2);
+                }
             }
-            "--admit-limit" => args.cfg.admit_limit = parse(&value).max(1) as usize,
+        };
+        match flag.as_str() {
+            "--machines" => args.cfg.machines = positive(&value) as usize,
+            "--wave-size" => {
+                args.cfg.wave_size = positive(&value) as usize;
+                // A wider wave admits all of itself unless --admit-limit
+                // says otherwise, whichever flag came first.
+                if !explicit_admit_limit {
+                    args.cfg.admit_limit = args.cfg.admit_limit.max(args.cfg.wave_size);
+                }
+            }
+            "--admit-limit" => args.cfg.admit_limit = positive(&value) as usize,
             "--seed-base" => args.cfg.seed_base = parse(&value),
-            "--limit" => args.cfg.instruction_limit = parse(&value).max(1),
+            "--limit" => args.cfg.instruction_limit = positive(&value),
             "--no-baseline" => args.cfg.measure_baseline = false,
             _ => unreachable!(),
         }

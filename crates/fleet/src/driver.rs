@@ -20,7 +20,7 @@ use crate::store::TuningStore;
 use crate::FLEET_SCHEMA_VERSION;
 use ace_bench::{run_jobs, BenchError, BenchResult, Job};
 use ace_core::{
-    registry_version, Experiment, NullManager, SchemeCtx, SchemeRegistry, StorePublication,
+    registry_version, Experiment, Leg, NullManager, SchemeCtx, SchemeRegistry, StorePublication,
     WarmStartContext,
 };
 use ace_energy::EnergyModel;
@@ -80,8 +80,10 @@ pub struct FleetConfig {
     pub seed_base: u64,
     /// Per-machine instruction budget.
     pub instruction_limit: u64,
-    /// Whether each machine also runs a non-adaptive baseline for energy
-    /// accounting (doubles the work; the binary needs it, tests may not).
+    /// Whether each machine also runs a non-adaptive baseline leg for
+    /// energy accounting (the binary needs it, tests may not). The leg
+    /// shares the managed leg's executor stream, so it adds a second
+    /// simulated machine per job but no second instruction stream.
     pub measure_baseline: bool,
 }
 
@@ -327,9 +329,9 @@ pub fn run_fleet_observed(
             fleet_registry_version()
         )));
     }
-    if cfg.presets.is_empty() || cfg.machines == 0 || cfg.wave_size == 0 {
+    if cfg.presets.is_empty() || cfg.machines == 0 || cfg.wave_size == 0 || cfg.admit_limit == 0 {
         return Err(BenchError::msg(
-            "fleet config needs at least one preset, one machine, and a positive wave size",
+            "fleet config needs at least one preset, one machine, a positive wave size and a positive admit limit",
         ));
     }
     let specs = cfg.machine_specs();
@@ -349,7 +351,7 @@ pub fn run_fleet_observed(
     let mut cum_cycle: u64 = 0;
     for wave in specs.chunks(cfg.wave_size) {
         outcome.waves += 1;
-        let admitted = &wave[..cfg.admit_limit.max(1).min(wave.len())];
+        let admitted = &wave[..cfg.admit_limit.min(wave.len())];
         let wave_shed = (wave.len() - admitted.len()) as u64;
         outcome.shed += wave_shed;
         let wave_start = outcome.machines.len();
@@ -439,12 +441,24 @@ fn run_machine(
             )))
         }
     }
-    let record = Experiment::program(program)
+    // The baseline leg is energy accounting, not fleet behavior: it runs
+    // untraced so telemetry event counts describe the managed fleet only.
+    // Both legs replay one executor stream, so they share it.
+    let (mut base, untraced) = (NullManager, Telemetry::off());
+    let mut legs = vec![Leg::new(&mut *mgr, telemetry)];
+    if measure_baseline {
+        legs.push(Leg::new(&mut base, &untraced));
+    }
+    let mut records = Experiment::program(program)
         .seed(spec.seed)
         .do_config(fleet_do_config())
         .instruction_limit(limit)
-        .telemetry(telemetry)
-        .run_with(&mut *mgr)?;
+        .run_legs(legs)?
+        .into_iter();
+    let record = records.next().expect("one record per leg");
+    let baseline = records
+        .next()
+        .map(|base| (base.ipc, base.energy.l1d_nj, base.energy.l2_nj));
     let report = mgr.scheme_report(&record);
     if let Some(metrics) = telemetry.metrics() {
         report.record_metrics(metrics);
@@ -454,18 +468,6 @@ fn run_machine(
         .and_then(|ws| ws.take_warm_start())
         .map(WarmStartContext::into_publications)
         .unwrap_or_default();
-    // The baseline leg is energy accounting, not fleet behavior: it runs
-    // untraced so telemetry event counts describe the managed fleet only.
-    let baseline = if measure_baseline {
-        let base = Experiment::preset(&spec.preset)
-            .seed(spec.seed)
-            .do_config(fleet_do_config())
-            .instruction_limit(limit)
-            .run_with(&mut NullManager)?;
-        Some((base.ipc, base.energy.l1d_nj, base.energy.l2_nj))
-    } else {
-        None
-    };
     let machine = MachineOutcome {
         ipc: record.ipc,
         instret: record.instret,
@@ -582,6 +584,16 @@ mod tests {
         let mut store = TuningStore::in_memory(fleet_registry_version().wrapping_add(1), 16);
         let err = run_fleet(&cfg, &mut store, 1, &Telemetry::off()).unwrap_err();
         assert!(err.to_string().contains("registry version"), "{err}");
+    }
+
+    #[test]
+    fn zero_admit_limit_is_rejected() {
+        let mut cfg = FleetConfig::preset("smoke").unwrap();
+        cfg.admit_limit = 0;
+        let mut store = TuningStore::in_memory(fleet_registry_version(), 16);
+        let err = run_fleet(&cfg, &mut store, 1, &Telemetry::off()).unwrap_err();
+        assert!(err.to_string().contains("admit limit"), "{err}");
+        assert!(store.is_empty(), "nothing ran");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end fleet behavior: determinism across worker counts, the
-//! pinned event stream of a two-preset fleet, the warm-start payoff (a
-//! warm fleet measurably out-tunes a cold one), and store persistence
-//! across "process restarts".
+//! pinned event stream of a two-preset fleet, baseline legs equal to
+//! solo baseline runs, the warm-start payoff (a warm fleet measurably
+//! out-tunes a cold one), and store persistence across "process
+//! restarts".
 //!
 //! Regenerate the event-stream fixture (only after an *intentional*
 //! behaviour change):
@@ -10,8 +11,10 @@
 //! ACE_BLESS_GOLDEN=1 cargo test -p ace-fleet --test fleet_behavior
 //! ```
 
+use ace_core::{Experiment, NullManager};
 use ace_fleet::{
-    fleet_registry_version, render_report, run_fleet, FleetConfig, FleetOutcome, TuningStore,
+    fleet_do_config, fleet_registry_version, render_report, run_fleet, FleetConfig, FleetOutcome,
+    TuningStore,
 };
 use ace_telemetry::{EventKind, Telemetry};
 use std::path::PathBuf;
@@ -46,6 +49,37 @@ struct Traced {
     report: String,
     events: String,
     entries: String,
+}
+
+/// Every machine's baseline leg measures what a solo non-adaptive run
+/// of its preset and seed measures, at any pool width.
+#[test]
+fn baseline_legs_match_solo_baseline_runs() {
+    let mut cfg = FleetConfig::preset("smoke").expect("smoke preset");
+    cfg.presets = vec!["db".into(), "jess".into()];
+    cfg.machines = 4;
+    cfg.wave_size = 2;
+    cfg.admit_limit = 2;
+    cfg.instruction_limit = 400_000;
+    assert!(cfg.measure_baseline);
+    for jobs in [1, 2] {
+        let out = run_fleet(&cfg, &mut memory_store(), jobs, &Telemetry::off()).expect("fleet");
+        assert_eq!(out.ran(), 4);
+        for machine in &out.machines {
+            let solo = Experiment::preset(&machine.spec.preset)
+                .seed(machine.spec.seed)
+                .do_config(fleet_do_config())
+                .instruction_limit(cfg.instruction_limit)
+                .run_with(&mut NullManager)
+                .expect("solo baseline");
+            assert_eq!(
+                machine.baseline,
+                Some((solo.ipc, solo.energy.l1d_nj, solo.energy.l2_nj)),
+                "machine {} at jobs={jobs}",
+                machine.spec.index
+            );
+        }
+    }
 }
 
 fn traced_passes(cfg: &FleetConfig, jobs: usize) -> Traced {

@@ -1,23 +1,55 @@
-//! The `fleet` binary's watchdog thresholds: NaN is a usage error (exit
-//! 2), because every comparison with NaN is false and would silently
-//! switch its check off; a finite value past 1 stays legal.
+//! The `fleet` binary's argument and input contract. Usage errors exit
+//! 2: a NaN watchdog threshold (every comparison with NaN is false and
+//! would silently switch its check off) and a zero fleet shape. An
+//! explicit `--admit-limit` holds whichever side of `--wave-size` it
+//! is on. A store log too deeply nested to parse is a typed error and
+//! exit 1, not a stack overflow.
 
+use ace_fleet::{fleet_registry_version, TuningStore};
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ace_fleet_cli_{}_{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// A fleet run over a throwaway store, its report cache kept out of
+/// `results/`.
+fn fleet(dir: &Path, args: &[&str]) -> Output {
+    let _ = std::fs::remove_file(dir.join("store.jsonl"));
+    Command::new(env!("CARGO_BIN_EXE_fleet"))
+        .env("ACE_RESULTS_DIR", dir)
+        .args(args)
+        .arg("--store")
+        .arg(dir.join("store.jsonl"))
+        .output()
+        .expect("fleet binary runs")
+}
 
 #[test]
 fn watchdog_thresholds_reject_nan_and_accept_values_past_one() {
-    let dir = std::env::temp_dir().join(format!("ace_fleet_cli_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    // A two-machine fleet with the watchdog on and a throwaway store.
+    let dir = temp_dir("watch");
+    // A two-machine fleet with the watchdog on.
     let watched = |flag: &str, value: &str| -> Output {
-        let _ = std::fs::remove_file(dir.join("store.jsonl"));
-        Command::new(env!("CARGO_BIN_EXE_fleet"))
-            .args(["--preset", "smoke", "--machines", "2", "--limit", "50000"])
-            .args(["--jobs", "1", "--watch", flag, value, "--store"])
-            .arg(dir.join("store.jsonl"))
-            .output()
-            .expect("fleet binary runs")
+        fleet(
+            &dir,
+            &[
+                "--preset",
+                "smoke",
+                "--machines",
+                "2",
+                "--limit",
+                "50000",
+                "--jobs",
+                "1",
+                "--watch",
+                flag,
+                value,
+            ],
+        )
     };
     for flag in [
         "--max-shed-rate",
@@ -35,4 +67,67 @@ fn watchdog_thresholds_reject_nan_and_accept_values_past_one() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("watchdog breached"), "{stderr}");
+}
+
+#[test]
+fn an_explicit_admit_limit_wins_in_either_flag_order() {
+    let dir = temp_dir("admit");
+    let shape = ["--preset", "smoke", "--machines", "4", "--limit", "50000"];
+    let common = ["--no-baseline", "--jobs", "1"];
+    for order in [
+        ["--admit-limit", "3", "--wave-size", "4"],
+        ["--wave-size", "4", "--admit-limit", "3"],
+    ] {
+        let args: Vec<&str> = shape.iter().chain(&common).chain(&order).copied().collect();
+        let out = fleet(&dir, &args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{order:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains("(wave size 4, admit limit 3, 1 shed)"),
+            "{order:?}: {stdout}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_zero_fleet_shape_is_a_usage_error() {
+    let dir = temp_dir("zero");
+    for flag in ["--machines", "--wave-size", "--admit-limit", "--limit"] {
+        let out = fleet(&dir, &["--preset", "smoke", "--jobs", "1", flag, "0"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} 0: {stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains("positive"),
+            "{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_deeply_nested_store_line_is_a_typed_error() {
+    let dir = temp_dir("deep");
+    let log = dir.join("deep.jsonl");
+    std::fs::write(&log, "[".repeat(50_000) + "\n").expect("write log");
+    let Err(err) = TuningStore::open(&log, fleet_registry_version(), 16) else {
+        panic!("a 50 000-deep line must not open");
+    };
+    assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_fleet"))
+        .env("ACE_RESULTS_DIR", &dir)
+        .args(["--preset", "smoke", "--machines", "2", "--limit", "50000"])
+        .arg("--store")
+        .arg(&log)
+        .output()
+        .expect("fleet binary runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
 }

@@ -3,7 +3,8 @@
 //! recorded trace, `diff` exits zero on identical runs and nonzero when a
 //! synthetic regression exceeds the thresholds, and the legacy
 //! `ace trace <workload> <file>` recorder still works. `ace run` resolves
-//! its `--scheme` through the scheme registry.
+//! its `--scheme` through the scheme registry. A line nested too deeply
+//! to parse is a typed error and exit 1 for both JSONL readers.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -163,6 +164,27 @@ fn malformed_trace_fails_with_line_number() {
     let _ = std::fs::remove_dir_all(&dir);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("line 2"));
+}
+
+#[test]
+fn deeply_nested_lines_are_typed_errors_for_both_readers() {
+    let dir = temp_dir("deep");
+    let file = dir.join("deep.jsonl");
+    let deep = "[".repeat(50_000) + "\n";
+    std::fs::write(&file, &deep).unwrap();
+    assert!(ace_trace::analyze_reader(deep.as_bytes()).is_err());
+    let obs = ace_telemetry::read_obs_jsonl(deep.as_bytes()).unwrap_err();
+    assert!(obs.contains("nesting deeper than 128"), "{obs}");
+    for reader in ["summarize", "metrics"] {
+        let out = ace(&["trace", reader, file.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "trace {reader}: {stderr}");
+        assert!(
+            stderr.contains("line 1") && stderr.contains("nesting deeper than 128"),
+            "trace {reader}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
