@@ -15,7 +15,7 @@
 //!   natural length (full runs, no instruction limit) through the same
 //!   oracles — the nightly "100x presets" tier.
 //! * `--jobs <N>` — pool width of the jobs=N differential pass (default:
-//!   `ACE_JOBS` or available parallelism).
+//!   `ACE_JOBS` or available parallelism); zero exits 2.
 //! * `--fail-dir <path>` — where failing specs and their minimized
 //!   reproducers are written (default `results/corpus-failures`).
 //! * `--telemetry <path>` — stream decision events as JSONL.
@@ -57,7 +57,13 @@ fn parse_args() -> CorpusParams {
             "--preset-scale" => {
                 params.preset_scale = Some(parse_u64(&arg, take(&mut it, &arg)).max(1) as u32);
             }
-            "--jobs" => params.jobs = (parse_u64(&arg, take(&mut it, &arg)).max(1)) as usize,
+            "--jobs" => match take(&mut it, &arg).parse::<usize>() {
+                Ok(n) if n > 0 => params.jobs = n,
+                _ => {
+                    eprintln!("--jobs requires a positive integer");
+                    std::process::exit(2);
+                }
+            },
             "--fail-dir" => params.fail_dir = PathBuf::from(take(&mut it, &arg)),
             "--telemetry" => {
                 it.next(); // handled by telemetry_from_args

@@ -7,16 +7,20 @@
 //!   `standard`: 1000 machines in waves of 125).
 //! * `--machines <N>` / `--wave-size <N>` / `--admit-limit <N>` /
 //!   `--seed-base <N>` / `--limit <instr>` — override the preset shape.
-//!   All but `--seed-base` must be positive (zero exits 2). A wave size
-//!   above the preset's admit limit raises the limit to the wave size,
-//!   unless `--admit-limit` is given, in either order.
+//!   All but `--seed-base` must be positive (zero exits 2), and every
+//!   machine's seed `seed_base + i` must fit in a `u64` (an overflowing
+//!   sequence exits 2). A wave size above the preset's admit limit
+//!   raises the limit to the wave size, unless `--admit-limit` is given,
+//!   in either order.
 //! * `--jobs <N>` — worker-pool width; stdout is byte-identical at any
 //!   width (throughput goes to stderr).
 //! * `--store <path>` — tuning-store log (default
 //!   `results/fleet_store.jsonl`). A pre-existing log warm-starts the
 //!   first pass.
-//! * `--no-baseline` — skip the per-machine non-adaptive baseline legs
-//!   (energy-saving columns read 0).
+//! * `--no-baseline` — report no per-machine non-adaptive baselines
+//!   (energy-saving columns read 0). With baselines on, the warm pass
+//!   reuses the cold pass's, which the store keeps in memory for the
+//!   session, so only the cold pass simulates them.
 //! * `--fresh` — ignore a cached fleet report and re-run.
 //! * `--assert-warm-hits` — exit nonzero unless the warm pass hit the
 //!   store (the CI smoke gate).
@@ -213,6 +217,10 @@ fn parse_args() -> Args {
             "--no-baseline" => args.cfg.measure_baseline = false,
             _ => unreachable!(),
         }
+    }
+    if let Err(e) = args.cfg.validate() {
+        eprintln!("invalid fleet shape: {e}");
+        std::process::exit(2);
     }
     args
 }

@@ -16,7 +16,7 @@
 //! separately ([`FleetOutcome::wall`]) and must never enter the
 //! deterministic report text.
 
-use crate::store::TuningStore;
+use crate::store::{BaselineKey, BaselineLedger, TuningStore};
 use crate::FLEET_SCHEMA_VERSION;
 use ace_bench::{run_jobs, BenchError, BenchResult, Job};
 use ace_core::{
@@ -28,6 +28,7 @@ use ace_runtime::DoConfig;
 use ace_sim::MachineConfig;
 use ace_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The registry version fleet stores are stamped with: the fingerprint of
@@ -80,10 +81,13 @@ pub struct FleetConfig {
     pub seed_base: u64,
     /// Per-machine instruction budget.
     pub instruction_limit: u64,
-    /// Whether each machine also runs a non-adaptive baseline leg for
-    /// energy accounting (the binary needs it, tests may not). The leg
-    /// shares the managed leg's executor stream, so it adds a second
-    /// simulated machine per job but no second instruction stream.
+    /// Whether each machine reports a non-adaptive baseline for energy
+    /// accounting (the binary needs it, tests may not). A baseline is a
+    /// pure function of program, seed and limit, so the store's ledger
+    /// remembers it: a machine whose baseline the session already
+    /// measured reuses it and runs one leg. Otherwise the baseline leg
+    /// shares the managed leg's executor stream, adding a second
+    /// simulated machine to the job but no second instruction stream.
     pub measure_baseline: bool,
 }
 
@@ -126,15 +130,63 @@ impl FleetConfig {
 
     /// Expands the config into its machine list: machine `i` runs preset
     /// `presets[i % presets.len()]` with seed `seed_base + i`.
+    ///
+    /// # Panics
+    ///
+    /// When the seed sequence overflows `u64`, which
+    /// [`FleetConfig::validate`] rejects.
     pub fn machine_specs(&self) -> Vec<MachineSpec> {
         (0..self.machines)
             .map(|index| MachineSpec {
                 index,
                 preset: self.presets[index % self.presets.len()].clone(),
-                seed: self.seed_base + index as u64,
+                seed: self
+                    .seed_base
+                    .checked_add(index as u64)
+                    .expect("FleetConfig::validate rejects an overflowing seed sequence"),
             })
             .collect()
     }
+
+    /// Checks that the config describes a fleet that can run: at least
+    /// one preset, one machine, a positive wave size and admit limit,
+    /// and a seed sequence `seed_base + i` that fits in a `u64`.
+    ///
+    /// # Errors
+    ///
+    /// Names the violated requirement.
+    pub fn validate(&self) -> BenchResult<()> {
+        if self.presets.is_empty()
+            || self.machines == 0
+            || self.wave_size == 0
+            || self.admit_limit == 0
+        {
+            return Err(BenchError::msg(
+                "fleet config needs at least one preset, one machine, a positive wave size and a positive admit limit",
+            ));
+        }
+        if self
+            .seed_base
+            .checked_add(self.machines as u64 - 1)
+            .is_none()
+        {
+            return Err(BenchError::msg(format!(
+                "fleet seed sequence overflows u64: seed base {} plus {} machines",
+                self.seed_base, self.machines
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Baseline legs a wave or pass simulated, and baselines it took from
+/// the store's ledger instead.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BaselineCounts {
+    /// Baselines simulated as a second leg.
+    pub measured: u64,
+    /// Baselines reused from the ledger.
+    pub reused: u64,
 }
 
 /// The deterministic per-machine result row.
@@ -289,12 +341,17 @@ fn aggregate_saving(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
 /// returned outcome (and the store's final state) is byte-identical at
 /// any `jobs` width.
 ///
+/// A machine whose baseline the store's ledger already holds (same
+/// program content, seed and limit) reuses it instead of running the
+/// baseline leg; newly measured baselines join the ledger at the wave
+/// barrier, in machine-index order, like publications.
+///
 /// # Errors
 ///
 /// Fails when `store` is stamped with a different registry version than
-/// the fleet's machines, on unknown presets, or when any machine run
-/// fails; every admitted machine still runs, and the error aggregates all
-/// failures.
+/// the fleet's machines, when [`FleetConfig::validate`] rejects `cfg`, on
+/// unknown presets, or when any machine run fails; every admitted
+/// machine still runs, and the error aggregates all failures.
 pub fn run_fleet(
     cfg: &FleetConfig,
     store: &mut TuningStore,
@@ -329,11 +386,7 @@ pub fn run_fleet_observed(
             fleet_registry_version()
         )));
     }
-    if cfg.presets.is_empty() || cfg.machines == 0 || cfg.wave_size == 0 || cfg.admit_limit == 0 {
-        return Err(BenchError::msg(
-            "fleet config needs at least one preset, one machine, a positive wave size and a positive admit limit",
-        ));
-    }
+    cfg.validate()?;
     let specs = cfg.machine_specs();
     let mut outcome = FleetOutcome {
         schema_version: FLEET_SCHEMA_VERSION,
@@ -343,6 +396,7 @@ pub fn run_fleet_observed(
         wall: Duration::ZERO,
     };
     let mut failures: Vec<String> = Vec::new();
+    let mut pass_baselines = BaselineCounts::default();
     // Span stamps are fleet-cumulative architectural counters: retired
     // instructions summed over merged machines, cycles derived from each
     // machine's deterministic IPC. Purely wave-indexed — no wall clock —
@@ -357,25 +411,43 @@ pub fn run_fleet_observed(
         let wave_start = outcome.machines.len();
         let span = telemetry.span_at("wave", cum_instret, cum_cycle);
         let snapshot = store.snapshot();
-        let pool: Vec<Job<(MachineOutcome, Vec<StorePublication>)>> = admitted
+        // Baselines are looked up in a frozen copy of the ledger, as
+        // selections are in the snapshot.
+        let ledger = cfg
+            .measure_baseline
+            .then(|| Arc::new(store.baselines().clone()));
+        let pool: Vec<Job<MachineRun>> = admitted
             .iter()
             .map(|spec| {
                 let spec = spec.clone();
                 let snapshot = snapshot.clone();
+                let ledger = ledger.clone();
                 let limit = cfg.instruction_limit;
-                let measure_baseline = cfg.measure_baseline;
                 Job::new(
                     format!("m{}/{}#{}", spec.index, spec.preset, spec.seed),
-                    move |tel| run_machine(spec, snapshot, limit, measure_baseline, tel),
+                    move |tel| run_machine(spec, snapshot, ledger.as_deref(), limit, tel),
                 )
             })
             .collect();
+        let mut wave_baselines = BaselineCounts::default();
         for job_outcome in run_jobs(pool, jobs, telemetry) {
             outcome.wall += job_outcome.wall;
             match job_outcome.result {
-                Ok((machine, publications)) => {
+                Ok(MachineRun {
+                    outcome: machine,
+                    publications,
+                    measured,
+                }) => {
                     for publication in publications {
                         store.publish(publication)?;
+                    }
+                    match measured {
+                        Some((key, baseline)) => {
+                            store.record_baseline(key, baseline);
+                            wave_baselines.measured += 1;
+                        }
+                        None if machine.baseline.is_some() => wave_baselines.reused += 1,
+                        None => {}
                     }
                     cum_instret += machine.instret;
                     if machine.ipc > 0.0 {
@@ -387,6 +459,8 @@ pub fn run_fleet_observed(
             }
         }
         span.end_at(cum_instret, cum_cycle);
+        pass_baselines.measured += wave_baselines.measured;
+        pass_baselines.reused += wave_baselines.reused;
         if !failures.is_empty() {
             break;
         }
@@ -396,6 +470,7 @@ pub fn run_fleet_observed(
                 &outcome.machines[wave_start..],
                 wave_shed,
                 store.len(),
+                wave_baselines,
             );
         }
     }
@@ -408,6 +483,12 @@ pub fn run_fleet_observed(
             .add(outcome.machines.len() as u64);
         metrics.counter("fleet.shed").add(outcome.shed);
         metrics.counter("fleet.waves").add(outcome.waves as u64);
+        metrics
+            .counter("fleet.baselines_measured")
+            .add(pass_baselines.measured);
+        metrics
+            .counter("fleet.baselines_reused")
+            .add(pass_baselines.reused);
     }
     if !failures.is_empty() {
         return Err(BenchError::msg(failures.join("; ")));
@@ -415,16 +496,30 @@ pub fn run_fleet_observed(
     Ok(outcome)
 }
 
+/// What one machine job hands back to the wave barrier.
+struct MachineRun {
+    outcome: MachineOutcome,
+    publications: Vec<StorePublication>,
+    /// The baseline the job simulated, for the store's ledger.
+    measured: Option<(BaselineKey, (f64, f64, f64))>,
+}
+
+/// Runs one machine. `ledger` is the wave's frozen copy of the store's
+/// baseline ledger, or `None` when the fleet measures no baselines.
 fn run_machine(
     spec: MachineSpec,
     snapshot: WarmStartContext,
+    ledger: Option<&BaselineLedger>,
     limit: u64,
-    measure_baseline: bool,
     telemetry: &Telemetry,
-) -> BenchResult<(MachineOutcome, Vec<StorePublication>)> {
+) -> BenchResult<MachineRun> {
     let program = ace_workloads::WorkloadRegistry::builtin()
         .resolve_program(&spec.preset)
         .map_err(|e| BenchError::msg(e.to_string()))?;
+    let baseline_key = ledger.map(|_| BaselineKey::new(&program, spec.seed, limit));
+    let known = ledger
+        .zip(baseline_key)
+        .and_then(|(ledger, key)| ledger.get(&key).copied());
     let registry = SchemeRegistry::builtin();
     let scheme = registry
         .get(FLEET_SCHEME)
@@ -443,10 +538,11 @@ fn run_machine(
     }
     // The baseline leg is energy accounting, not fleet behavior: it runs
     // untraced so telemetry event counts describe the managed fleet only.
-    // Both legs replay one executor stream, so they share it.
+    // Both legs replay one executor stream, so they share it. A baseline
+    // the ledger already holds is not simulated again.
     let (mut base, untraced) = (NullManager, Telemetry::off());
     let mut legs = vec![Leg::new(&mut *mgr, telemetry)];
-    if measure_baseline {
+    if baseline_key.is_some() && known.is_none() {
         legs.push(Leg::new(&mut base, &untraced));
     }
     let mut records = Experiment::program(program)
@@ -456,7 +552,7 @@ fn run_machine(
         .run_legs(legs)?
         .into_iter();
     let record = records.next().expect("one record per leg");
-    let baseline = records
+    let measured = records
         .next()
         .map(|base| (base.ipc, base.energy.l1d_nj, base.energy.l2_nj));
     let report = mgr.scheme_report(&record);
@@ -473,7 +569,7 @@ fn run_machine(
         instret: record.instret,
         l1d_nj: record.energy.l1d_nj,
         l2_nj: record.energy.l2_nj,
-        baseline,
+        baseline: known.or(measured),
         tunings: report.tunings,
         tuned_hotspots: report.tuned_scopes,
         warm_hits: report.warm_hits,
@@ -482,7 +578,11 @@ fn run_machine(
         store_publishes: report.store_publishes,
         spec,
     };
-    Ok((machine, publications))
+    Ok(MachineRun {
+        outcome: machine,
+        publications,
+        measured: baseline_key.zip(measured),
+    })
 }
 
 /// Renders the deterministic two-pass fleet report (the `fleet` binary's
@@ -594,6 +694,21 @@ mod tests {
         let err = run_fleet(&cfg, &mut store, 1, &Telemetry::off()).unwrap_err();
         assert!(err.to_string().contains("admit limit"), "{err}");
         assert!(store.is_empty(), "nothing ran");
+    }
+
+    #[test]
+    fn an_overflowing_seed_sequence_is_rejected() {
+        let mut cfg = FleetConfig::preset("smoke").unwrap();
+        cfg.machines = 2;
+        cfg.seed_base = u64::MAX;
+        let mut store = TuningStore::in_memory(fleet_registry_version(), 16);
+        let err = run_fleet(&cfg, &mut store, 1, &Telemetry::off()).unwrap_err();
+        assert!(err.to_string().contains("seed sequence overflows"), "{err}");
+        assert!(store.is_empty(), "nothing ran");
+        // The last machine may take the largest seed itself.
+        cfg.seed_base = u64::MAX - 1;
+        assert!(cfg.validate().is_ok());
+        assert_eq!(cfg.machine_specs()[1].seed, u64::MAX);
     }
 
     #[test]

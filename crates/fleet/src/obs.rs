@@ -19,7 +19,7 @@
 //!   convergence-slowdown checks with a typed [`ObsGateReport`] that CI
 //!   turns into an exit code.
 
-use crate::driver::MachineOutcome;
+use crate::driver::{BaselineCounts, MachineOutcome};
 use ace_telemetry::{Metrics, ObsRecord};
 use serde::{Deserialize, Serialize};
 
@@ -190,14 +190,16 @@ impl ObsSampler {
 
     /// Folds one merged wave into the sampler. `wave` is 1-based;
     /// `machines` is the slice of outcomes the wave produced (in
-    /// machine-index order), `shed` the machines this wave dropped, and
-    /// `store_len` the store size after the wave's merge.
+    /// machine-index order), `shed` the machines this wave dropped,
+    /// `store_len` the store size after the wave's merge, and
+    /// `baselines` the wave's simulated and reused baselines.
     pub fn record_wave(
         &mut self,
         wave: u64,
         machines: &[MachineOutcome],
         shed: u64,
         store_len: usize,
+        baselines: BaselineCounts,
     ) {
         let ipc_hist = self.metrics.histogram("fleet.machine_ipc", &IPC_BOUNDS);
         let epi_hist = self.metrics.histogram("fleet.machine_epi_nj", &EPI_BOUNDS);
@@ -235,6 +237,8 @@ impl ObsSampler {
             "fleet.publishes",
             machines.iter().map(|m| m.store_publishes).sum(),
         );
+        c("fleet.baselines_measured", baselines.measured);
+        c("fleet.baselines_reused", baselines.reused);
 
         let health = WaveHealth {
             wave,
@@ -441,8 +445,21 @@ mod tests {
             &[machine(0, 1.0, 0, 2, 16), machine(1, 1.2, 0, 2, 16)],
             1,
             3,
+            BaselineCounts {
+                measured: 2,
+                reused: 0,
+            },
         );
-        s.record_wave(2, &[machine(2, 1.4, 2, 0, 4)], 0, 5);
+        s.record_wave(
+            2,
+            &[machine(2, 1.4, 2, 0, 4)],
+            0,
+            5,
+            BaselineCounts {
+                measured: 0,
+                reused: 1,
+            },
+        );
         assert_eq!(s.records().len(), 2);
         assert_eq!(s.health().len(), 2);
 
@@ -466,12 +483,21 @@ mod tests {
         let delta = w2.delta_since(w1);
         assert_eq!(delta.counters["fleet.machines"], 1);
         assert_eq!(delta.counters["fleet.warm_hits"], 2);
+        assert_eq!(w2.counters["fleet.baselines_measured"], 2);
+        assert_eq!(delta.counters["fleet.baselines_measured"], 0);
+        assert_eq!(delta.counters["fleet.baselines_reused"], 1);
     }
 
     #[test]
     fn sampler_snapshots_contain_no_wall_clock_metrics() {
         let mut s = ObsSampler::new("cold");
-        s.record_wave(1, &[machine(0, 1.0, 0, 1, 8)], 0, 1);
+        s.record_wave(
+            1,
+            &[machine(0, 1.0, 0, 1, 8)],
+            0,
+            1,
+            BaselineCounts::default(),
+        );
         let snap = &s.records()[0].metrics;
         for name in snap
             .counters
@@ -494,8 +520,15 @@ mod tests {
             &[machine(0, 1.0, 3, 1, 4), machine(1, 1.1, 3, 1, 4)],
             0,
             4,
+            BaselineCounts::default(),
         );
-        s.record_wave(2, &[machine(2, 1.0, 4, 0, 1)], 0, 4);
+        s.record_wave(
+            2,
+            &[machine(2, 1.0, 4, 0, 1)],
+            0,
+            4,
+            BaselineCounts::default(),
+        );
         let healthy = ObsGate {
             max_shed_rate: 0.1,
             min_hit_rate: 0.5,
@@ -520,8 +553,20 @@ mod tests {
     fn gate_flags_shedding_and_slow_convergence() {
         let mut s = ObsSampler::new("cold");
         // Wave 1: cheap tuning; wave 2: heavy shedding and dearer tuning.
-        s.record_wave(1, &[machine(0, 1.0, 0, 1, 4)], 0, 1);
-        s.record_wave(2, &[machine(1, 1.0, 0, 1, 16)], 3, 1);
+        s.record_wave(
+            1,
+            &[machine(0, 1.0, 0, 1, 4)],
+            0,
+            1,
+            BaselineCounts::default(),
+        );
+        s.record_wave(
+            2,
+            &[machine(1, 1.0, 0, 1, 16)],
+            3,
+            1,
+            BaselineCounts::default(),
+        );
         let report = ObsGate {
             max_shed_rate: 0.25,
             min_hit_rate: 0.0,
@@ -547,7 +592,13 @@ mod tests {
     #[test]
     fn wave_line_renders_deterministically() {
         let mut s = ObsSampler::new("warm");
-        s.record_wave(1, &[machine(0, 1.25, 1, 1, 2)], 0, 7);
+        s.record_wave(
+            1,
+            &[machine(0, 1.25, 1, 1, 2)],
+            0,
+            7,
+            BaselineCounts::default(),
+        );
         let line = render_wave_line("warm", &s.health()[0]);
         assert!(line.contains("obs[warm] wave   1"), "{line}");
         assert!(line.contains("store 7"), "{line}");

@@ -21,10 +21,19 @@
 //!   lower,
 //! * **bounded capacity** — past `capacity` entries the oldest entry
 //!   (smallest publication stamp) is evicted.
+//!
+//! Beside the selections, a store carries a **baseline ledger**: the
+//! non-adaptive baselines its fleet session has measured, by program
+//! content, seed and limit. The ledger is session state. It is never
+//! logged and never enters [`TuningStore::entries_sorted`], snapshots
+//! or store fingerprints, so a reopened store starts with an empty
+//! ledger.
 
 use ace_bench::{BenchError, BenchResult};
 use ace_core::{AceConfig, HotspotSignature, StorePublication, WarmStartContext};
+use ace_workloads::Program;
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -56,6 +65,42 @@ pub enum PublishOutcome {
     Stale,
 }
 
+/// Everything a fleet machine's non-adaptive baseline depends on that
+/// varies between machines: the resolved program, the executor seed and
+/// the instruction limit. The machine, DO and energy profiles are fleet
+/// constants; a key must grow a field for any of them that starts to
+/// vary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct BaselineKey {
+    /// Digest of the program's content. A spec path names a file that
+    /// can be rewritten, so the program is keyed by content, not by name.
+    program: u64,
+    /// Executor seed.
+    seed: u64,
+    /// Instruction limit.
+    instruction_limit: u64,
+}
+
+impl BaselineKey {
+    /// The key of a baseline run of `program` at `seed` for
+    /// `instruction_limit` instructions.
+    pub(crate) fn new(program: &Program, seed: u64, instruction_limit: u64) -> BaselineKey {
+        // Every `DefaultHasher::new()` hashes alike within a process,
+        // which is all a ledger that is never written needs.
+        let mut digest = DefaultHasher::new();
+        program.hash(&mut digest);
+        BaselineKey {
+            program: digest.finish(),
+            seed,
+            instruction_limit,
+        }
+    }
+}
+
+/// The baseline ledger: `(ipc, l1d_nj, l2_nj)` of each measured
+/// non-adaptive baseline, by key.
+pub(crate) type BaselineLedger = HashMap<BaselineKey, (f64, f64, f64)>;
+
 /// The fleet's shared tuning store. See the module docs for semantics.
 #[derive(Debug)]
 pub struct TuningStore {
@@ -67,6 +112,7 @@ pub struct TuningStore {
     stale_dropped: u64,
     torn_tail_dropped: u64,
     log: Option<PathBuf>,
+    baselines: BaselineLedger,
 }
 
 impl TuningStore {
@@ -86,6 +132,7 @@ impl TuningStore {
             stale_dropped: 0,
             torn_tail_dropped: 0,
             log: None,
+            baselines: HashMap::new(),
         }
     }
 
@@ -213,6 +260,17 @@ impl TuningStore {
             ctx.insert(HotspotSignature::from_packed(packed), entry.config);
         }
         ctx
+    }
+
+    /// The non-adaptive baselines recorded in this session.
+    pub(crate) fn baselines(&self) -> &BaselineLedger {
+        &self.baselines
+    }
+
+    /// Records a measured baseline in the ledger (memory only; see the
+    /// module docs).
+    pub(crate) fn record_baseline(&mut self, key: BaselineKey, baseline: (f64, f64, f64)) {
+        self.baselines.insert(key, baseline);
     }
 
     /// Merges one publication into the store and, when it was applied

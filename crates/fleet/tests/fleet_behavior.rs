@@ -1,8 +1,9 @@
 //! End-to-end fleet behavior: determinism across worker counts, the
-//! pinned event stream of a two-preset fleet, baseline legs equal to
-//! solo baseline runs, the warm-start payoff (a warm fleet measurably
-//! out-tunes a cold one), and store persistence across "process
-//! restarts".
+//! pinned event stream of a two-preset fleet, baselines equal to solo
+//! baseline runs whether measured or reused from the store's ledger,
+//! reuse keyed on program content, seed and limit, the warm-start
+//! payoff (a warm fleet measurably out-tunes a cold one), and store
+//! persistence across "process restarts".
 //!
 //! Regenerate the event-stream fixture (only after an *intentional*
 //! behaviour change):
@@ -13,10 +14,11 @@
 
 use ace_core::{Experiment, NullManager};
 use ace_fleet::{
-    fleet_do_config, fleet_registry_version, render_report, run_fleet, FleetConfig, FleetOutcome,
-    TuningStore,
+    fleet_do_config, fleet_registry_version, render_report, run_fleet, store_fingerprint,
+    BaselineCounts, FleetConfig, FleetOutcome, TuningStore,
 };
 use ace_telemetry::{EventKind, Telemetry};
+use ace_workloads::{gen, GenParams};
 use std::path::PathBuf;
 
 /// A fleet small enough for tests but big enough to cross wave
@@ -51,8 +53,53 @@ struct Traced {
     entries: String,
 }
 
-/// Every machine's baseline leg measures what a solo non-adaptive run
-/// of its preset and seed measures, at any pool width.
+/// One pass over `store` with its baseline counters, read from a
+/// fresh metrics registry.
+fn counted_pass(
+    cfg: &FleetConfig,
+    store: &mut TuningStore,
+    jobs: usize,
+) -> (FleetOutcome, BaselineCounts) {
+    let tel = Telemetry::counting();
+    let out = run_fleet(cfg, store, jobs, &tel).expect("fleet pass");
+    let metrics = tel.metrics().expect("counting telemetry keeps metrics");
+    let counts = BaselineCounts {
+        measured: metrics.counter("fleet.baselines_measured").get(),
+        reused: metrics.counter("fleet.baselines_reused").get(),
+    };
+    (out, counts)
+}
+
+fn measured(n: u64) -> BaselineCounts {
+    BaselineCounts {
+        measured: n,
+        reused: 0,
+    }
+}
+
+fn reused(n: u64) -> BaselineCounts {
+    BaselineCounts {
+        measured: 0,
+        reused: n,
+    }
+}
+
+/// What a solo non-adaptive run of `workload` (a preset name or a spec
+/// path) measures: the baseline a fleet machine must report.
+fn solo_baseline(workload: &str, seed: u64, limit: u64) -> Option<(f64, f64, f64)> {
+    let solo = Experiment::workload(workload)
+        .seed(seed)
+        .do_config(fleet_do_config())
+        .instruction_limit(limit)
+        .run_with(&mut NullManager)
+        .expect("solo baseline");
+    Some((solo.ipc, solo.energy.l1d_nj, solo.energy.l2_nj))
+}
+
+/// Every machine's baseline equals what a solo non-adaptive run of its
+/// preset and seed measures, at any pool width: in the cold pass, which
+/// simulates it as a second leg, and in the warm pass, which reuses it
+/// from the store's ledger.
 #[test]
 fn baseline_legs_match_solo_baseline_runs() {
     let mut cfg = FleetConfig::preset("smoke").expect("smoke preset");
@@ -63,23 +110,134 @@ fn baseline_legs_match_solo_baseline_runs() {
     cfg.instruction_limit = 400_000;
     assert!(cfg.measure_baseline);
     for jobs in [1, 2] {
-        let out = run_fleet(&cfg, &mut memory_store(), jobs, &Telemetry::off()).expect("fleet");
-        assert_eq!(out.ran(), 4);
-        for machine in &out.machines {
-            let solo = Experiment::preset(&machine.spec.preset)
-                .seed(machine.spec.seed)
-                .do_config(fleet_do_config())
-                .instruction_limit(cfg.instruction_limit)
-                .run_with(&mut NullManager)
-                .expect("solo baseline");
-            assert_eq!(
-                machine.baseline,
-                Some((solo.ipc, solo.energy.l1d_nj, solo.energy.l2_nj)),
-                "machine {} at jobs={jobs}",
-                machine.spec.index
-            );
+        let mut store = memory_store();
+        let (cold, cold_counts) = counted_pass(&cfg, &mut store, jobs);
+        let (warm, warm_counts) = counted_pass(&cfg, &mut store, jobs);
+        assert_eq!(cold_counts, measured(4), "jobs={jobs}");
+        assert_eq!(warm_counts, reused(4), "jobs={jobs}");
+        for (pass, out) in [("cold", &cold), ("warm", &warm)] {
+            assert_eq!(out.ran(), 4);
+            for machine in &out.machines {
+                assert_eq!(
+                    machine.baseline,
+                    solo_baseline(
+                        &machine.spec.preset,
+                        machine.spec.seed,
+                        cfg.instruction_limit
+                    ),
+                    "{pass} machine {} at jobs={jobs}",
+                    machine.spec.index
+                );
+            }
         }
     }
+}
+
+/// The oracle that baseline reuse is exact. After a cold pass at the
+/// fleet's budget (so it publishes), a warm pass in session reuses every
+/// baseline from the ledger, and a warm pass over a store reopened from
+/// the cold pass's log simulates every one again (replay leaves the
+/// ledger empty). Both leave byte-identical outcomes and stores.
+#[test]
+fn reused_baselines_equal_remeasured_ones() {
+    let dir = std::env::temp_dir().join(format!("ace_fleet_reuse_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = FleetConfig::preset("smoke").expect("smoke preset");
+    cfg.presets = vec!["db".into(), "jess".into()];
+    cfg.machines = 4;
+    cfg.wave_size = 2;
+    cfg.admit_limit = 2;
+    assert_eq!(cfg.instruction_limit, 8_000_000);
+    let (version, capacity) = (fleet_registry_version(), TuningStore::DEFAULT_CAPACITY);
+    let mut warm_rows = Vec::new();
+    for jobs in [1, 2] {
+        let log = dir.join(format!("session-{jobs}.jsonl"));
+        let mut session = TuningStore::open(&log, version, capacity).expect("open store");
+        let (_, counts) = counted_pass(&cfg, &mut session, jobs);
+        assert_eq!(counts, measured(4));
+        assert!(!session.is_empty(), "the cold pass must publish");
+
+        let replay_log = dir.join(format!("replay-{jobs}.jsonl"));
+        std::fs::copy(&log, &replay_log).expect("copy store log");
+        let mut reopened = TuningStore::open(&replay_log, version, capacity).expect("reopen");
+        assert_eq!(
+            store_fingerprint(&reopened),
+            store_fingerprint(&session),
+            "replay reproduces the session's entries and stamps"
+        );
+
+        let (remeasured, counts) = counted_pass(&cfg, &mut reopened, jobs);
+        assert_eq!(counts, measured(4), "replay restores no baselines");
+        let (reusing, counts) = counted_pass(&cfg, &mut session, jobs);
+        assert_eq!(counts, reused(4));
+        assert_eq!(
+            fingerprint(&reusing),
+            fingerprint(&remeasured),
+            "jobs={jobs}"
+        );
+        assert_eq!(
+            store_fingerprint(&session),
+            store_fingerprint(&reopened),
+            "jobs={jobs}"
+        );
+        warm_rows.push(fingerprint(&reusing));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(warm_rows[0], warm_rows[1], "the warm pass depends on jobs");
+}
+
+/// The ledger reuses a baseline only for the same program content, seed
+/// and limit: another seed, another limit, or a spec file rewritten at
+/// the same path is measured again, and the new measurement is the new
+/// program's.
+#[test]
+fn baselines_are_reused_only_for_an_identical_key() {
+    let dir = std::env::temp_dir().join(format!("ace_fleet_ledger_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let spec_path = dir.join("workload.json");
+    let write_spec = |seed: u64| {
+        let spec = gen(seed, &GenParams::default());
+        std::fs::write(
+            &spec_path,
+            serde_json::to_string(&spec).expect("spec serializes"),
+        )
+        .expect("write spec");
+    };
+    write_spec(1);
+    let spec = spec_path.display().to_string();
+    let mut cfg = FleetConfig::preset("smoke").expect("smoke preset");
+    cfg.presets = vec!["db".into(), spec.clone()];
+    cfg.machines = 2;
+    cfg.wave_size = 2;
+    cfg.admit_limit = 2;
+    cfg.instruction_limit = 100_000;
+    let mut store = memory_store();
+    assert_eq!(counted_pass(&cfg, &mut store, 2).1, measured(2));
+    assert_eq!(counted_pass(&cfg, &mut store, 2).1, reused(2));
+
+    let mut other_seeds = cfg.clone();
+    other_seeds.seed_base += 2;
+    assert_eq!(counted_pass(&other_seeds, &mut store, 2).1, measured(2));
+    let mut other_limit = cfg.clone();
+    other_limit.instruction_limit += 1;
+    assert_eq!(counted_pass(&other_limit, &mut store, 2).1, measured(2));
+
+    write_spec(2);
+    let (out, counts) = counted_pass(&cfg, &mut store, 2);
+    let machine = &out.machines[1];
+    assert_eq!(machine.spec.preset, spec);
+    let solo = solo_baseline(&spec, machine.spec.seed, cfg.instruction_limit);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        counts,
+        BaselineCounts {
+            measured: 1,
+            reused: 1
+        },
+        "only the rewritten spec's machine measures again"
+    );
+    assert_eq!(machine.baseline, solo, "the rewritten spec's baseline");
 }
 
 fn traced_passes(cfg: &FleetConfig, jobs: usize) -> Traced {

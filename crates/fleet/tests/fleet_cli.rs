@@ -1,9 +1,9 @@
 //! The `fleet` binary's argument and input contract. Usage errors exit
 //! 2: a NaN watchdog threshold (every comparison with NaN is false and
-//! would silently switch its check off) and a zero fleet shape. An
-//! explicit `--admit-limit` holds whichever side of `--wave-size` it
-//! is on. A store log too deeply nested to parse is a typed error and
-//! exit 1, not a stack overflow.
+//! would silently switch its check off), a zero fleet shape, and a seed
+//! sequence that overflows `u64`. An explicit `--admit-limit` holds
+//! whichever side of `--wave-size` it is on. A store log too deeply
+//! nested to parse is a typed error and exit 1, not a stack overflow.
 
 use ace_fleet::{fleet_registry_version, TuningStore};
 use std::path::{Path, PathBuf};
@@ -107,6 +107,43 @@ fn a_zero_fleet_shape_is_a_usage_error() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_overflowing_seed_sequence_is_a_usage_error() {
+    let dir = temp_dir("seed");
+    let run = |seed_base: &str| {
+        fleet(
+            &dir,
+            &[
+                "--preset",
+                "smoke",
+                "--machines",
+                "2",
+                "--wave-size",
+                "2",
+                "--limit",
+                "20000",
+                "--jobs",
+                "1",
+                "--seed-base",
+                seed_base,
+            ],
+        )
+    };
+    let out = run("18446744073709551615");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("seed sequence overflows"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    // One lower, the second machine runs on the largest seed.
+    let out = run("18446744073709551614");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]

@@ -51,7 +51,7 @@ pub enum Stmt {
 
 /// Flat opcode form of a method body (executor-internal, but public for
 /// inspection and testing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Op {
     /// Run `ninstr` instructions with `pattern`.
     Compute {
@@ -84,7 +84,7 @@ pub enum Op {
 }
 
 /// A method: a named body plus its static code footprint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Method {
     /// Human-readable name (diagnostics and reports).
     pub name: String,
@@ -99,7 +99,7 @@ pub struct Method {
 }
 
 /// A complete program: methods, patterns, and an entry point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Program {
     name: String,
     methods: Vec<Method>,

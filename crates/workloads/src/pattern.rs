@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 pub struct PatternId(pub u32);
 
 /// How the address cursor walks the pattern's working set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Walk {
     /// Wraps around the working set with a fixed stride; high spatial
     /// locality, strong reuse once the set fits in cache.
@@ -44,7 +44,7 @@ pub enum Walk {
 }
 
 /// A parameterized memory/branch behavior.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MemPattern {
     /// Base byte address of the pattern's data region.
     pub base: u64,
