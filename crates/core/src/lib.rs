@@ -8,14 +8,15 @@
 //!   adaptation at DO-system hotspot boundaries, with **CU decoupling**
 //!   (small hotspots tune the L1D cache, large hotspots the L2), zero
 //!   recurring-phase identification latency, tuning code → configuration
-//!   code replacement, and drift-sampled re-tuning.
+//!   code replacement, and drift-sampled re-tuning. Built by
+//!   [`HotspotAceManager::pdm`], the same manager runs Phase Distance
+//!   Mapping (Adegbija et al.): a behavioral-distance knowledge table,
+//!   consulted after each hotspot's reference trial, *predicts* a new
+//!   phase's configuration from an already-tuned one.
 //! * [`BbvAceManager`] — the strongest prior temporal scheme: Basic Block
 //!   Vector phase detection at 1 M-instruction sampling intervals plus the
 //!   Dhodapkar–Smith tuning algorithm over all 16 combinatorial cache
 //!   configurations.
-//! * [`PdmAceManager`] — Phase Distance Mapping (Adegbija et al.): the
-//!   hotspot substrate plus a behavioral-distance knowledge table that
-//!   *predicts* a new phase's configuration from an already-tuned one.
 //! * [`NullManager`] / [`FixedManager`] — the non-adaptive baseline and
 //!   static oracle points.
 //! * [`Experiment`] — the typed builder tying workload, DO system,
@@ -63,7 +64,7 @@ pub use experiment::{Experiment, ExperimentError, Leg, SchemeRun};
 pub use hotspot::{CuSchemeStats, HotspotAceManager, HotspotManagerConfig, HotspotReport};
 pub use manager::{AceManager, FixedManager, NullManager};
 pub use measure::{Measurement, Probe};
-pub use pdm_mgr::{PdmAceManager, PdmManagerConfig, PdmReport, PhaseVector};
+pub use pdm_mgr::{PdmManagerConfig, PdmReport, PhaseVector};
 pub use positional_mgr::{PositionalAceManager, PositionalManagerConfig, PositionalReport};
 pub use scheme::{
     BaselineScheme, BbvScheme, FixedScheme, HotspotScheme, PdmScheme, PositionalScheme, SchemeCtx,
