@@ -73,9 +73,7 @@ fn main() {
         100.0 * (hot.cycles as f64 / base.cycles as f64 - 1.0)
     );
 
-    let mut details: Vec<_> = mgr.hotspot_details().collect();
-    details.sort_by_key(|(m, ..)| m.0);
-    for (m, class, tuner, mean_ipc, cov, n) in details {
+    for (m, class, tuner, mean_ipc, cov, n) in mgr.hotspot_details() {
         let method = program.method(m);
         print!(
             "{:28} {:5} inv={:4} ipc={:.3} cov={:.3} best={:?} trials=[",

@@ -319,12 +319,12 @@ mod tests {
                         })
                     })
                     .collect();
-                let (parent, ring) = Telemetry::ring(64);
+                let (parent, sink) = Telemetry::buffered();
                 let out = run_jobs(jobs, 5, &parent);
                 assert!(out.iter().all(|o| o.result.is_ok()));
                 assert_eq!(parent.count(EventKind::TuningStarted), 12);
                 assert_eq!(parent.metrics().unwrap().counter("jobs_run").get(), 12);
-                ring.snapshot()
+                sink.drain()
             })
             .collect();
         // Same order every time, and the order is submission order.

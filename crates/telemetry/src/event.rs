@@ -13,8 +13,8 @@ pub const SPAN_NAME_CAP: usize = 24;
 
 /// Fixed-capacity inline span label.
 ///
-/// [`Event`] must stay `Copy` (the ring-buffer seqlock depends on it), so
-/// span names cannot be heap strings. A `SpanName` holds up to
+/// [`Event`] stays `Copy` (sinks and the engine's replay copy events by
+/// value), so span names cannot be heap strings. A `SpanName` holds up to
 /// [`SPAN_NAME_CAP`] UTF-8 bytes inline, truncating longer inputs at a
 /// character boundary. It serializes as a plain JSON string, so the JSONL
 /// encoding reads naturally and longer names survive a decode round-trip

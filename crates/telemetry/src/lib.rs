@@ -24,8 +24,8 @@
 //! ```
 //! use ace_telemetry::{Cu, Event, ReconfigCause, Telemetry};
 //!
-//! // Capture the last 1024 events in memory.
-//! let (tel, ring) = Telemetry::ring(1024);
+//! // Capture every event in memory.
+//! let (tel, buffer) = Telemetry::buffered();
 //! tel.emit(|| Event::Reconfigured {
 //!     cu: Cu::L1d,
 //!     from: 0,
@@ -34,7 +34,7 @@
 //!     cycle: 12_345,
 //! });
 //! tel.metrics().unwrap().counter("demo").inc();
-//! assert_eq!(ring.snapshot().len(), 1);
+//! assert_eq!(buffer.snapshot().len(), 1);
 //!
 //! // A disabled handle costs one branch; the closure never runs.
 //! let off = Telemetry::off();
@@ -46,13 +46,11 @@
 //! `examples/telemetry_trace.rs`), or pass `--telemetry <path>` to the
 //! bench binaries for a JSONL file.
 
-// The ring buffer needs `unsafe` (seqlock over an UnsafeCell); everything
-// else in the workspace forbids it, so the unsafety is quarantined here.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod event;
 mod metrics;
-mod ring;
 mod sink;
 mod snapshot;
 mod stream;
@@ -60,7 +58,6 @@ mod stream;
 pub use ace_sim::MAX_CUS;
 pub use event::{Cu, Event, EventKind, ReconfigCause, Scope, SpanName, SPAN_NAME_CAP};
 pub use metrics::{Counter, Gauge, Histogram, Metrics, ScopedTimer};
-pub use ring::RingBufferSink;
 pub use sink::{JsonlSink, MemorySink, NullSink, Sink};
 pub use snapshot::{
     read_obs_jsonl, write_obs_jsonl, HistogramSnapshot, MetricsSnapshot, ObsRecord,
@@ -116,14 +113,6 @@ impl Telemetry {
         Telemetry::new(NullSink)
     }
 
-    /// Enables telemetry with a [`RingBufferSink`] keeping the last
-    /// `capacity` events; returns the sink too so the caller can
-    /// [`RingBufferSink::snapshot`] it later.
-    pub fn ring(capacity: usize) -> (Telemetry, Arc<RingBufferSink>) {
-        let ring = Arc::new(RingBufferSink::new(capacity));
-        (Telemetry::new(Arc::clone(&ring)), ring)
-    }
-
     /// Enables telemetry writing JSONL to `path` (truncated on open).
     pub fn jsonl(path: impl AsRef<Path>) -> io::Result<Telemetry> {
         Ok(Telemetry::new(JsonlSink::create(path)?))
@@ -132,9 +121,10 @@ impl Telemetry {
     /// Enables telemetry buffering every event in memory; returns the sink
     /// too so the caller can [`MemorySink::drain`] the events later.
     ///
-    /// This is the per-job handle of the parallel experiment engine: each
-    /// job records into its own buffer, and the parent absorbs the buffers
-    /// in deterministic job order via [`Telemetry::absorb_child`].
+    /// Tests and examples inspect a run's events this way. It is also the
+    /// per-job handle of the parallel experiment engine: each job records
+    /// into its own buffer, and the parent absorbs the buffers in
+    /// deterministic job order via [`Telemetry::absorb_child`].
     pub fn buffered() -> (Telemetry, Arc<MemorySink>) {
         let sink = Arc::new(MemorySink::new());
         (Telemetry::new(Arc::clone(&sink)), sink)
@@ -370,7 +360,7 @@ mod tests {
 
     #[test]
     fn counts_are_shared_across_clones() {
-        let (tel, ring) = Telemetry::ring(16);
+        let (tel, buffer) = Telemetry::buffered();
         let clone = tel.clone();
         tel.emit(|| Event::TuningStarted {
             scope: Scope::Hotspot { method: 1 },
@@ -387,7 +377,7 @@ mod tests {
         assert_eq!(tel.count(EventKind::TuningStarted), 1);
         assert_eq!(tel.count(EventKind::TuningConverged), 1);
         assert_eq!(clone.total_events(), 2);
-        assert_eq!(ring.snapshot().len(), 2);
+        assert_eq!(buffer.snapshot().len(), 2);
         let summary = tel.summary();
         assert!(summary.contains("TuningStarted"));
         assert!(summary.contains("TuningConverged"));
@@ -395,12 +385,12 @@ mod tests {
 
     #[test]
     fn spans_emit_paired_events_and_wall_histogram() {
-        let (tel, ring) = Telemetry::ring(16);
+        let (tel, buffer) = Telemetry::buffered();
         let outer = tel.span_at("wave", 100, 200);
         let inner = tel.span("machine");
         inner.end();
         outer.end_at(500, 900);
-        let events = ring.snapshot();
+        let events = buffer.snapshot();
         assert_eq!(
             events.iter().map(|e| e.kind()).collect::<Vec<_>>(),
             vec![
@@ -428,13 +418,13 @@ mod tests {
 
     #[test]
     fn span_guard_drop_closes_and_disabled_span_is_inert() {
-        let (tel, ring) = Telemetry::ring(16);
+        let (tel, buffer) = Telemetry::buffered();
         {
             let _span = tel.span("scoped");
         }
         assert_eq!(tel.count(EventKind::SpanBegin), 1);
         assert_eq!(tel.count(EventKind::SpanEnd), 1);
-        assert_eq!(ring.snapshot().len(), 2);
+        assert_eq!(buffer.snapshot().len(), 2);
 
         let off = Telemetry::off();
         let span = off.span("nothing");

@@ -1,9 +1,10 @@
 //! Event sinks: where emitted [`Event`]s go.
 //!
 //! Three implementations cover the three use cases: [`NullSink`] for
-//! overhead-free counting, [`crate::RingBufferSink`] for in-memory
-//! inspection from tests, and [`JsonlSink`] for durable traces consumed by
-//! the bench binaries' `--telemetry` flag.
+//! overhead-free counting, [`MemorySink`] for in-memory inspection from
+//! tests and for the experiment engine's per-job buffers, and
+//! [`JsonlSink`] for durable traces consumed by the bench binaries'
+//! `--telemetry` flag.
 
 use crate::event::Event;
 use std::fs::File;
@@ -47,12 +48,14 @@ impl Sink for NullSink {
     fn record(&self, _event: &Event) {}
 }
 
-/// Unbounded in-memory event buffer.
+/// Unbounded in-memory event buffer, created by
+/// [`crate::Telemetry::buffered`].
 ///
-/// The experiment engine hands each parallel job its own buffered
-/// [`crate::Telemetry`] handle backed by one of these, then drains the
-/// buffers **in job-key order** into the parent handle, so a parallel run
-/// replays the same event sequence a serial run would have produced.
+/// Tests read a run's events back from it. The experiment engine hands
+/// each parallel job its own buffered [`crate::Telemetry`] handle backed
+/// by one of these, then drains the buffers **in job-key order** into the
+/// parent handle, so a parallel run replays the same event sequence a
+/// serial run would have produced.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<Event>>,

@@ -1,6 +1,6 @@
 //! Prints the reconfiguration timeline of a `compress` run.
 //!
-//! Runs the hotspot scheme with an in-memory ring-buffer sink attached,
+//! Runs the hotspot scheme with an in-memory event buffer attached,
 //! then walks the captured decision events and prints every cache/window
 //! resize in cycle order, followed by the event-count summary.
 //!
@@ -13,7 +13,7 @@ use ace::energy::EnergyModel;
 use ace::telemetry::{Event, Telemetry};
 
 fn main() -> Result<(), ExperimentError> {
-    let (telemetry, ring) = Telemetry::ring(65_536);
+    let (telemetry, buffer) = Telemetry::buffered();
     let mut mgr = HotspotAceManager::new(
         HotspotManagerConfig::default(),
         EnergyModel::default_180nm(),
@@ -23,7 +23,7 @@ fn main() -> Result<(), ExperimentError> {
         .telemetry(&telemetry)
         .run_with(&mut mgr)?;
 
-    let mut events = ring.snapshot();
+    let mut events = buffer.drain();
     events.sort_by_key(Event::timestamp);
 
     println!(

@@ -14,14 +14,21 @@
 //! ace trace <workload> <file> [--limit N]    record a binary block trace
 //! ace replay <file>                          simulate a recorded trace
 //! ```
+//!
+//! A `<workload>` is a preset name or a path to a `WorkloadSpec` JSON file
+//! (see `WorkloadRegistry`). A flag given without a value is an error, as
+//! is a zero `--limit`.
 
-use ace::core::{AceConfig, Experiment, FixedScheme, RunConfig, RunRecord, SchemeSpec};
+use ace::core::{
+    AceConfig, Experiment, ExperimentError, FixedScheme, RunConfig, RunRecord, SchemeRegistry,
+    SchemeSpec,
+};
 use ace::sim::{record_trace, Block, BlockSource, Machine, MachineConfig, SizeLevel, TraceReader};
 use ace::telemetry::Telemetry;
 use ace::trace::{
     analyze_file, chrome_trace, diff, diff_obs_series, metrics_report, DiffThresholds, ObsSeries,
 };
-use ace::workloads::{Executor, Program, PRESET_NAMES};
+use ace::workloads::{Executor, Program, WorkloadRegistry, PRESET_NAMES};
 use std::error::Error;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -69,16 +76,36 @@ fn print_usage() {
     );
 }
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The value given for `flag`, or `None` when the flag is absent. A flag
+/// that is last or followed by another flag has no value: an error, not
+/// a silent fallback to its default.
+fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, Box<dyn Error>> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(value) if !value.starts_with("--") => Ok(Some(value.clone())),
+        _ => Err(format!("{flag} needs a value").into()),
+    }
 }
 
+/// The `--limit` instruction cap, if given; zero is rejected.
+fn limit_flag(args: &[String]) -> Result<Option<u64>, Box<dyn Error>> {
+    let Some(value) = flag_value(args, "--limit")? else {
+        return Ok(None);
+    };
+    match value.parse() {
+        Ok(0) | Err(_) => {
+            Err(format!("--limit needs a positive instruction count, got {value:?}").into())
+        }
+        Ok(limit) => Ok(Some(limit)),
+    }
+}
+
+/// Resolves a preset name or a spec-file path through the workload
+/// registry.
 fn load_program(name: &str) -> Result<Program, Box<dyn Error>> {
-    ace::workloads::preset(name)
-        .ok_or_else(|| format!("unknown workload {name:?}; see `ace list`").into())
+    Ok(WorkloadRegistry::builtin().resolve_program(name)?)
 }
 
 fn cmd_list() -> Result<(), Box<dyn Error>> {
@@ -123,12 +150,15 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn Error>> {
         .first()
         .ok_or("usage: ace run <workload> [--scheme S] [--limit N] [--telemetry <file>]")?;
     let program = load_program(name)?;
-    let scheme = flag_value(args, "--scheme").unwrap_or_else(|| "hotspot".to_string());
-    let mut cfg = RunConfig::default();
-    if let Some(limit) = flag_value(args, "--limit") {
-        cfg.instruction_limit = Some(limit.parse()?);
+    let scheme = flag_value(args, "--scheme")?.unwrap_or_else(|| "hotspot".to_string());
+    if SchemeRegistry::builtin().get(&scheme).is_none() {
+        return Err(ExperimentError::UnknownScheme(scheme).into());
     }
-    let telemetry = match flag_value(args, "--telemetry") {
+    let mut cfg = RunConfig {
+        instruction_limit: limit_flag(args)?,
+        ..RunConfig::default()
+    };
+    let telemetry = match flag_value(args, "--telemetry")? {
         Some(path) => {
             let tel = Telemetry::jsonl(&path)
                 .map_err(|e| format!("cannot open telemetry file {path}: {e}"))?;
@@ -138,16 +168,19 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn Error>> {
         None => Telemetry::off(),
     };
     cfg.telemetry = telemetry.clone();
-    let base = Experiment::program(program.clone())
-        .config(cfg.clone())
-        .run()?;
-    summarize("baseline", &base, None);
+    // One group off one executor stream; its events replay in scheme
+    // order, baseline first.
+    let mut schemes = vec!["baseline"];
     if scheme != "baseline" {
-        let run = Experiment::program(program)
-            .config(cfg)
-            .scheme(scheme)
-            .run_scheme()?;
-        summarize(&run.scheme, &run.record, Some(&base));
+        schemes.push(&scheme);
+    }
+    let runs = Experiment::program(program)
+        .config(cfg)
+        .run_schemes(schemes)?;
+    let base = &runs[0].record;
+    summarize("baseline", base, None);
+    if let Some(run) = runs.get(1) {
+        summarize(&run.scheme, &run.record, Some(base));
         let rep = &run.report;
         println!(
             "            {} tuned scopes, {} trials, {} reconfigs, {} guard rejections",
@@ -200,10 +233,7 @@ fn cmd_trace(args: &[String]) -> Result<(), Box<dyn Error>> {
     let path = args
         .get(1)
         .ok_or("usage: ace trace <workload> <file> [--limit N]")?;
-    let limit: u64 = flag_value(args, "--limit")
-        .map(|s| s.parse())
-        .transpose()?
-        .unwrap_or(10_000_000);
+    let limit = limit_flag(args)?.unwrap_or(10_000_000);
     let program = load_program(name)?;
     let mut exec = Executor::new(&program);
     let trace = record_trace(&mut exec, limit);
@@ -249,7 +279,7 @@ fn cmd_trace_chrome(args: &[String]) -> Result<(), Box<dyn Error>> {
         .ok_or("usage: ace trace chrome <trace.jsonl> [--out <file>]")?;
     let analysis = analyze_file(path)?;
     let json = chrome_trace(&analysis);
-    match flag_value(args, "--out") {
+    match flag_value(args, "--out")? {
         Some(out) => {
             std::fs::write(&out, &json)?;
             println!(
@@ -293,7 +323,7 @@ fn parse_thresholds(args: &[String]) -> Result<DiffThresholds, Box<dyn Error>> {
             &mut thresholds.max_convergence_slowdown,
         ),
     ] {
-        if let Some(value) = flag_value(args, flag) {
+        if let Some(value) = flag_value(args, flag)? {
             *slot = value
                 .parse()
                 .map_err(|e| format!("{flag} {value:?}: {e}"))?;
@@ -307,10 +337,10 @@ fn cmd_trace_metrics(args: &[String]) -> Result<(), Box<dyn Error>> {
                  [--against <baseline.jsonl>] [--max-ipc-drop F] [--max-epi-rise F] ...";
     let path = args.first().ok_or(usage)?;
     let series = ObsSeries::load(path)?;
-    let pass = flag_value(args, "--pass");
+    let pass = flag_value(args, "--pass")?;
     let pass = pass.as_deref();
 
-    if let Some(baseline_path) = flag_value(args, "--against") {
+    if let Some(baseline_path) = flag_value(args, "--against")? {
         let baseline = ObsSeries::load(&baseline_path)?;
         let thresholds = parse_thresholds(args)?;
         let report = diff_obs_series(&baseline, &series, pass, &thresholds)?;
@@ -321,9 +351,9 @@ fn cmd_trace_metrics(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Ok(());
     }
 
-    let from = flag_value(args, "--from").map(|s| s.parse()).transpose()?;
-    let to = flag_value(args, "--to").map(|s| s.parse()).transpose()?;
-    let top: usize = flag_value(args, "--top")
+    let from = flag_value(args, "--from")?.map(|s| s.parse()).transpose()?;
+    let to = flag_value(args, "--to")?.map(|s| s.parse()).transpose()?;
+    let top: usize = flag_value(args, "--top")?
         .map(|s| s.parse())
         .transpose()?
         .unwrap_or(10);

@@ -3,8 +3,10 @@
 //! recorded trace, `diff` exits zero on identical runs and nonzero when a
 //! synthetic regression exceeds the thresholds, and the legacy
 //! `ace trace <workload> <file>` recorder still works. `ace run` resolves
-//! its `--scheme` through the scheme registry. A line nested too deeply
-//! to parse is a typed error and exit 1 for both JSONL readers.
+//! its `--scheme` through the scheme registry and its workload through
+//! the workload registry, and rejects bad arguments before it simulates.
+//! A line nested too deeply to parse is a typed error and exit 1 for both
+//! JSONL readers.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -216,4 +218,72 @@ fn run_accepts_every_registered_scheme() {
     let bad = ace(&["run", "db", "--scheme", "warp-drive", "--limit", "200000"]);
     assert!(!bad.status.success());
     assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown scheme"));
+}
+
+#[test]
+fn run_rejects_an_unknown_scheme_before_simulating() {
+    // No --limit: a baseline run first would take the whole db preset.
+    let out = ace(&["run", "db", "--scheme", "nope"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown scheme"));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "",
+        "nothing runs, so nothing is reported"
+    );
+}
+
+#[test]
+fn workloads_resolve_by_spec_path() {
+    let spec = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("ace-benchmark")
+        .join("workloads")
+        .join("call-dense.json");
+    let spec = spec.to_str().unwrap();
+    let run = ace(&["run", spec, "--scheme", "pdm", "--limit", "2000000"]);
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert!(
+        stdout.contains("baseline") && stdout.contains("pdm"),
+        "{stdout}"
+    );
+
+    let dir = temp_dir("spec_path");
+    let trace = dir.join("blocks.bin");
+    let rec = ace(&["trace", spec, trace.to_str().unwrap(), "--limit", "200000"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        rec.status.success(),
+        "{}",
+        String::from_utf8_lossy(&rec.stderr)
+    );
+}
+
+#[test]
+fn run_rejects_missing_flag_values_and_a_zero_limit() {
+    for (args, message) in [
+        (
+            &["run", "db", "--limit", "200000", "--scheme"][..],
+            "--scheme needs a value",
+        ),
+        (&["run", "db", "--limit"][..], "--limit needs a value"),
+        (
+            &["run", "db", "--limit", "--scheme", "pdm"][..],
+            "--limit needs a value",
+        ),
+        (
+            &["run", "db", "--limit", "0"][..],
+            "positive instruction count",
+        ),
+    ] {
+        let out = ace(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), "", "{args:?}");
+    }
 }

@@ -7,7 +7,7 @@ use ace::energy::EnergyModel;
 use ace::telemetry::{Event, EventKind, ReconfigCause, Telemetry};
 
 fn traced_run(workload: &str, limit: u64) -> (Vec<Event>, ace::core::HotspotReport) {
-    let (telemetry, ring) = Telemetry::ring(1 << 17);
+    let (telemetry, buffer) = Telemetry::buffered();
     let mut mgr = HotspotAceManager::new(
         HotspotManagerConfig::default(),
         EnergyModel::default_180nm(),
@@ -17,7 +17,7 @@ fn traced_run(workload: &str, limit: u64) -> (Vec<Event>, ace::core::HotspotRepo
         .telemetry(&telemetry)
         .run_with(&mut mgr)
         .expect("valid run");
-    (ring.snapshot(), mgr.report())
+    (buffer.drain(), mgr.report())
 }
 
 #[test]
