@@ -360,8 +360,9 @@ impl HotspotAceManager {
         self.warm = Some(context);
     }
 
-    /// Detaches the warm-start context, carrying the publications this
-    /// run buffered. `None` if warm start was never enabled.
+    /// Detaches the warm-start context, carrying the answers this run
+    /// read from it and the publications it buffered. `None` if warm
+    /// start was never enabled.
     pub fn take_warm_start(&mut self) -> Option<WarmStartContext> {
         self.warm.take()
     }
@@ -518,7 +519,7 @@ impl HotspotAceManager {
                     let mask = cu_mask_of(state.tuner.configs());
                     let saved = (state.tuner.list_len() as u32).saturating_sub(1);
                     let mut adopted = None;
-                    if let Some(ctx) = &self.warm {
+                    if let Some(ctx) = self.warm.as_mut() {
                         let sig = HotspotSignature::new(avg, m.ipc, mask, ctx.version());
                         adopted = ctx.lookup(sig);
                         if adopted.is_some() {

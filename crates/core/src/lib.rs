@@ -73,5 +73,5 @@ pub use scheme::{
 };
 pub use tuner::ConfigTuner;
 pub use warm::{
-    cu_mask_of, registry_version, HotspotSignature, StorePublication, WarmStartContext,
+    cu_mask_of, registry_version, HotspotSignature, StoreAnswer, StorePublication, WarmStartContext,
 };

@@ -69,7 +69,8 @@ pub struct SchemeCtx<'a> {
 pub trait WarmStartCapable {
     /// Attaches a frozen snapshot of the shared tuning store.
     fn set_warm_start(&mut self, context: WarmStartContext);
-    /// Detaches the context, carrying this run's buffered publications.
+    /// Detaches the context, carrying the answers this run read from it
+    /// and its buffered publications.
     fn take_warm_start(&mut self) -> Option<WarmStartContext>;
 }
 

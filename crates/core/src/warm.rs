@@ -8,9 +8,10 @@
 //! entries published by one machine match equivalent hotspots on another.
 //! This module holds the pieces the manager needs: the signature, and a
 //! [`WarmStartContext`] carrying a read-only snapshot of the store into a
-//! run plus the publications made during it. The store itself (persistence,
-//! eviction, merging) lives in `ace-fleet`; `ace-core` stays free of any
-//! I/O or cross-machine concerns.
+//! run, plus the answers the run read from it and the publications it
+//! made. The store itself (persistence, eviction, merging) lives in
+//! `ace-fleet`; `ace-core` stays free of any I/O or cross-machine
+//! concerns.
 
 use crate::cu::AceConfig;
 use ace_sim::{CuId, CuRegistry};
@@ -131,18 +132,30 @@ pub struct StorePublication {
     pub trials: u32,
 }
 
+/// One read of the store: the signature a run looked up and the
+/// configuration the snapshot answered with (`None` for a miss).
+pub type StoreAnswer = (HotspotSignature, Option<AceConfig>);
+
 /// What one run sees of the shared tuning store: a frozen snapshot for
-/// lookups, plus a buffer of publications the run makes.
+/// lookups, plus a record of the answers it gave and a buffer of
+/// publications the run makes.
 ///
 /// The snapshot is immutable for the whole run — concurrent machines in a
 /// fleet wave all read the same state, which is what keeps fleet results
 /// byte-identical at any worker count. Publications are buffered here and
 /// merged into the store by the fleet driver afterwards, in deterministic
 /// machine order.
+///
+/// [`WarmStartContext::lookup`] is a run's only read of the store, and it
+/// records every answer. A run is deterministic given its inputs, so a
+/// run whose program, seed and limit are unchanged and whose recorded
+/// answers a later snapshot gives again
+/// ([`WarmStartContext::agrees_with`]) would repeat itself exactly.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStartContext {
     version: u16,
     entries: HashMap<u64, AceConfig>,
+    answers: Vec<StoreAnswer>,
     publications: Vec<StorePublication>,
 }
 
@@ -152,6 +165,7 @@ impl WarmStartContext {
         WarmStartContext {
             version,
             entries: HashMap::new(),
+            answers: Vec::new(),
             publications: Vec::new(),
         }
     }
@@ -166,9 +180,20 @@ impl WarmStartContext {
         self.entries.insert(signature.packed(), config);
     }
 
-    /// Looks a signature up in the snapshot.
-    pub fn lookup(&self, signature: HotspotSignature) -> Option<AceConfig> {
-        self.entries.get(&signature.packed()).copied()
+    /// Looks a signature up in the snapshot and records the answer, hit
+    /// or miss.
+    pub fn lookup(&mut self, signature: HotspotSignature) -> Option<AceConfig> {
+        let answer = self.entries.get(&signature.packed()).copied();
+        self.answers.push((signature, answer));
+        answer
+    }
+
+    /// `true` when this snapshot gives each of `answers` again. Records
+    /// nothing.
+    pub fn agrees_with(&self, answers: &[StoreAnswer]) -> bool {
+        answers
+            .iter()
+            .all(|&(signature, answer)| self.entries.get(&signature.packed()).copied() == answer)
     }
 
     /// Number of entries in the snapshot.
@@ -195,6 +220,12 @@ impl WarmStartContext {
     /// Consumes the context, returning the buffered publications.
     pub fn into_publications(self) -> Vec<StorePublication> {
         self.publications
+    }
+
+    /// Consumes the context, returning the buffered publications and
+    /// every answer [`WarmStartContext::lookup`] gave, in order.
+    pub fn into_parts(self) -> (Vec<StorePublication>, Vec<StoreAnswer>) {
+        (self.publications, self.answers)
     }
 }
 
@@ -281,5 +312,37 @@ mod tests {
         });
         assert_eq!(ctx.publications().len(), 1);
         assert_eq!(ctx.into_publications().len(), 1);
+    }
+
+    #[test]
+    fn context_records_its_answers_in_order() {
+        let mut ctx = WarmStartContext::new(3);
+        let (hit, miss) = (
+            HotspotSignature::new(200_000, 2.0, 0b10, 3),
+            HotspotSignature::new(200_000, 1.0, 0b10, 3),
+        );
+        let cfg = AceConfig::l1d_only(SizeLevel::SMALLEST);
+        ctx.insert(hit, cfg);
+        let snapshot = ctx.clone();
+        assert_eq!(ctx.lookup(miss), None);
+        assert_eq!(ctx.lookup(hit), Some(cfg));
+        assert_eq!(ctx.lookup(miss), None);
+        let answers = [(miss, None), (hit, Some(cfg)), (miss, None)];
+        let (publications, recorded) = ctx.into_parts();
+        assert!(publications.is_empty());
+        assert_eq!(recorded, answers, "hits and misses, in order");
+
+        // The snapshot it was cloned from gives the same answers; one
+        // whose entry changed or appeared does not. Checking records
+        // nothing.
+        assert!(snapshot.agrees_with(&answers));
+        assert!(snapshot.clone().into_parts().1.is_empty());
+        let mut changed = snapshot.clone();
+        changed.insert(hit, AceConfig::l1d_only(SizeLevel::new(1).unwrap()));
+        assert!(!changed.agrees_with(&answers));
+        let mut grown = snapshot.clone();
+        grown.insert(miss, cfg);
+        assert!(!grown.agrees_with(&answers));
+        assert!(grown.agrees_with(&answers[1..2]));
     }
 }

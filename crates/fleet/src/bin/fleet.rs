@@ -24,7 +24,9 @@
 //! * `--fresh` — ignore a cached fleet report and re-run.
 //! * `--assert-warm-hits` — exit nonzero unless the warm pass hit the
 //!   store (the CI smoke gate).
-//! * `--telemetry <path>` — stream decision events as JSONL.
+//! * `--telemetry <path>` — stream decision events as JSONL. Forces a
+//!   live, uncached run, as the observability flags below do; a traced
+//!   pass simulates every machine, so the warm pass reuses no runs.
 //! * `--check-cache` — validate `results/fleet-*.json` against current
 //!   cache keys and exit (the fleet half of `check_results`).
 //! * `--corpus <N>` — run the generated-workload store oracle and exit:
@@ -272,8 +274,10 @@ fn main() -> ExitCode {
 
     // The report cache only describes a run that started from an empty
     // store; a preloaded store changes the cold pass and bypasses it.
+    // Events, like obs records, come only from passes that run.
     let cache_path = dir.join(fleet_cache_file_name(&args.cfg));
-    if !args.fresh && !args.obs_requested() && preloaded == 0 && args.cacheable {
+    let must_run = args.fresh || args.obs_requested() || telemetry.is_enabled();
+    if !must_run && preloaded == 0 && args.cacheable {
         if let Ok(cache) = FleetCache::load(&cache_path) {
             if cache.key == fleet_cache_key(&args.cfg) {
                 print!("{}", cache.report);
@@ -295,7 +299,7 @@ fn main() -> ExitCode {
     let mut warm_obs = obs.then(|| ObsSampler::new("warm").live(args.live));
 
     let start = Instant::now();
-    let cold = match run_fleet_observed(
+    let (cold, cold_counts) = match run_fleet_observed(
         &args.cfg,
         &mut store,
         args.jobs,
@@ -308,7 +312,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let warm = match run_fleet_observed(
+    let (warm, warm_counts) = match run_fleet_observed(
         &args.cfg,
         &mut store,
         args.jobs,
@@ -326,13 +330,18 @@ fn main() -> ExitCode {
     print!("{report}");
 
     // Throughput is schedule-dependent: stderr only, never the report.
+    // It splits into the machines that simulated and those whose runs
+    // came whole from the store's run ledger.
     let machines = (cold.ran() + warm.ran()) as f64;
+    let reused = cold_counts.runs_reused + warm_counts.runs_reused;
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
     eprintln!(
-        "throughput: {:.1} machines/sec ({} machines in {:.1}s, {} jobs)",
+        "throughput: {:.1} machines/sec ({} machines in {:.1}s: {} simulated, {} reused; {} jobs)",
         machines / elapsed,
         machines as u64,
         elapsed,
+        machines as u64 - reused,
+        reused,
         args.jobs
     );
 

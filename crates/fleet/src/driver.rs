@@ -15,20 +15,26 @@
 //! counted in [`FleetOutcome::shed`]. Wall-clock throughput is returned
 //! separately ([`FleetOutcome::wall`]) and must never enter the
 //! deterministic report text.
+//!
+//! Reuse: a managed run is a pure function of its program, seed and
+//! limit and of the answers its lookups get from the snapshot. The
+//! store's run ledger keeps each finished run with those answers, so an
+//! untraced machine whose recorded answers the wave's snapshot gives
+//! again takes its run from the ledger and simulates nothing (see
+//! [`run_fleet`]).
 
-use crate::store::{BaselineKey, BaselineLedger, TuningStore};
+use crate::store::{LedgerEntry, RunKey, RunLedger, TuningStore};
 use crate::FLEET_SCHEMA_VERSION;
 use ace_bench::{run_jobs, BenchError, BenchResult, Job};
 use ace_core::{
-    registry_version, Experiment, Leg, NullManager, SchemeCtx, SchemeRegistry, StorePublication,
-    WarmStartContext,
+    registry_version, Experiment, Leg, NullManager, SchemeCtx, SchemeRegistry, StoreAnswer,
+    StorePublication, WarmStartContext,
 };
 use ace_energy::EnergyModel;
 use ace_runtime::DoConfig;
 use ace_sim::MachineConfig;
 use ace_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The registry version fleet stores are stamped with: the fingerprint of
@@ -83,8 +89,8 @@ pub struct FleetConfig {
     pub instruction_limit: u64,
     /// Whether each machine reports a non-adaptive baseline for energy
     /// accounting (the binary needs it, tests may not). A baseline is a
-    /// pure function of program, seed and limit, so the store's ledger
-    /// remembers it: a machine whose baseline the session already
+    /// pure function of program, seed and limit, so the store's run
+    /// ledger remembers it: a machine whose baseline the session already
     /// measured reuses it and runs one leg. Otherwise the baseline leg
     /// shares the managed leg's executor stream, adding a second
     /// simulated machine to the job but no second instruction stream.
@@ -179,14 +185,17 @@ impl FleetConfig {
     }
 }
 
-/// Baseline legs a wave or pass simulated, and baselines it took from
-/// the store's ledger instead.
+/// How a wave or pass used the store's run ledger: the baseline legs it
+/// simulated, and the baselines and whole runs it took from the ledger
+/// instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BaselineCounts {
+pub struct LedgerCounts {
     /// Baselines simulated as a second leg.
-    pub measured: u64,
-    /// Baselines reused from the ledger.
-    pub reused: u64,
+    pub baselines_measured: u64,
+    /// Baselines taken from the ledger, those of reused runs included.
+    pub baselines_reused: u64,
+    /// Machine runs taken whole from the ledger, simulating nothing.
+    pub runs_reused: u64,
 }
 
 /// The deterministic per-machine result row.
@@ -341,10 +350,22 @@ fn aggregate_saving(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
 /// returned outcome (and the store's final state) is byte-identical at
 /// any `jobs` width.
 ///
-/// A machine whose baseline the store's ledger already holds (same
-/// program content, seed and limit) reuses it instead of running the
-/// baseline leg; newly measured baselines join the ledger at the wave
-/// barrier, in machine-index order, like publications.
+/// Each machine first looks up its last run in the store's run ledger
+/// (same program content, seed and limit). It reuses that run whole,
+/// simulating nothing, when all three hold:
+///
+/// * the pass is untraced: a traced run exists to emit its events, and
+///   a reused one would emit none;
+/// * the run has a baseline exactly when `cfg.measure_baseline` asks
+///   for one;
+/// * the wave's snapshot gives every answer the run's lookups read.
+///
+/// Such a run would repeat itself bit for bit, so it hands back its
+/// recorded outcome and publications. Otherwise the machine simulates,
+/// taking only the baseline from the ledger when there is one. Simulated
+/// runs join the ledger at the wave barrier, in machine-index order,
+/// like publications, and machines read a frozen copy of it, so reuse
+/// is the same at any `jobs` width.
 ///
 /// # Errors
 ///
@@ -358,7 +379,7 @@ pub fn run_fleet(
     jobs: usize,
     telemetry: &Telemetry,
 ) -> BenchResult<FleetOutcome> {
-    run_fleet_observed(cfg, store, jobs, telemetry, None)
+    run_fleet_observed(cfg, store, jobs, telemetry, None).map(|(outcome, _)| outcome)
 }
 
 /// [`run_fleet`] with a wave-health sampler attached: after every wave's
@@ -367,7 +388,8 @@ pub fn run_fleet(
 /// `"wave"` telemetry span stamped with the fleet's cumulative retired
 /// instructions and (IPC-derived) cycles — harness-level spans that
 /// never enter the per-machine event streams. With `obs` `None` and
-/// telemetry off, the path is identical to the pre-obs driver.
+/// telemetry off, the path is identical to the pre-obs driver. Beside
+/// the outcome it returns how the pass used the store's run ledger.
 ///
 /// # Errors
 ///
@@ -378,7 +400,7 @@ pub fn run_fleet_observed(
     jobs: usize,
     telemetry: &Telemetry,
     mut obs: Option<&mut crate::obs::ObsSampler>,
-) -> BenchResult<FleetOutcome> {
+) -> BenchResult<(FleetOutcome, LedgerCounts)> {
     if store.version() != fleet_registry_version() {
         return Err(BenchError::msg(format!(
             "store registry version {:#06x} does not match the fleet machines' {:#06x}",
@@ -396,7 +418,7 @@ pub fn run_fleet_observed(
         wall: Duration::ZERO,
     };
     let mut failures: Vec<String> = Vec::new();
-    let mut pass_baselines = BaselineCounts::default();
+    let mut pass_counts = LedgerCounts::default();
     // Span stamps are fleet-cumulative architectural counters: retired
     // instructions summed over merged machines, cycles derived from each
     // machine's deterministic IPC. Purely wave-indexed — no wall clock —
@@ -411,43 +433,49 @@ pub fn run_fleet_observed(
         let wave_start = outcome.machines.len();
         let span = telemetry.span_at("wave", cum_instret, cum_cycle);
         let snapshot = store.snapshot();
-        // Baselines are looked up in a frozen copy of the ledger, as
+        // Runs are looked up in a frozen copy of the ledger, as
         // selections are in the snapshot.
-        let ledger = cfg
-            .measure_baseline
-            .then(|| Arc::new(store.baselines().clone()));
         let pool: Vec<Job<MachineRun>> = admitted
             .iter()
             .map(|spec| {
                 let spec = spec.clone();
                 let snapshot = snapshot.clone();
-                let ledger = ledger.clone();
-                let limit = cfg.instruction_limit;
+                let ledger = store.runs();
+                let (limit, baseline) = (cfg.instruction_limit, cfg.measure_baseline);
                 Job::new(
                     format!("m{}/{}#{}", spec.index, spec.preset, spec.seed),
-                    move |tel| run_machine(spec, snapshot, ledger.as_deref(), limit, tel),
+                    move |tel| run_machine(spec, snapshot, &ledger, limit, baseline, tel),
                 )
             })
             .collect();
-        let mut wave_baselines = BaselineCounts::default();
+        let mut wave_counts = LedgerCounts::default();
         for job_outcome in run_jobs(pool, jobs, telemetry) {
             outcome.wall += job_outcome.wall;
             match job_outcome.result {
                 Ok(MachineRun {
                     outcome: machine,
                     publications,
-                    measured,
+                    simulated,
                 }) => {
-                    for publication in publications {
+                    for &publication in &publications {
                         store.publish(publication)?;
                     }
-                    match measured {
-                        Some((key, baseline)) => {
-                            store.record_baseline(key, baseline);
-                            wave_baselines.measured += 1;
-                        }
-                        None if machine.baseline.is_some() => wave_baselines.reused += 1,
-                        None => {}
+                    let baseline_measured = simulated.as_ref().is_some_and(|s| s.baseline_measured);
+                    if baseline_measured {
+                        wave_counts.baselines_measured += 1;
+                    } else if machine.baseline.is_some() {
+                        wave_counts.baselines_reused += 1;
+                    }
+                    match simulated {
+                        Some(Simulated { key, answers, .. }) => store.record_run(
+                            key,
+                            LedgerEntry {
+                                outcome: machine.clone(),
+                                publications,
+                                answers,
+                            },
+                        ),
+                        None => wave_counts.runs_reused += 1,
                     }
                     cum_instret += machine.instret;
                     if machine.ipc > 0.0 {
@@ -459,8 +487,9 @@ pub fn run_fleet_observed(
             }
         }
         span.end_at(cum_instret, cum_cycle);
-        pass_baselines.measured += wave_baselines.measured;
-        pass_baselines.reused += wave_baselines.reused;
+        pass_counts.baselines_measured += wave_counts.baselines_measured;
+        pass_counts.baselines_reused += wave_counts.baselines_reused;
+        pass_counts.runs_reused += wave_counts.runs_reused;
         if !failures.is_empty() {
             break;
         }
@@ -470,7 +499,7 @@ pub fn run_fleet_observed(
                 &outcome.machines[wave_start..],
                 wave_shed,
                 store.len(),
-                wave_baselines,
+                wave_counts,
             );
         }
     }
@@ -485,41 +514,68 @@ pub fn run_fleet_observed(
         metrics.counter("fleet.waves").add(outcome.waves as u64);
         metrics
             .counter("fleet.baselines_measured")
-            .add(pass_baselines.measured);
+            .add(pass_counts.baselines_measured);
         metrics
             .counter("fleet.baselines_reused")
-            .add(pass_baselines.reused);
+            .add(pass_counts.baselines_reused);
+        metrics
+            .counter("fleet.runs_reused")
+            .add(pass_counts.runs_reused);
     }
     if !failures.is_empty() {
         return Err(BenchError::msg(failures.join("; ")));
     }
-    Ok(outcome)
+    Ok((outcome, pass_counts))
 }
 
 /// What one machine job hands back to the wave barrier.
 struct MachineRun {
     outcome: MachineOutcome,
     publications: Vec<StorePublication>,
-    /// The baseline the job simulated, for the store's ledger.
-    measured: Option<(BaselineKey, (f64, f64, f64))>,
+    /// `None` when the run was taken whole from the ledger.
+    simulated: Option<Simulated>,
 }
 
-/// Runs one machine. `ledger` is the wave's frozen copy of the store's
-/// baseline ledger, or `None` when the fleet measures no baselines.
+/// What the barrier records of a simulated run.
+struct Simulated {
+    key: RunKey,
+    answers: Vec<StoreAnswer>,
+    /// Whether the baseline leg ran.
+    baseline_measured: bool,
+}
+
+/// Runs one machine, or takes its run from `ledger`, the wave's frozen
+/// copy of the store's run ledger (see [`run_fleet`]).
 fn run_machine(
     spec: MachineSpec,
     snapshot: WarmStartContext,
-    ledger: Option<&BaselineLedger>,
+    ledger: &RunLedger,
     limit: u64,
+    measure_baseline: bool,
     telemetry: &Telemetry,
 ) -> BenchResult<MachineRun> {
     let program = ace_workloads::WorkloadRegistry::builtin()
         .resolve_program(&spec.preset)
         .map_err(|e| BenchError::msg(e.to_string()))?;
-    let baseline_key = ledger.map(|_| BaselineKey::new(&program, spec.seed, limit));
-    let known = ledger
-        .zip(baseline_key)
-        .and_then(|(ledger, key)| ledger.get(&key).copied());
+    let key = RunKey::new(&program, spec.seed, limit);
+    let last = ledger.get(&key);
+    if let Some(last) = last.filter(|last| {
+        !telemetry.is_enabled()
+            && last.outcome.baseline.is_some() == measure_baseline
+            && snapshot.agrees_with(&last.answers)
+    }) {
+        return Ok(MachineRun {
+            outcome: MachineOutcome {
+                spec,
+                ..last.outcome.clone()
+            },
+            publications: last.publications.clone(),
+            simulated: None,
+        });
+    }
+    let known = last
+        .and_then(|last| last.outcome.baseline)
+        .filter(|_| measure_baseline);
     let registry = SchemeRegistry::builtin();
     let scheme = registry
         .get(FLEET_SCHEME)
@@ -542,7 +598,8 @@ fn run_machine(
     // the ledger already holds is not simulated again.
     let (mut base, untraced) = (NullManager, Telemetry::off());
     let mut legs = vec![Leg::new(&mut *mgr, telemetry)];
-    if baseline_key.is_some() && known.is_none() {
+    let baseline_measured = measure_baseline && known.is_none();
+    if baseline_measured {
         legs.push(Leg::new(&mut base, &untraced));
     }
     let mut records = Experiment::program(program)
@@ -559,10 +616,10 @@ fn run_machine(
     if let Some(metrics) = telemetry.metrics() {
         report.record_metrics(metrics);
     }
-    let publications = mgr
+    let (publications, answers) = mgr
         .warm_start()
         .and_then(|ws| ws.take_warm_start())
-        .map(WarmStartContext::into_publications)
+        .map(WarmStartContext::into_parts)
         .unwrap_or_default();
     let machine = MachineOutcome {
         ipc: record.ipc,
@@ -581,7 +638,11 @@ fn run_machine(
     Ok(MachineRun {
         outcome: machine,
         publications,
-        measured: baseline_key.zip(measured),
+        simulated: Some(Simulated {
+            key,
+            answers,
+            baseline_measured,
+        }),
     })
 }
 
@@ -653,6 +714,7 @@ pub fn render_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::PublishOutcome;
 
     #[test]
     fn presets_expand_deterministically() {
@@ -727,5 +789,64 @@ mod tests {
         // Shed machines are the wave tails: indices 3 and 7 never ran.
         let ran: Vec<usize> = out.machines.iter().map(|m| m.spec.index).collect();
         assert_eq!(ran, vec![0, 1, 2, 4, 5, 6]);
+    }
+
+    /// A run the ledger holds is reused only while the snapshot answers
+    /// its lookups the same way. After the cold pass, a lower-EPI entry
+    /// with another configuration lands under a signature that a
+    /// reusable run hit. The warm pass simulates that machine, and gets
+    /// what a warm pass over a store without a ledger gets.
+    #[test]
+    fn a_changed_answer_forces_simulation() {
+        let dir = std::env::temp_dir().join(format!("ace_fleet_changed_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = FleetConfig::preset("smoke").unwrap();
+        cfg.presets = vec!["db".into(), "jess".into()];
+        cfg.machines = 4;
+        cfg.wave_size = 2;
+        cfg.admit_limit = 2;
+        let (version, capacity) = (fleet_registry_version(), TuningStore::DEFAULT_CAPACITY);
+        let log = dir.join("store.jsonl");
+        let mut session = TuningStore::open(&log, version, capacity).unwrap();
+        run_fleet(&cfg, &mut session, 2, &Telemetry::off()).unwrap();
+
+        let snapshot = session.snapshot();
+        let runs = session.runs();
+        let (last, signature, answer) = runs
+            .values()
+            .filter(|last| snapshot.agrees_with(&last.answers))
+            .find_map(|last| {
+                last.answers
+                    .iter()
+                    .find_map(|&(signature, answer)| answer.map(|a| (last, signature, a)))
+            })
+            .expect("the warm pass could reuse a run that hit the store");
+        let (cu, level) = answer.touched_units().next().unwrap();
+        let other = answer.with(cu, level.smaller().or(level.larger()).unwrap());
+        let entry = *session.get(signature).unwrap();
+        let changed = StorePublication {
+            signature,
+            config: other,
+            ipc: entry.ipc,
+            epi_nj: entry.epi_nj / 2.0,
+            trials: 1,
+        };
+        assert_eq!(session.publish(changed).unwrap(), PublishOutcome::Improved);
+        let replay_log = dir.join("replay.jsonl");
+        std::fs::copy(&log, &replay_log).unwrap();
+        let mut reopened = TuningStore::open(&replay_log, version, capacity).unwrap();
+
+        let (warm, _) = run_fleet_observed(&cfg, &mut session, 2, &Telemetry::off(), None).unwrap();
+        let (fresh, counts) =
+            run_fleet_observed(&cfg, &mut reopened, 2, &Telemetry::off(), None).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(counts.runs_reused, 0, "a reopened store has no runs");
+        let machine = &warm.machines[last.outcome.spec.index];
+        assert_ne!(machine, &last.outcome, "the changed answer changes the run");
+        assert_eq!(machine, &fresh.machines[last.outcome.spec.index]);
+        assert_eq!(
+            serde_json::to_string(&warm).unwrap(),
+            serde_json::to_string(&fresh).unwrap()
+        );
     }
 }

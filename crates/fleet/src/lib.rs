@@ -13,7 +13,7 @@
 //! * [`TuningStore`] — the persistent store: in-memory map + append-only
 //!   JSONL log, better-epi-wins merging, registry-version staleness,
 //!   bounded capacity with oldest-first eviction, and an in-memory
-//!   ledger of the session's measured baselines ([`store`]).
+//!   ledger of the session's finished machine runs ([`store`]).
 //! * [`run_fleet`] — the wave-based driver on the work-stealing engine,
 //!   with an admission layer (bounded in-flight machines, load-shedding
 //!   counter) and deterministic machine-index-order merging ([`driver`]).
@@ -40,7 +40,7 @@ pub mod store;
 pub use corpus::{fleet_fingerprints, outcome_fingerprint, run_corpus_oracle, store_fingerprint};
 pub use driver::{
     fleet_do_config, fleet_registry_version, render_report, run_fleet, run_fleet_observed,
-    BaselineCounts, FleetConfig, FleetOutcome, MachineOutcome, MachineSpec,
+    FleetConfig, FleetOutcome, LedgerCounts, MachineOutcome, MachineSpec,
 };
 pub use obs::{render_wave_line, ObsGate, ObsGateLine, ObsGateReport, ObsSampler, WaveHealth};
 pub use store::{PublishOutcome, StoreEntry, TuningStore};

@@ -19,7 +19,7 @@
 //!   convergence-slowdown checks with a typed [`ObsGateReport`] that CI
 //!   turns into an exit code.
 
-use crate::driver::{BaselineCounts, MachineOutcome};
+use crate::driver::{LedgerCounts, MachineOutcome};
 use ace_telemetry::{Metrics, ObsRecord};
 use serde::{Deserialize, Serialize};
 
@@ -191,15 +191,15 @@ impl ObsSampler {
     /// Folds one merged wave into the sampler. `wave` is 1-based;
     /// `machines` is the slice of outcomes the wave produced (in
     /// machine-index order), `shed` the machines this wave dropped,
-    /// `store_len` the store size after the wave's merge, and
-    /// `baselines` the wave's simulated and reused baselines.
+    /// `store_len` the store size after the wave's merge, and `ledger`
+    /// how the wave used the store's run ledger.
     pub fn record_wave(
         &mut self,
         wave: u64,
         machines: &[MachineOutcome],
         shed: u64,
         store_len: usize,
-        baselines: BaselineCounts,
+        ledger: LedgerCounts,
     ) {
         let ipc_hist = self.metrics.histogram("fleet.machine_ipc", &IPC_BOUNDS);
         let epi_hist = self.metrics.histogram("fleet.machine_epi_nj", &EPI_BOUNDS);
@@ -237,8 +237,9 @@ impl ObsSampler {
             "fleet.publishes",
             machines.iter().map(|m| m.store_publishes).sum(),
         );
-        c("fleet.baselines_measured", baselines.measured);
-        c("fleet.baselines_reused", baselines.reused);
+        c("fleet.baselines_measured", ledger.baselines_measured);
+        c("fleet.baselines_reused", ledger.baselines_reused);
+        c("fleet.runs_reused", ledger.runs_reused);
 
         let health = WaveHealth {
             wave,
@@ -445,9 +446,9 @@ mod tests {
             &[machine(0, 1.0, 0, 2, 16), machine(1, 1.2, 0, 2, 16)],
             1,
             3,
-            BaselineCounts {
-                measured: 2,
-                reused: 0,
+            LedgerCounts {
+                baselines_measured: 2,
+                ..LedgerCounts::default()
             },
         );
         s.record_wave(
@@ -455,9 +456,10 @@ mod tests {
             &[machine(2, 1.4, 2, 0, 4)],
             0,
             5,
-            BaselineCounts {
-                measured: 0,
-                reused: 1,
+            LedgerCounts {
+                baselines_reused: 1,
+                runs_reused: 1,
+                ..LedgerCounts::default()
             },
         );
         assert_eq!(s.records().len(), 2);
@@ -486,6 +488,8 @@ mod tests {
         assert_eq!(w2.counters["fleet.baselines_measured"], 2);
         assert_eq!(delta.counters["fleet.baselines_measured"], 0);
         assert_eq!(delta.counters["fleet.baselines_reused"], 1);
+        assert_eq!(w1.counters["fleet.runs_reused"], 0);
+        assert_eq!(delta.counters["fleet.runs_reused"], 1);
     }
 
     #[test]
@@ -496,7 +500,7 @@ mod tests {
             &[machine(0, 1.0, 0, 1, 8)],
             0,
             1,
-            BaselineCounts::default(),
+            LedgerCounts::default(),
         );
         let snap = &s.records()[0].metrics;
         for name in snap
@@ -520,14 +524,14 @@ mod tests {
             &[machine(0, 1.0, 3, 1, 4), machine(1, 1.1, 3, 1, 4)],
             0,
             4,
-            BaselineCounts::default(),
+            LedgerCounts::default(),
         );
         s.record_wave(
             2,
             &[machine(2, 1.0, 4, 0, 1)],
             0,
             4,
-            BaselineCounts::default(),
+            LedgerCounts::default(),
         );
         let healthy = ObsGate {
             max_shed_rate: 0.1,
@@ -558,14 +562,14 @@ mod tests {
             &[machine(0, 1.0, 0, 1, 4)],
             0,
             1,
-            BaselineCounts::default(),
+            LedgerCounts::default(),
         );
         s.record_wave(
             2,
             &[machine(1, 1.0, 0, 1, 16)],
             3,
             1,
-            BaselineCounts::default(),
+            LedgerCounts::default(),
         );
         let report = ObsGate {
             max_shed_rate: 0.25,
@@ -597,7 +601,7 @@ mod tests {
             &[machine(0, 1.25, 1, 1, 2)],
             0,
             7,
-            BaselineCounts::default(),
+            LedgerCounts::default(),
         );
         let line = render_wave_line("warm", &s.health()[0]);
         assert!(line.contains("obs[warm] wave   1"), "{line}");

@@ -22,20 +22,26 @@
 //! * **bounded capacity** — past `capacity` entries the oldest entry
 //!   (smallest publication stamp) is evicted.
 //!
-//! Beside the selections, a store carries a **baseline ledger**: the
-//! non-adaptive baselines its fleet session has measured, by program
-//! content, seed and limit. The ledger is session state. It is never
-//! logged and never enters [`TuningStore::entries_sorted`], snapshots
-//! or store fingerprints, so a reopened store starts with an empty
-//! ledger.
+//! Beside the selections, a store carries a **run ledger**: the fleet
+//! machine runs its session has finished, by program content, seed and
+//! limit. Each entry keeps the run's [`MachineOutcome`], its
+//! publications and the answers its manager read from the snapshot, so
+//! the driver can reuse a whole run that the current snapshot would
+//! answer the same way, or else just its baseline (see
+//! [`crate::driver::run_fleet`]). The ledger is session state. It is
+//! never logged and never enters [`TuningStore::entries_sorted`],
+//! snapshots or store fingerprints, so a reopened store starts with an
+//! empty ledger.
 
+use crate::driver::MachineOutcome;
 use ace_bench::{BenchError, BenchResult};
-use ace_core::{AceConfig, HotspotSignature, StorePublication, WarmStartContext};
+use ace_core::{AceConfig, HotspotSignature, StoreAnswer, StorePublication, WarmStartContext};
 use ace_workloads::Program;
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// One stored selection plus its bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,13 +71,14 @@ pub enum PublishOutcome {
     Stale,
 }
 
-/// Everything a fleet machine's non-adaptive baseline depends on that
-/// varies between machines: the resolved program, the executor seed and
-/// the instruction limit. The machine, DO and energy profiles are fleet
-/// constants; a key must grow a field for any of them that starts to
-/// vary.
+/// Everything a fleet machine's run depends on that varies between
+/// machines, apart from the store's answers: the resolved program, the
+/// executor seed and the instruction limit. The machine, DO and energy
+/// profiles, the scheme and the store's registry version are constants
+/// of a fleet session; a key must grow a field for any of them that
+/// starts to vary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct BaselineKey {
+pub(crate) struct RunKey {
     /// Digest of the program's content. A spec path names a file that
     /// can be rewritten, so the program is keyed by content, not by name.
     program: u64,
@@ -81,15 +88,15 @@ pub(crate) struct BaselineKey {
     instruction_limit: u64,
 }
 
-impl BaselineKey {
-    /// The key of a baseline run of `program` at `seed` for
-    /// `instruction_limit` instructions.
-    pub(crate) fn new(program: &Program, seed: u64, instruction_limit: u64) -> BaselineKey {
+impl RunKey {
+    /// The key of a run of `program` at `seed` for `instruction_limit`
+    /// instructions.
+    pub(crate) fn new(program: &Program, seed: u64, instruction_limit: u64) -> RunKey {
         // Every `DefaultHasher::new()` hashes alike within a process,
         // which is all a ledger that is never written needs.
         let mut digest = DefaultHasher::new();
         program.hash(&mut digest);
-        BaselineKey {
+        RunKey {
             program: digest.finish(),
             seed,
             instruction_limit,
@@ -97,9 +104,19 @@ impl BaselineKey {
     }
 }
 
-/// The baseline ledger: `(ipc, l1d_nj, l2_nj)` of each measured
-/// non-adaptive baseline, by key.
-pub(crate) type BaselineLedger = HashMap<BaselineKey, (f64, f64, f64)>;
+/// One finished machine run, as the run ledger keeps it.
+#[derive(Debug, Clone)]
+pub(crate) struct LedgerEntry {
+    /// The machine's result row, with its baseline when it had one.
+    pub(crate) outcome: MachineOutcome,
+    /// What the run published, in convergence order.
+    pub(crate) publications: Vec<StorePublication>,
+    /// What the run's lookups read from its snapshot, in order.
+    pub(crate) answers: Vec<StoreAnswer>,
+}
+
+/// The run ledger: the last finished run of each key.
+pub(crate) type RunLedger = HashMap<RunKey, LedgerEntry>;
 
 /// The fleet's shared tuning store. See the module docs for semantics.
 #[derive(Debug)]
@@ -112,7 +129,7 @@ pub struct TuningStore {
     stale_dropped: u64,
     torn_tail_dropped: u64,
     log: Option<PathBuf>,
-    baselines: BaselineLedger,
+    runs: Arc<RunLedger>,
 }
 
 impl TuningStore {
@@ -132,7 +149,7 @@ impl TuningStore {
             stale_dropped: 0,
             torn_tail_dropped: 0,
             log: None,
-            baselines: HashMap::new(),
+            runs: Arc::default(),
         }
     }
 
@@ -262,15 +279,17 @@ impl TuningStore {
         ctx
     }
 
-    /// The non-adaptive baselines recorded in this session.
-    pub(crate) fn baselines(&self) -> &BaselineLedger {
-        &self.baselines
+    /// The runs recorded in this session. Machines read this shared copy
+    /// while a wave runs; [`TuningStore::record_run`] copies it first if
+    /// a wave still holds it, so their view stays frozen.
+    pub(crate) fn runs(&self) -> Arc<RunLedger> {
+        Arc::clone(&self.runs)
     }
 
-    /// Records a measured baseline in the ledger (memory only; see the
-    /// module docs).
-    pub(crate) fn record_baseline(&mut self, key: BaselineKey, baseline: (f64, f64, f64)) {
-        self.baselines.insert(key, baseline);
+    /// Records a finished run in the ledger, replacing the key's earlier
+    /// run (memory only; see the module docs).
+    pub(crate) fn record_run(&mut self, key: RunKey, entry: LedgerEntry) {
+        Arc::make_mut(&mut self.runs).insert(key, entry);
     }
 
     /// Merges one publication into the store and, when it was applied
@@ -510,7 +529,7 @@ mod tests {
     fn snapshot_is_frozen() {
         let mut store = TuningStore::in_memory(7, 16);
         store.publish(publication(1, 0.5)).unwrap();
-        let snap = store.snapshot();
+        let mut snap = store.snapshot();
         store.publish(publication(2, 0.5)).unwrap();
         assert_eq!(snap.len(), 1, "snapshot does not see later publishes");
         assert_eq!(snap.version(), 7);

@@ -1,9 +1,10 @@
 //! End-to-end fleet behavior: determinism across worker counts, the
 //! pinned event stream of a two-preset fleet, baselines equal to solo
-//! baseline runs whether measured or reused from the store's ledger,
-//! reuse keyed on program content, seed and limit, the warm-start
-//! payoff (a warm fleet measurably out-tunes a cold one), and store
-//! persistence across "process restarts".
+//! baseline runs whether measured or reused from the store's run ledger,
+//! whole runs reused from the ledger equal to simulated ones, traced
+//! passes that reuse no runs, reuse keyed on program content, seed and
+//! limit, the warm-start payoff (a warm fleet measurably out-tunes a
+//! cold one), and store persistence across "process restarts".
 //!
 //! Regenerate the event-stream fixture (only after an *intentional*
 //! behaviour change):
@@ -14,8 +15,8 @@
 
 use ace_core::{Experiment, NullManager};
 use ace_fleet::{
-    fleet_do_config, fleet_registry_version, render_report, run_fleet, store_fingerprint,
-    BaselineCounts, FleetConfig, FleetOutcome, TuningStore,
+    fleet_do_config, fleet_registry_version, render_report, run_fleet, run_fleet_observed,
+    store_fingerprint, FleetConfig, FleetOutcome, LedgerCounts, ObsSampler, TuningStore,
 };
 use ace_telemetry::{EventKind, Telemetry};
 use ace_workloads::{gen, GenParams};
@@ -53,35 +54,99 @@ struct Traced {
     entries: String,
 }
 
-/// One pass over `store` with its baseline counters, read from a
-/// fresh metrics registry.
+/// The ledger counters of a metrics registry.
+fn ledger_counts(metrics: &ace_telemetry::Metrics) -> LedgerCounts {
+    LedgerCounts {
+        baselines_measured: metrics.counter("fleet.baselines_measured").get(),
+        baselines_reused: metrics.counter("fleet.baselines_reused").get(),
+        runs_reused: metrics.counter("fleet.runs_reused").get(),
+    }
+}
+
+/// One traced pass over `store` with its ledger counters, read from a
+/// fresh metrics registry, and its per-kind event counts.
 fn counted_pass(
     cfg: &FleetConfig,
     store: &mut TuningStore,
     jobs: usize,
-) -> (FleetOutcome, BaselineCounts) {
+) -> (FleetOutcome, LedgerCounts, Vec<u64>) {
     let tel = Telemetry::counting();
     let out = run_fleet(cfg, store, jobs, &tel).expect("fleet pass");
-    let metrics = tel.metrics().expect("counting telemetry keeps metrics");
-    let counts = BaselineCounts {
-        measured: metrics.counter("fleet.baselines_measured").get(),
-        reused: metrics.counter("fleet.baselines_reused").get(),
-    };
+    let counts = ledger_counts(tel.metrics().expect("counting telemetry keeps metrics"));
+    let events = EventKind::ALL.iter().map(|&kind| tel.count(kind)).collect();
+    (out, counts, events)
+}
+
+/// One untraced pass over `store` with its ledger counters, read from
+/// an obs sampler.
+fn observed_pass(
+    cfg: &FleetConfig,
+    store: &mut TuningStore,
+    jobs: usize,
+) -> (FleetOutcome, LedgerCounts) {
+    let mut sampler = ObsSampler::new("pass");
+    let (out, counts) = run_fleet_observed(cfg, store, jobs, &Telemetry::off(), Some(&mut sampler))
+        .expect("fleet pass");
+    assert_eq!(
+        ledger_counts(sampler.metrics()),
+        counts,
+        "the sampler counts what the driver returns"
+    );
     (out, counts)
 }
 
-fn measured(n: u64) -> BaselineCounts {
-    BaselineCounts {
-        measured: n,
-        reused: 0,
+fn measured(n: u64) -> LedgerCounts {
+    LedgerCounts {
+        baselines_measured: n,
+        ..LedgerCounts::default()
     }
 }
 
-fn reused(n: u64) -> BaselineCounts {
-    BaselineCounts {
-        measured: 0,
-        reused: n,
+fn reused(n: u64) -> LedgerCounts {
+    LedgerCounts {
+        baselines_reused: n,
+        ..LedgerCounts::default()
     }
+}
+
+/// Four machines alternating db and jess in waves of two at the fleet's
+/// budget: the cold pass publishes, and its second wave hits the first
+/// wave's selections, so the warm pass can reuse the second wave's runs.
+fn reuse_config() -> FleetConfig {
+    let mut cfg = FleetConfig::preset("smoke").expect("smoke preset");
+    cfg.presets = vec!["db".into(), "jess".into()];
+    cfg.machines = 4;
+    cfg.wave_size = 2;
+    cfg.admit_limit = 2;
+    assert_eq!(cfg.instruction_limit, 8_000_000);
+    assert!(cfg.measure_baseline);
+    cfg
+}
+
+/// A log-backed store at `dir/<tag>.jsonl` after a cold pass of `cfg`
+/// traced with `cold`, and a store reopened from a copy of its log:
+/// the same entries and stamps, but an empty run ledger.
+fn session_and_replay(
+    dir: &std::path::Path,
+    tag: &str,
+    cfg: &FleetConfig,
+    jobs: usize,
+    cold: &Telemetry,
+) -> (TuningStore, TuningStore) {
+    let (version, capacity) = (fleet_registry_version(), TuningStore::DEFAULT_CAPACITY);
+    let log = dir.join(format!("{tag}.jsonl"));
+    let mut session = TuningStore::open(&log, version, capacity).expect("open store");
+    run_fleet(cfg, &mut session, jobs, cold).expect("cold pass");
+    assert!(!session.is_empty(), "the cold pass must publish");
+    let replay_log = dir.join(format!("{tag}-replay.jsonl"));
+    std::fs::copy(&log, &replay_log).expect("copy store log");
+    let reopened = TuningStore::open(&replay_log, version, capacity).expect("reopen");
+    assert_eq!(
+        store_fingerprint(&reopened),
+        store_fingerprint(&session),
+        "replay reproduces the session's entries and stamps"
+    );
+    (session, reopened)
 }
 
 /// What a solo non-adaptive run of `workload` (a preset name or a spec
@@ -111,8 +176,8 @@ fn baseline_legs_match_solo_baseline_runs() {
     assert!(cfg.measure_baseline);
     for jobs in [1, 2] {
         let mut store = memory_store();
-        let (cold, cold_counts) = counted_pass(&cfg, &mut store, jobs);
-        let (warm, warm_counts) = counted_pass(&cfg, &mut store, jobs);
+        let (cold, cold_counts, _) = counted_pass(&cfg, &mut store, jobs);
+        let (warm, warm_counts, _) = counted_pass(&cfg, &mut store, jobs);
         assert_eq!(cold_counts, measured(4), "jobs={jobs}");
         assert_eq!(warm_counts, reused(4), "jobs={jobs}");
         for (pass, out) in [("cold", &cold), ("warm", &warm)] {
@@ -133,46 +198,31 @@ fn baseline_legs_match_solo_baseline_runs() {
     }
 }
 
-/// The oracle that baseline reuse is exact. After a cold pass at the
+/// The oracle that reuse is exact. After an untraced cold pass at the
 /// fleet's budget (so it publishes), a warm pass in session reuses every
-/// baseline from the ledger, and a warm pass over a store reopened from
-/// the cold pass's log simulates every one again (replay leaves the
-/// ledger empty). Both leave byte-identical outcomes and stores.
+/// baseline and some whole runs from the ledger, and a warm pass over a
+/// store reopened from the cold pass's log simulates every run and
+/// baseline again (replay leaves the ledger empty). Both leave
+/// byte-identical outcomes and stores.
 #[test]
-fn reused_baselines_equal_remeasured_ones() {
+fn reused_runs_equal_simulated_ones() {
     let dir = std::env::temp_dir().join(format!("ace_fleet_reuse_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = FleetConfig::preset("smoke").expect("smoke preset");
-    cfg.presets = vec!["db".into(), "jess".into()];
-    cfg.machines = 4;
-    cfg.wave_size = 2;
-    cfg.admit_limit = 2;
-    assert_eq!(cfg.instruction_limit, 8_000_000);
-    let (version, capacity) = (fleet_registry_version(), TuningStore::DEFAULT_CAPACITY);
+    let cfg = reuse_config();
     let mut warm_rows = Vec::new();
     for jobs in [1, 2] {
-        let log = dir.join(format!("session-{jobs}.jsonl"));
-        let mut session = TuningStore::open(&log, version, capacity).expect("open store");
-        let (_, counts) = counted_pass(&cfg, &mut session, jobs);
-        assert_eq!(counts, measured(4));
-        assert!(!session.is_empty(), "the cold pass must publish");
-
-        let replay_log = dir.join(format!("replay-{jobs}.jsonl"));
-        std::fs::copy(&log, &replay_log).expect("copy store log");
-        let mut reopened = TuningStore::open(&replay_log, version, capacity).expect("reopen");
-        assert_eq!(
-            store_fingerprint(&reopened),
-            store_fingerprint(&session),
-            "replay reproduces the session's entries and stamps"
-        );
-
-        let (remeasured, counts) = counted_pass(&cfg, &mut reopened, jobs);
-        assert_eq!(counts, measured(4), "replay restores no baselines");
-        let (reusing, counts) = counted_pass(&cfg, &mut session, jobs);
-        assert_eq!(counts, reused(4));
+        let tag = format!("session-{jobs}");
+        let (mut session, mut reopened) =
+            session_and_replay(&dir, &tag, &cfg, jobs, &Telemetry::off());
+        let (simulated, counts) = observed_pass(&cfg, &mut reopened, jobs);
+        assert_eq!(counts, measured(4), "replay restores no runs or baselines");
+        let (reusing, counts) = observed_pass(&cfg, &mut session, jobs);
+        assert_eq!(counts.baselines_measured, 0, "jobs={jobs}");
+        assert_eq!(counts.baselines_reused, 4, "jobs={jobs}");
+        assert!(counts.runs_reused > 0, "jobs={jobs}: {counts:?}");
         assert_eq!(
             fingerprint(&reusing),
-            fingerprint(&remeasured),
+            fingerprint(&simulated),
             "jobs={jobs}"
         );
         assert_eq!(
@@ -180,10 +230,81 @@ fn reused_baselines_equal_remeasured_ones() {
             store_fingerprint(&reopened),
             "jobs={jobs}"
         );
-        warm_rows.push(fingerprint(&reusing));
+        warm_rows.push((fingerprint(&reusing), counts));
     }
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(warm_rows[0], warm_rows[1], "the warm pass depends on jobs");
+}
+
+/// A traced pass reuses no runs: a reused run would emit none of its
+/// events. The session's traced warm pass still takes its baselines
+/// from the ledger, and emits exactly the events of a warm pass over a
+/// reopened store, whose empty ledger leaves it nothing to reuse.
+#[test]
+fn traced_passes_reuse_no_runs() {
+    let dir = std::env::temp_dir().join(format!("ace_fleet_traced_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = reuse_config();
+    let (mut session, mut reopened) =
+        session_and_replay(&dir, "traced", &cfg, 2, &Telemetry::counting());
+    let (simulated, counts, simulated_events) = counted_pass(&cfg, &mut reopened, 2);
+    assert_eq!(counts, measured(4));
+    let (traced, counts, traced_events) = counted_pass(&cfg, &mut session, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(counts, reused(4), "baselines only, no runs");
+    assert!(traced_events.iter().sum::<u64>() > 0);
+    assert_eq!(traced_events, simulated_events, "per-kind event counts");
+    assert_eq!(fingerprint(&traced), fingerprint(&simulated));
+}
+
+/// A run is reused only with the baseline its pass asks for, and is
+/// reported under its own machine's spec. The budget is too short for
+/// any store answer to change, so these rules alone decide.
+#[test]
+fn reuse_follows_the_baseline_rule_and_keeps_the_spec() {
+    let mut cfg = FleetConfig::preset("smoke").expect("smoke preset");
+    cfg.presets = vec!["db".into(), "jess".into()];
+    cfg.machines = 4;
+    cfg.wave_size = 4;
+    cfg.admit_limit = 4;
+    cfg.instruction_limit = 200_000;
+    cfg.measure_baseline = false;
+    let mut store = memory_store();
+    assert_eq!(observed_pass(&cfg, &mut store, 2).1, LedgerCounts::default());
+
+    // The recorded runs have no baseline, so a pass that wants one
+    // simulates them again; the next pass reuses them whole.
+    cfg.measure_baseline = true;
+    let (simulated, counts) = observed_pass(&cfg, &mut store, 2);
+    assert_eq!(counts, measured(4));
+    let (reusing, counts) = observed_pass(&cfg, &mut store, 2);
+    let whole = LedgerCounts {
+        runs_reused: 4,
+        ..reused(4)
+    };
+    assert_eq!(counts, whole);
+    assert_eq!(fingerprint(&reusing), fingerprint(&simulated));
+
+    // Seeds 3..=6: machines 0 and 1 have the keys of the last pass's
+    // machines 2 and 3.
+    let mut shifted = cfg.clone();
+    shifted.seed_base += 2;
+    let (out, counts) = observed_pass(&shifted, &mut store, 2);
+    let half = LedgerCounts {
+        baselines_measured: 2,
+        baselines_reused: 2,
+        runs_reused: 2,
+    };
+    assert_eq!(counts, half);
+    let specs: Vec<_> = out.machines.iter().map(|m| m.spec.clone()).collect();
+    assert_eq!(specs, shifted.machine_specs());
+
+    // Every recorded run carries a baseline, so a pass without
+    // baselines takes none of them.
+    cfg.measure_baseline = false;
+    let (out, counts) = observed_pass(&cfg, &mut store, 2);
+    assert_eq!(counts, LedgerCounts::default());
+    assert!(out.machines.iter().all(|m| m.baseline.is_none()));
 }
 
 /// The ledger reuses a baseline only for the same program content, seed
@@ -224,16 +345,17 @@ fn baselines_are_reused_only_for_an_identical_key() {
     assert_eq!(counted_pass(&other_limit, &mut store, 2).1, measured(2));
 
     write_spec(2);
-    let (out, counts) = counted_pass(&cfg, &mut store, 2);
+    let (out, counts, _) = counted_pass(&cfg, &mut store, 2);
     let machine = &out.machines[1];
     assert_eq!(machine.spec.preset, spec);
     let solo = solo_baseline(&spec, machine.spec.seed, cfg.instruction_limit);
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(
         counts,
-        BaselineCounts {
-            measured: 1,
-            reused: 1
+        LedgerCounts {
+            baselines_measured: 1,
+            baselines_reused: 1,
+            runs_reused: 0,
         },
         "only the rewritten spec's machine measures again"
     );

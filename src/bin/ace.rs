@@ -194,20 +194,28 @@ fn cmd_run(args: &[String]) -> Result<(), Box<dyn Error>> {
 fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn Error>> {
     let name = args.first().ok_or("usage: ace sweep <workload>")?;
     let program = load_program(name)?;
-    let base = Experiment::program(program.clone()).run()?;
+    // The baseline and the 16 fixed configurations, in grid order, as
+    // legs of one run off one executor stream.
+    let mut schemes = vec![SchemeSpec::named("baseline")];
+    for l1d in SizeLevel::all() {
+        for l2 in SizeLevel::all() {
+            let fixed = FixedScheme(AceConfig::both(l1d, l2));
+            schemes.push(SchemeSpec::instance(Arc::new(fixed)));
+        }
+    }
+    let runs = Experiment::program(program).run_schemes(schemes)?;
+    let (base, grid) = runs.split_first().expect("one run per scheme");
+    let base = &base.record;
     println!("{name}: energy saving % / slowdown % per fixed configuration");
     println!("L1D\\L2     1MB        512KB       256KB       128KB");
-    for l1d in 0..4u8 {
+    for (l1d, row) in grid.chunks(SizeLevel::all().count()).enumerate() {
         print!("{:>4}KB", 64 >> l1d);
-        for l2 in 0..4u8 {
-            let fixed = AceConfig::both(SizeLevel::new(l1d).unwrap(), SizeLevel::new(l2).unwrap());
-            let r = Experiment::program(program.clone())
-                .scheme(SchemeSpec::instance(Arc::new(FixedScheme(fixed))))
-                .run()?;
+        for run in row {
+            let r = &run.record;
             print!(
                 "  {:>5.1}/{:<4.1}",
                 100.0 * (1.0 - r.energy.total_nj() / base.energy.total_nj()),
-                100.0 * r.slowdown_vs(&base),
+                100.0 * r.slowdown_vs(base),
             );
         }
         println!();

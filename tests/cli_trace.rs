@@ -6,7 +6,7 @@
 //! its `--scheme` through the scheme registry and its workload through
 //! the workload registry, and rejects bad arguments before it simulates.
 //! A line nested too deeply to parse is a typed error and exit 1 for both
-//! JSONL readers.
+//! JSONL readers. `ace sweep` prints a pinned grid.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -286,4 +286,27 @@ fn run_rejects_missing_flag_values_and_a_zero_limit() {
         assert!(stderr.contains(message), "{args:?}: {stderr}");
         assert_eq!(String::from_utf8_lossy(&out.stdout), "", "{args:?}");
     }
+}
+
+/// `ace sweep check`'s grid, as separate runs of the baseline and of the
+/// 16 fixed configurations print it. The sweep runs them as legs of one
+/// run, which must not move a digit.
+const SWEEP_CHECK: &str = concat!(
+    "check: energy saving % / slowdown % per fixed configuration\n",
+    "L1D\\L2     1MB        512KB       256KB       128KB\n",
+    "  64KB    0.0/0.0    16.1/0.0    24.3/0.0    28.4/0.2 \n",
+    "  32KB    3.8/4.2    25.0/4.2    36.6/4.2    43.2/4.5 \n",
+    "  16KB   17.1/4.4    38.5/4.4    50.3/4.4    57.0/4.7 \n",
+    "   8KB   22.8/5.3    45.5/5.3    58.1/5.3    65.4/5.6 \n",
+);
+
+#[test]
+fn sweep_prints_the_pinned_grid() {
+    let out = ace(&["sweep", "check"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout), SWEEP_CHECK);
 }
