@@ -1,51 +1,39 @@
 //! Verifies the committed `results/` cache against the *current* cache
 //! keys.
 //!
-//! Cached workload results are content-addressed as
-//! `results/<workload>-<key>.json`, where the key hashes everything that
-//! determines a run's outcome ([`ace_bench::cache_key`]). When the run
-//! inputs grow — a new `MachineConfig` field, a restructured `DoConfig` —
-//! every key changes, and previously committed entries become dead weight
-//! that `run_all` silently ignores forever. This check fails CI when that
-//! happens, forcing the stale files to be purged (and optionally
-//! regenerated) in the same change that shifted the keys.
+//! Cached results are content-addressed: each file name embeds a hash of
+//! everything that determines its content ([`ace_bench::content_key`]).
+//! When the run inputs grow — a new `MachineConfig` field, a restructured
+//! `DoConfig` — every key changes, and previously committed entries become
+//! dead weight that `run_all` silently ignores forever. This check fails
+//! CI when that happens, forcing the stale files to be purged (and
+//! optionally regenerated) in the same change that shifted the keys.
 //!
-//! Rules, applied to every `*.json` in [`ace_bench::results_dir`]:
+//! Every `*.json` in [`ace_bench::results_dir`] must be one the current
+//! build writes at the default configuration:
 //!
-//! - `<workload>-<key>.json` for a known preset: `key` must equal the
-//!   current headline key for that workload (the default [`RunConfig`]).
-//! - Bare `<workload>.json` for a known preset: always stale — the
-//!   pre-content-addressing cache format.
-//! - `fleet-<key>.json`: a fleet result cache — recognized here but
-//!   validated by its owner (`cargo run -p ace-fleet --bin fleet --
-//!   --check-cache`), which knows the fleet cache keys.
-//! - `pdm-<workload>-<key>.json`: the pdm experiment's cache namespace —
-//!   the full file name must be one the current build would write
-//!   ([`ace_bench::experiments::pdm::expected_cache_files`]).
-//! - `gen-corpus-<key>.json`: the corpus experiment's summary namespace —
-//!   the full file name must be one the current parameters would write
+//! - `<workload>-<key>.json` — the headline set, one per preset;
+//! - `pdm-<workload>-<key>.json` — the pdm experiment's set;
+//! - `gen-corpus-<key>.json` — the corpus summaries
 //!   ([`ace_bench::experiments::corpus::expected_cache_files`]).
-//! - Anything else `.json`: unknown, flagged (results/ holds only the
-//!   headline cache plus `.txt`/`.md` reports).
+//!
+//! `fleet-*.json` files are fleet result caches, validated by their owner
+//! (`cargo run -p ace-fleet --bin fleet -- --check-cache`), which knows
+//! the fleet cache keys. Anything else `.json` fails.
 //!
 //! Run it before any experiment has executed (CI does), so only committed
 //! entries are on disk; a warm local cache written by the current binary
 //! passes by construction.
 
-use ace_bench::{cache_key, results_dir};
-use ace_core::RunConfig;
-use ace_workloads::PRESET_NAMES;
+use ace_bench::experiments::{corpus, pdm};
+use ace_bench::{results_dir, ExperimentSet, SchemeResults};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let dir = results_dir();
-    let base = RunConfig::default();
-    let current: Vec<(String, String)> = PRESET_NAMES
-        .iter()
-        .map(|name| ((*name).to_string(), cache_key(name, &base)))
-        .collect();
-    let pdm_expected = ace_bench::experiments::pdm::expected_cache_files();
-    let gen_expected = ace_bench::experiments::corpus::expected_cache_files();
+    let mut expected = ExperimentSet::all_presets().cache_files::<SchemeResults>();
+    expected.extend(ExperimentSet::presets(pdm::PDM_WORKLOADS).cache_files::<pdm::PdmResults>());
+    expected.extend(corpus::expected_cache_files());
 
     let entries = match std::fs::read_dir(&dir) {
         Ok(it) => it,
@@ -61,60 +49,17 @@ fn main() -> ExitCode {
     for entry in entries.flatten() {
         let file = entry.file_name();
         let Some(name) = file.to_str() else { continue };
-        let Some(stem) = name.strip_suffix(".json") else {
+        if !name.ends_with(".json") {
             continue;
-        };
-        // `fleet-*`: the fleet subsystem's cache namespace. Key currency
-        // is checked by `fleet --check-cache` (ace-bench cannot depend on
-        // ace-fleet without a cycle); here it is merely recognized so a
-        // fleet cache is never flagged as an unknown entry.
-        if stem.starts_with("fleet-") {
+        }
+        // ace-bench cannot depend on ace-fleet without a cycle, so fleet
+        // caches are only recognized here, never flagged as unknown.
+        if name.starts_with("fleet-") {
             delegated += 1;
-            continue;
-        }
-        checked += 1;
-        // `pdm-<workload>-<key>`: the pdm experiment's namespace. Must be
-        // checked before the generic keyed parse — `pdm-pdm_drift-<key>`
-        // would otherwise mis-parse as workload `pdm-pdm_drift`.
-        if stem.starts_with("pdm-") {
-            if pdm_expected.iter().any(|f| f == name) {
-                continue;
-            }
-            stale.push(format!(
-                "{name}: superseded pdm cache entry (current set: {pdm_expected:?})"
-            ));
-            continue;
-        }
-        // `gen-*`: the generated-corpus namespace. Like `pdm-`, checked
-        // before the generic keyed parse — `gen-corpus-<key>` would
-        // otherwise mis-parse as workload `gen-corpus`.
-        if stem.starts_with("gen-") {
-            if gen_expected.iter().any(|f| f == name) {
-                continue;
-            }
-            stale.push(format!(
-                "{name}: superseded corpus cache entry (current set: {gen_expected:?})"
-            ));
-            continue;
-        }
-        // `<workload>-<16 hex digits>`: a content-addressed cache entry.
-        let keyed = stem
-            .rsplit_once('-')
-            .filter(|(_, key)| key.len() == 16 && key.bytes().all(|b| b.is_ascii_hexdigit()));
-        if let Some((workload, key)) = keyed {
-            match current.iter().find(|(w, _)| w == workload) {
-                Some((_, want)) if want == key => continue,
-                Some((_, want)) => stale.push(format!(
-                    "{name}: superseded cache key (current key for {workload} is {want})"
-                )),
-                None => stale.push(format!("{name}: unknown workload {workload:?}")),
-            }
-        } else if current.iter().any(|(w, _)| w == stem) {
-            stale.push(format!(
-                "{name}: pre-content-addressing cache format (expected {stem}-<key>.json)"
-            ));
+        } else if expected.iter().any(|want| want == name) {
+            checked += 1;
         } else {
-            stale.push(format!("{name}: not a recognized cache entry"));
+            stale.push(name.to_string());
         }
     }
 
@@ -134,14 +79,19 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
+    stale.sort();
     eprintln!(
         "{}: {} stale cache entr{} (run inputs changed; purge or regenerate):",
         dir.display(),
         stale.len(),
         if stale.len() == 1 { "y" } else { "ies" }
     );
-    for line in &stale {
-        eprintln!("  {line}");
+    for name in &stale {
+        eprintln!("  {name}");
+    }
+    eprintln!("the current build writes:");
+    for name in &expected {
+        eprintln!("  {name}");
     }
     ExitCode::FAILURE
 }

@@ -2,11 +2,11 @@
 //! workloads under the three schemes (results are content-address-cached
 //! under `results/`), prints the headline summary, then schedules every
 //! registered sibling experiment as a job, saving each one's output under
-//! `results/<name>.txt` and its sections into `results/SUMMARY.md`.
+//! `results/<name>.txt`.
 //!
 //! ```text
 //! run_all [--jobs <N>] [--fresh] [--headline-only] [--list] [--telemetry <path>]
-//! run_all <experiment> [--telemetry <path>]
+//! run_all <experiment> [--jobs <N>] [--fresh] [--telemetry <path>]
 //! ```
 //!
 //! * `--jobs <N>` — worker-pool width (default: `ACE_JOBS` or the
@@ -21,18 +21,18 @@
 //!   Cached results skip their runs, so combine with `--fresh` for a
 //!   complete trace.
 //! * `<experiment>` — run just that registry entry (`--list` names
-//!   them): print its report and commit its `results/SUMMARY.md`
-//!   sections. An unknown name exits 2 and lists the registry.
+//!   them) and print its report; `--jobs` and `--fresh` apply to the
+//!   cached sets it runs. An unknown name exits 2 and lists the
+//!   registry.
 //!
 //! Any failing experiment is reported at the end and the process exits
 //! nonzero.
 
-use ace_bench::experiments::{commit_report, find, run_experiment, ExpCtx, Report, REGISTRY};
+use ace_bench::experiments::{find, run_experiment, ExpCtx, Report, REGISTRY};
 use ace_bench::{
     default_jobs, format_table, mean, print_telemetry_summary, results_dir, run_jobs,
     telemetry_from_args, ExperimentSet, Job,
 };
-use ace_telemetry::Telemetry;
 use std::process::ExitCode;
 
 struct Args {
@@ -75,9 +75,8 @@ fn parse_args() -> Args {
             other => usage_error(&format!("unexpected argument {other}")),
         }
     }
-    let whole_run_flag = args.jobs.is_some() || args.fresh || args.headline_only || args.list;
-    if args.experiment.is_some() && whole_run_flag {
-        usage_error("an experiment name takes only --telemetry");
+    if args.experiment.is_some() && (args.headline_only || args.list) {
+        usage_error("an experiment name takes only --jobs, --fresh and --telemetry");
     }
     args
 }
@@ -90,14 +89,12 @@ fn registry_listing() -> String {
         .collect()
 }
 
-/// `run_all <experiment>`: runs one registry entry, prints its report and
-/// commits its `SUMMARY.md` sections.
-fn run_one(name: &str, telemetry: &Telemetry) -> ExitCode {
-    match run_experiment(name, telemetry) {
+/// `run_all <experiment>`: runs one registry entry and prints its report.
+fn run_one(name: &str, ctx: &ExpCtx) -> ExitCode {
+    match run_experiment(name, ctx) {
         Ok(report) => {
             print!("{}", report.text);
-            commit_report(&report);
-            print_telemetry_summary(telemetry);
+            print_telemetry_summary(&ctx.telemetry);
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -121,6 +118,7 @@ fn main() -> ExitCode {
         println!("(workload names also accept a path to a WorkloadSpec JSON file)");
         return ExitCode::SUCCESS;
     }
+    let jobs = args.jobs.unwrap_or_else(default_jobs);
     if let Some(name) = &args.experiment {
         if find(name).is_none() {
             eprintln!(
@@ -129,9 +127,13 @@ fn main() -> ExitCode {
             );
             return ExitCode::from(2);
         }
-        return run_one(name, &telemetry_from_args());
+        let ctx = ExpCtx {
+            telemetry: telemetry_from_args(),
+            jobs,
+            fresh: args.fresh,
+        };
+        return run_one(name, &ctx);
     }
-    let jobs = args.jobs.unwrap_or_else(default_jobs);
     let telemetry = telemetry_from_args();
 
     let all = match ExperimentSet::all_presets()
@@ -236,6 +238,8 @@ fn main() -> ExitCode {
                 Job::new(def.name, move |tel| {
                     run(&ExpCtx {
                         telemetry: tel.clone(),
+                        jobs: 1,
+                        fresh: false,
                     })
                 })
             })
@@ -248,7 +252,6 @@ fn main() -> ExitCode {
                     if let Err(e) = std::fs::write(&path, &report.text) {
                         eprintln!("  {:<24} cannot write {}: {e}", report.name, path.display());
                     }
-                    commit_report(&report);
                     eprintln!(
                         "  {:<24} ok ({:.1}s) -> {}",
                         report.name,
@@ -262,7 +265,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        eprintln!("done; see results/ and results/SUMMARY.md");
+        eprintln!("done; see results/");
     }
 
     print_telemetry_summary(&telemetry);

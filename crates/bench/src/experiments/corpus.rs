@@ -34,7 +34,9 @@
 //! in the seven presets at a 100x iteration scale.
 
 use super::{outln, ExpCtx, Report};
-use crate::{format_table, results_dir, run_jobs, BenchResult, Job};
+use crate::{
+    content_key, fnv1a, format_table, results_dir, run_jobs, save_atomic, BenchResult, Job,
+};
 use ace_core::{Experiment, RunRecord};
 use ace_telemetry::Telemetry;
 use ace_workloads::{gen, minimize, GenParams, WorkloadSpec};
@@ -126,22 +128,11 @@ pub struct CorpusOutcome {
     pub rows: Vec<(String, u64, String)>,
 }
 
-/// FNV-1a 64 over `bytes` — same dependency-free hash as the cache keys.
-fn fnv(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    }
-    hash
-}
-
-/// Byte-level fingerprint of one run: FNV-1a over the serialized record.
+/// Byte-level fingerprint of one run: [`content_key`] over the record.
 /// Two records digest equal iff their JSON is byte-identical — exactly
 /// the equality the jobs oracle is defined over.
 pub fn record_digest(record: &RunRecord) -> String {
-    let json = serde_json::to_string(record).expect("run record serializes");
-    format!("{:016x}", fnv(json.bytes()))
+    content_key(record)
 }
 
 /// The counters every scheme must agree on: the workload's reference
@@ -419,9 +410,7 @@ pub fn run_corpus(params: &CorpusParams, telemetry: &Telemetry) -> BenchResult<C
     }
 
     for ((spec, _), reference) in specs.iter().zip(&references) {
-        let fingerprint = fnv(reference
-            .iter()
-            .flat_map(|(_, _, digest)| digest.bytes().collect::<Vec<_>>()));
+        let fingerprint = fnv1a(reference.iter().flat_map(|(_, _, digest)| digest.bytes()));
         outcome.rows.push((
             spec.name.clone(),
             reference[0].1.instret,
@@ -454,8 +443,7 @@ pub fn summary_file_name(params: &CorpusParams) -> String {
         scale: params.scale,
         preset_scale: params.preset_scale,
     };
-    let json = serde_json::to_string(&material).expect("key material serializes");
-    format!("gen-corpus-{:016x}.json", fnv(json.bytes()))
+    format!("gen-corpus-{}.json", content_key(&material))
 }
 
 /// The `gen-*` cache entries the current build would write: the CI-sized
@@ -482,9 +470,10 @@ pub struct CorpusSummary {
     pub rows: Vec<(String, u64, String)>,
 }
 
-/// Writes the `results/gen-corpus-<key>.json` summary for a clean run
-/// when the parameter set is one [`expected_cache_files`] blesses (any
-/// other set would commit an instantly-stale key).
+/// Writes the `results/gen-corpus-<key>.json` summary, with a trailing
+/// newline, for a clean run when the parameter set is one
+/// [`expected_cache_files`] blesses (any other set would commit an
+/// instantly-stale key).
 pub fn write_summary(params: &CorpusParams, outcome: &CorpusOutcome) -> Option<PathBuf> {
     if !outcome.failures.is_empty() {
         return None;
@@ -499,12 +488,8 @@ pub fn write_summary(params: &CorpusParams, outcome: &CorpusOutcome) -> Option<P
         runs: outcome.runs,
         rows: outcome.rows.clone(),
     };
-    std::fs::create_dir_all(results_dir()).ok()?;
-    std::fs::write(
-        &path,
-        serde_json::to_string(&summary).expect("serializable") + "\n",
-    )
-    .ok()?;
+    let json = serde_json::to_string(&summary).expect("serializable");
+    save_atomic(&path, &(json + "\n")).ok()?;
     Some(path)
 }
 

@@ -59,12 +59,5 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     );
     outln!(out, "{table}");
     outln!(out, "{chart}");
-    report.sections.push((
-        "Figure 1: stable BBV phase intervals (%)".to_string(),
-        format!(
-            "{table}
-{chart}"
-        ),
-    ));
     Ok(report)
 }

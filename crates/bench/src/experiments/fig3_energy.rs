@@ -49,13 +49,6 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     );
     outln!(out, "{table_a}");
     outln!(out, "{chart_a}");
-    report.sections.push((
-        "Figure 3(a): L1D energy reduction (%)".to_string(),
-        format!(
-            "{table_a}
-{chart_a}"
-        ),
-    ));
 
     outln!(
         out,
@@ -92,12 +85,5 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     );
     outln!(out, "{table_b}");
     outln!(out, "{chart_b}");
-    report.sections.push((
-        "Figure 3(b): L2 energy reduction (%)".to_string(),
-        format!(
-            "{table_b}
-{chart_b}"
-        ),
-    ));
     Ok(report)
 }

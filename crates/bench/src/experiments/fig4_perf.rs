@@ -41,12 +41,5 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     );
     outln!(out, "{table}");
     outln!(out, "{chart}");
-    report.sections.push((
-        "Figure 4: slowdown (%)".to_string(),
-        format!(
-            "{table}
-{chart}"
-        ),
-    ));
     Ok(report)
 }

@@ -5,11 +5,10 @@
 //! in [`REGISTRY`]; `run_all <name>` runs one entry, and `run_all`
 //! schedules the whole registry as jobs on the [`crate::engine`] pool.
 //!
-//! Experiments never print or touch shared files: they render into a
-//! [`Report`] (stdout text plus named `SUMMARY.md` sections) which the
-//! caller commits from the ordered merge phase via [`commit_report`] —
-//! that is what keeps a parallel `run_all` byte-identical to a serial
-//! one.
+//! Experiments never print or write reports: they render into a
+//! [`Report`] which the caller prints or saves from the ordered merge
+//! phase — that is what keeps a parallel `run_all` byte-identical to a
+//! serial one. The only files an experiment writes are result caches.
 
 mod ablation_decoupling;
 mod ablation_energy_model;
@@ -33,7 +32,7 @@ mod table4_hotspots;
 mod table5_runtime;
 mod table6_tuning;
 
-use crate::{append_summary, BenchError, BenchResult, ExperimentSet, SchemeResults};
+use crate::{BenchError, BenchResult, ExperimentSet, SchemeResults};
 use ace_telemetry::Telemetry;
 
 /// `writeln!` into a `String` report body, ignoring the (infallible)
@@ -49,17 +48,14 @@ macro_rules! outln {
 }
 pub(crate) use outln;
 
-/// What one experiment produced: its stdout text plus any named
-/// `results/SUMMARY.md` sections. Nothing has been printed or written
-/// yet — see [`commit_report`].
+/// What one experiment produced: its stdout text, not yet printed or
+/// saved.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Registry name (also the `results/<name>.txt` artifact stem).
     pub name: &'static str,
     /// The text a serial binary would have printed to stdout.
     pub text: String,
-    /// `(section title, body)` pairs destined for `results/SUMMARY.md`.
-    pub sections: Vec<(String, String)>,
 }
 
 impl Report {
@@ -67,33 +63,37 @@ impl Report {
         Report {
             name,
             text: String::new(),
-            sections: Vec::new(),
         }
     }
 }
 
 /// The context an experiment runs in: its own telemetry handle (a
-/// buffered child of the pool's parent when scheduled by the engine).
+/// buffered child of the pool's parent when scheduled by the engine),
+/// plus the pool width and cache policy of the cached sets it runs.
 pub struct ExpCtx {
     /// Observability handle for every run the experiment makes.
     pub telemetry: Telemetry,
+    /// Worker-pool width of the experiment's cached sets. A full
+    /// `run_all` gives its siblings 1: the headline cache is already warm
+    /// from its parallel phase 1, and a nested pool per sibling would
+    /// oversubscribe the machine.
+    pub jobs: usize,
+    /// Ignore cached results and re-run.
+    pub fresh: bool,
 }
 
 impl ExpCtx {
     /// The headline results all figure/table experiments consume: the
     /// seven workloads under the three schemes, from cache when present.
     ///
-    /// Runs serially (`jobs = 1`): when scheduled by `run_all` the cache
-    /// is already warm from its parallel phase 1, and a nested pool per
-    /// sibling would oversubscribe the machine.
-    ///
     /// # Errors
     ///
     /// Propagates any failed run.
     pub fn headline(&self) -> BenchResult<Vec<SchemeResults>> {
         ExperimentSet::all_presets()
+            .fresh(self.fresh)
             .telemetry(&self.telemetry)
-            .run_parallel(1)
+            .run_parallel(self.jobs)
     }
 }
 
@@ -227,25 +227,14 @@ pub fn find(name: &str) -> Option<&'static ExperimentDef> {
 /// # Errors
 ///
 /// Fails for unknown names and propagates the experiment's own failure.
-pub fn run_experiment(name: &str, telemetry: &Telemetry) -> BenchResult<Report> {
+pub fn run_experiment(name: &str, ctx: &ExpCtx) -> BenchResult<Report> {
     let def = find(name).ok_or_else(|| {
         BenchError::msg(format!(
             "unknown experiment {name:?}; expected one of {:?}",
             REGISTRY.iter().map(|d| d.name).collect::<Vec<_>>()
         ))
     })?;
-    (def.run)(&ExpCtx {
-        telemetry: telemetry.clone(),
-    })
-}
-
-/// Commits a report's `SUMMARY.md` sections. Call from one thread at a
-/// time, in report order — `run_all`'s merge phase, or the tail of a
-/// single-experiment run.
-pub fn commit_report(report: &Report) {
-    for (section, body) in &report.sections {
-        append_summary(section, body);
-    }
+    (def.run)(ctx)
 }
 
 #[cfg(test)]
@@ -254,7 +243,12 @@ mod tests {
 
     #[test]
     fn unknown_experiment_is_an_error() {
-        let err = run_experiment("bogus", &Telemetry::off()).unwrap_err();
+        let ctx = ExpCtx {
+            telemetry: Telemetry::off(),
+            jobs: 1,
+            fresh: false,
+        };
+        let err = run_experiment("bogus", &ctx).unwrap_err();
         assert!(err.to_string().contains("bogus"), "{err}");
         assert!(err.to_string().contains("fig1_phase_stability"), "{err}");
     }

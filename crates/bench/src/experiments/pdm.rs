@@ -20,23 +20,20 @@
 //!   wrecked by a streaming polluter. Every drift retune re-enters
 //!   tuning, and PDM re-predicts from the table instead of re-walking.
 //!
-//! Results are cached content-addressed under `results/pdm-<workload>-
-//! <key>.json` (the `pdm-` namespace; see `check_results`).
+//! Each workload runs its three schemes as legs of one shared run
+//! through [`ExperimentSet::run_cached`], which caches them
+//! content-addressed under `results/pdm-<workload>-<key>.json` (the
+//! `pdm-` namespace; see `check_results`).
 
 use super::{outln, ExpCtx, Report};
-use crate::{cache_key, format_table, results_dir, run_jobs, BenchError, BenchResult, Job};
-use ace_core::{Experiment, HotspotReport, PdmReport, RunConfig, RunRecord, SchemeExt};
-use ace_telemetry::Telemetry;
+use crate::{format_table, BenchResult, CachedResults, ExperimentSet};
+use ace_core::{Experiment, HotspotReport, PdmReport, RunRecord, SchemeExt, SchemeRun};
 use ace_workloads::{MemPattern, Program, ProgramBuilder, Stmt};
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
 
 /// The workloads of the prediction-vs-search comparison: four paper
 /// presets plus the two synthetic extremes.
 pub const PDM_WORKLOADS: [&str; 6] = ["db", "jess", "javac", "mpeg", "pdm_shortphase", "pdm_drift"];
-
-/// The schemes each workload runs, in run order.
-const SCHEMES: [&str; 3] = ["baseline", "hotspot", "pdm"];
 
 /// One workload's three runs plus the scheme reports — the unit cached
 /// under the `pdm-` results namespace.
@@ -84,13 +81,36 @@ impl PdmResults {
     }
 }
 
-/// Resolves a PDM workload name: a paper preset, or one of the two
-/// synthetic programs defined here.
-pub fn program_for(name: &str) -> Option<Program> {
-    match name {
-        "pdm_shortphase" => Some(shortphase_program()),
-        "pdm_drift" => Some(drift_program()),
-        _ => ace_workloads::preset(name),
+impl CachedResults for PdmResults {
+    const PREFIX: &'static str = "pdm-";
+    const SCHEMES: &'static [&'static str] = &["baseline", "hotspot", "pdm"];
+
+    /// A paper preset, or one of the two synthetic programs defined here.
+    fn experiment(workload: &str) -> Experiment {
+        match workload {
+            "pdm_shortphase" => Experiment::program(shortphase_program()),
+            "pdm_drift" => Experiment::program(drift_program()),
+            _ => Experiment::preset(workload),
+        }
+    }
+
+    fn assemble(workload: &str, runs: Vec<SchemeRun>) -> PdmResults {
+        let Ok([baseline, hotspot, pdm]) = <[SchemeRun; 3]>::try_from(runs) else {
+            unreachable!("one run per scheme of SCHEMES")
+        };
+        let (SchemeExt::Hotspot(hotspot_report), SchemeExt::Pdm(pdm_report)) =
+            (hotspot.report.ext, pdm.report.ext)
+        else {
+            unreachable!("scheme order is fixed by SCHEMES")
+        };
+        PdmResults {
+            workload: workload.to_string(),
+            baseline: baseline.record,
+            hotspot: hotspot.record,
+            hotspot_report,
+            pdm: pdm.record,
+            pdm_report,
+        }
     }
 }
 
@@ -197,150 +217,6 @@ fn drift_program() -> Program {
     b.entry(main).build().expect("drift program validates")
 }
 
-/// How [`run_pdm`] executes: pool width, cache policy, cache directory,
-/// and observability.
-pub struct PdmOptions {
-    /// Worker-pool width; output is byte-identical at any width.
-    pub jobs: usize,
-    /// Ignore cached results and re-run.
-    pub fresh: bool,
-    /// Cache directory override (default [`results_dir`]).
-    pub results_dir: Option<PathBuf>,
-    /// Base run configuration override (default [`RunConfig::default`]) —
-    /// the cache key sees it, so e.g. instruction-limited test runs never
-    /// collide with full-length results.
-    pub config: Option<RunConfig>,
-    /// Observability handle shared by every run.
-    pub telemetry: Telemetry,
-}
-
-impl Default for PdmOptions {
-    fn default() -> PdmOptions {
-        PdmOptions {
-            jobs: 1,
-            fresh: false,
-            results_dir: None,
-            config: None,
-            telemetry: Telemetry::off(),
-        }
-    }
-}
-
-/// The cache file names [`run_pdm`] reads and writes under the current
-/// keys — `check_results` validates the committed `pdm-` namespace
-/// against exactly this set.
-pub fn expected_cache_files() -> Vec<String> {
-    let base = RunConfig::default();
-    PDM_WORKLOADS
-        .iter()
-        .map(|name| format!("pdm-{name}-{}.json", cache_key(name, &base)))
-        .collect()
-}
-
-fn try_load(path: &Path) -> Option<PdmResults> {
-    let data = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&data).ok()
-}
-
-fn save(path: &Path, results: &PdmResults) -> std::io::Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    std::fs::create_dir_all(dir)?;
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, serde_json::to_string(results).expect("serializable"))?;
-    std::fs::rename(&tmp, path)
-}
-
-/// Runs the six workloads under baseline/hotspot/pdm on the parallel
-/// engine and returns the per-workload results in [`PDM_WORKLOADS`]
-/// order — byte-identical at any pool width.
-///
-/// # Errors
-///
-/// Fails when any run fails; every job still runs, and the error
-/// aggregates all failures.
-pub fn run_pdm(opts: &PdmOptions) -> BenchResult<Vec<PdmResults>> {
-    let dir = opts.results_dir.clone().unwrap_or_else(results_dir);
-    let base = opts.config.clone().unwrap_or_default();
-
-    // Phase 1: resolve caches; collect jobs for the misses.
-    let mut cached: Vec<Option<PdmResults>> = Vec::with_capacity(PDM_WORKLOADS.len());
-    let mut pool: Vec<Job<ace_core::SchemeRun>> = Vec::new();
-    for name in PDM_WORKLOADS {
-        let path = dir.join(format!("pdm-{name}-{}.json", cache_key(name, &base)));
-        if !opts.fresh {
-            if let Some(hit) = try_load(&path) {
-                cached.push(Some(hit));
-                continue;
-            }
-        }
-        cached.push(None);
-        let program =
-            program_for(name).ok_or_else(|| BenchError::msg(format!("unknown workload {name}")))?;
-        for scheme in SCHEMES {
-            let program = program.clone();
-            let base = base.clone();
-            pool.push(Job::new(format!("pdm/{name}/{scheme}"), move |tel| {
-                Ok(Experiment::program(program)
-                    .config(base)
-                    .scheme(scheme)
-                    .telemetry(tel)
-                    .run_scheme()?)
-            }));
-        }
-    }
-
-    // Phase 2: fan out.
-    let outcomes = run_jobs(pool, opts.jobs.max(1), &opts.telemetry);
-
-    // Phase 3: merge in workload order; write caches; aggregate errors.
-    let mut outcomes = outcomes.into_iter();
-    let mut results = Vec::with_capacity(PDM_WORKLOADS.len());
-    let mut failures: Vec<String> = Vec::new();
-    for (name, hit) in PDM_WORKLOADS.iter().zip(cached) {
-        if let Some(hit) = hit {
-            results.push(hit);
-            continue;
-        }
-        let mut runs = Vec::with_capacity(SCHEMES.len());
-        for _ in SCHEMES {
-            let outcome = outcomes.next().expect("one outcome per job");
-            match outcome.result {
-                Ok(run) => runs.push(run),
-                Err(e) => failures.push(format!("{}: {e}", outcome.key)),
-            }
-        }
-        if runs.len() != SCHEMES.len() {
-            continue; // failure already recorded
-        }
-        let mut runs = runs.into_iter();
-        let baseline = runs.next().expect("baseline run");
-        let hotspot = runs.next().expect("hotspot run");
-        let pdm = runs.next().expect("pdm run");
-        let (SchemeExt::Hotspot(hotspot_report), SchemeExt::Pdm(pdm_report)) =
-            (hotspot.report.ext, pdm.report.ext)
-        else {
-            unreachable!("scheme order is fixed by SCHEMES")
-        };
-        let assembled = PdmResults {
-            workload: (*name).to_string(),
-            baseline: baseline.record,
-            hotspot: hotspot.record,
-            hotspot_report,
-            pdm: pdm.record,
-            pdm_report,
-        };
-        let path = dir.join(format!("pdm-{name}-{}.json", cache_key(name, &base)));
-        if let Err(e) = save(&path, &assembled) {
-            eprintln!("warning: could not cache {}: {e}", path.display());
-        }
-        results.push(assembled);
-    }
-    if !failures.is_empty() {
-        return Err(BenchError::msg(failures.join("; ")));
-    }
-    Ok(results)
-}
-
 /// Renders the prediction-vs-search report from completed results.
 pub fn render(results: &[PdmResults]) -> Report {
     let mut report = Report::new("pdm");
@@ -397,17 +273,13 @@ pub fn render(results: &[PdmResults]) -> Report {
             &rows
         )
     );
-    report.sections.push((
-        "Extension: Phase Distance Mapping".to_string(),
-        report.text.clone(),
-    ));
     report
 }
 
 pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
-    let results = run_pdm(&PdmOptions {
-        telemetry: ctx.telemetry.clone(),
-        ..PdmOptions::default()
-    })?;
+    let results: Vec<PdmResults> = ExperimentSet::presets(PDM_WORKLOADS)
+        .fresh(ctx.fresh)
+        .telemetry(&ctx.telemetry)
+        .run_cached(ctx.jobs)?;
     Ok(render(&results))
 }

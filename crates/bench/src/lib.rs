@@ -6,8 +6,8 @@
 //! shared machinery:
 //!
 //! * [`engine`] — the work-stealing job pool every run fans out on,
-//! * [`ExperimentSet`] — the builder running workload presets under the
-//!   three headline schemes with content-addressed result caching,
+//! * [`ExperimentSet`] — the builder running workloads under a scheme
+//!   set ([`CachedResults`]) with content-addressed result caching,
 //! * table/figure formatting helpers.
 //!
 //! Run everything with:
@@ -31,6 +31,11 @@
 //! full run configuration. Change any input and the key changes, so stale
 //! results can never be mistaken for fresh ones; pass `--fresh` (or
 //! [`ExperimentSet::fresh`]) to re-run anyway.
+//!
+//! Every result cache of the harness — the headline and PDM sets, the
+//! corpus summaries and the fleet reports — is named by [`content_key`],
+//! read by [`load_json`] and written by [`save_atomic`]; each namespace
+//! keeps its own key material.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -95,11 +100,54 @@ impl SchemeResults {
     }
 }
 
-/// The scheme ids [`ExperimentSet`] runs, in run order.
-pub const HEADLINE_SCHEMES: [&str; 3] = ["baseline", "bbv", "hotspot"];
+/// One workload's scheme runs, as an [`ExperimentSet`] caches them under
+/// `results/<PREFIX><workload>-<key>.json`: the headline
+/// [`SchemeResults`], or PDM's [`experiments::pdm::PdmResults`].
+pub trait CachedResults: Serialize + Deserialize + 'static {
+    /// Prefix of the set's cache-file namespace.
+    const PREFIX: &'static str;
+    /// Scheme ids every workload runs, as legs of one shared run, in order.
+    const SCHEMES: &'static [&'static str];
 
-/// Builder running a set of preset workloads under the three headline
-/// schemes on the parallel [`engine`], with content-addressed caching.
+    /// The experiment a workload's legs run: the named preset or spec
+    /// file unless the set defines workloads of its own.
+    fn experiment(workload: &str) -> Experiment {
+        Experiment::preset(workload)
+    }
+
+    /// Assembles one workload's results from its runs, in
+    /// [`CachedResults::SCHEMES`] order.
+    fn assemble(workload: &str, runs: Vec<SchemeRun>) -> Self;
+}
+
+impl CachedResults for SchemeResults {
+    const PREFIX: &'static str = "";
+    const SCHEMES: &'static [&'static str] = &["baseline", "bbv", "hotspot"];
+
+    fn assemble(workload: &str, runs: Vec<SchemeRun>) -> SchemeResults {
+        let Ok([baseline, bbv, hotspot]) = <[SchemeRun; 3]>::try_from(runs) else {
+            unreachable!("one run per scheme of SCHEMES")
+        };
+        let (SchemeExt::Bbv(bbv_report), SchemeExt::Hotspot(hotspot_report)) =
+            (bbv.report.ext, hotspot.report.ext)
+        else {
+            unreachable!("scheme order is fixed by SCHEMES")
+        };
+        SchemeResults {
+            workload: workload.to_string(),
+            baseline: baseline.record,
+            bbv: bbv.record,
+            bbv_report,
+            hotspot: hotspot.record,
+            hotspot_report,
+        }
+    }
+}
+
+/// Builder running a set of workloads under a scheme set on the parallel
+/// [`engine`], with content-addressed caching: the three headline schemes
+/// by default ([`ExperimentSet::run_parallel`]), any [`CachedResults`]
+/// set through [`ExperimentSet::run_cached`].
 ///
 /// ```no_run
 /// use ace_bench::ExperimentSet;
@@ -112,7 +160,7 @@ pub const HEADLINE_SCHEMES: [&str; 3] = ["baseline", "bbv", "hotspot"];
 /// ```
 #[derive(Clone)]
 pub struct ExperimentSet {
-    presets: Vec<String>,
+    workloads: Vec<String>,
     base: RunConfig,
     fresh: bool,
     telemetry: Telemetry,
@@ -125,15 +173,16 @@ impl ExperimentSet {
         ExperimentSet::presets(PRESET_NAMES.iter().copied())
     }
 
-    /// A set over the given preset names (order is preserved in the
-    /// returned results).
+    /// A set over the given workload names (order is preserved in the
+    /// returned results): presets, spec-file paths, or the workloads a
+    /// [`CachedResults`] set defines.
     pub fn presets<I, S>(names: I) -> ExperimentSet
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
         ExperimentSet {
-            presets: names.into_iter().map(Into::into).collect(),
+            workloads: names.into_iter().map(Into::into).collect(),
             base: RunConfig::default(),
             fresh: false,
             telemetry: Telemetry::off(),
@@ -180,81 +229,88 @@ impl ExperimentSet {
         self.run_parallel(width)
     }
 
-    /// Runs every workload as a job on a pool of `jobs` workers, its
-    /// [`HEADLINE_SCHEMES`] as legs of one shared run
-    /// ([`Experiment::run_schemes`]), and returns one [`SchemeResults`]
-    /// per preset, in preset order — byte-identical at any pool width.
+    /// [`ExperimentSet::run_cached`] under the three headline schemes.
     ///
     /// # Errors
     ///
-    /// Fails on unknown preset names or when any run fails; every job
-    /// still runs, and the error aggregates all failures.
+    /// See [`ExperimentSet::run_cached`].
     pub fn run_parallel(self, jobs: usize) -> BenchResult<Vec<SchemeResults>> {
-        let dir = self.results_dir.clone().unwrap_or_else(results_dir);
+        self.run_cached(jobs)
+    }
 
-        // Phase 1: resolve caches; one job per missing workload, running
-        // its scheme trio as legs of one shared run, in submission order.
-        let mut cached: Vec<Option<SchemeResults>> = Vec::with_capacity(self.presets.len());
+    /// The cache file names [`ExperimentSet::run_cached`] reads and writes
+    /// for `R`, in workload order: `<PREFIX><workload>-<key>.json`.
+    pub fn cache_files<R: CachedResults>(&self) -> Vec<String> {
+        self.workloads
+            .iter()
+            .map(|name| format!("{}{name}-{}.json", R::PREFIX, cache_key(name, &self.base)))
+            .collect()
+    }
+
+    /// Runs every workload as a job on a pool of `jobs` workers, its
+    /// [`CachedResults::SCHEMES`] as legs of one shared run
+    /// ([`Experiment::run_schemes`]), and returns one `R` per workload,
+    /// in workload order — byte-identical at any pool width. Cached
+    /// workloads are read instead of run, and fresh results are cached.
+    ///
+    /// # Errors
+    ///
+    /// Fails on unknown workload names or when any run fails; every job
+    /// still runs, and the error aggregates all failures.
+    pub fn run_cached<R: CachedResults>(self, jobs: usize) -> BenchResult<Vec<R>> {
+        let dir = self.results_dir.clone().unwrap_or_else(results_dir);
+        let paths: Vec<PathBuf> = self
+            .cache_files::<R>()
+            .into_iter()
+            .map(|file| dir.join(file))
+            .collect();
+
+        // Phase 1: resolve caches; one job per missing workload, in
+        // submission order.
+        let mut cached: Vec<Option<R>> = Vec::with_capacity(self.workloads.len());
         let mut pool: Vec<Job<Vec<SchemeRun>>> = Vec::new();
-        for name in &self.presets {
-            let path = dir.join(cache_file_name(name, &self.base));
-            if !self.fresh {
-                if let Some(hit) = try_load(&path) {
-                    cached.push(Some(hit));
-                    continue;
-                }
+        for (name, path) in self.workloads.iter().zip(&paths) {
+            let hit = if self.fresh {
+                None
+            } else {
+                load_json(path).ok()
+            };
+            if hit.is_none() {
+                let name = name.clone();
+                let base = self.base.clone();
+                pool.push(Job::new(name.clone(), move |tel| {
+                    Ok(R::experiment(&name)
+                        .config(base)
+                        .telemetry(tel)
+                        .run_schemes(R::SCHEMES.iter().copied())?)
+                }));
             }
-            cached.push(None);
-            let name = name.clone();
-            let base = self.base.clone();
-            pool.push(Job::new(name.clone(), move |tel| {
-                Ok(Experiment::preset(name)
-                    .config(base)
-                    .telemetry(tel)
-                    .run_schemes(HEADLINE_SCHEMES)?)
-            }));
+            cached.push(hit);
         }
 
         // Phase 2: fan out.
         let mut outcomes = run_jobs(pool, jobs, &self.telemetry).into_iter();
 
-        // Phase 3: merge in preset order; write caches; aggregate errors.
-        let mut results = Vec::with_capacity(self.presets.len());
+        // Phase 3: merge in workload order; write caches; aggregate errors.
+        let mut results = Vec::with_capacity(self.workloads.len());
         let mut failures: Vec<String> = Vec::new();
-        for (name, hit) in self.presets.iter().zip(cached) {
+        for ((name, path), hit) in self.workloads.iter().zip(&paths).zip(cached) {
             if let Some(hit) = hit {
                 results.push(hit);
                 continue;
             }
-            let outcome = outcomes.next().expect("one outcome per workload");
-            let runs = match outcome.result {
-                Ok(runs) => runs,
-                Err(e) => {
-                    failures.push(format!("{}: {e}", outcome.key));
-                    continue;
+            let outcome = outcomes.next().expect("one outcome per uncached workload");
+            match outcome.result {
+                Ok(runs) => {
+                    let assembled = R::assemble(name, runs);
+                    let json = serde_json::to_string(&assembled).expect("results serialize");
+                    if let Err(e) = save_atomic(path, &json) {
+                        eprintln!("warning: could not cache {e}");
+                    }
+                    results.push(assembled);
                 }
-            };
-            let Ok([baseline, bbv, hotspot]) = <[SchemeRun; 3]>::try_from(runs) else {
-                unreachable!("one run per scheme of HEADLINE_SCHEMES")
-            };
-            let (SchemeExt::Bbv(bbv_report), SchemeExt::Hotspot(hotspot_report)) =
-                (bbv.report.ext, hotspot.report.ext)
-            else {
-                unreachable!("scheme order is fixed by HEADLINE_SCHEMES")
-            };
-            let assembled = SchemeResults {
-                workload: name.clone(),
-                baseline: baseline.record,
-                bbv: bbv.record,
-                bbv_report,
-                hotspot: hotspot.record,
-                hotspot_report,
-            };
-            let path = dir.join(cache_file_name(name, &self.base));
-            if let Err(e) = save(&path, &assembled) {
-                eprintln!("warning: could not cache {}: {e}", path.display());
+                Err(e) => failures.push(format!("{}: {e}", outcome.key)),
             }
-            results.push(assembled);
         }
         if !failures.is_empty() {
             return Err(BenchError::msg(failures.join("; ")));
@@ -284,14 +340,14 @@ struct KeyMaterial {
     workload_seed: Option<u64>,
 }
 
-/// Content-addressed cache key for one workload's [`SchemeResults`]:
-/// 16 hex digits of FNV-1a over the serialized run inputs (workload name,
-/// crate version, machine/DO/energy configuration, instruction limit,
-/// seed). Two configs differing in any of those fields get different
-/// keys; the telemetry handle does not participate (observability never
-/// changes results).
+/// Content-addressed cache key for one workload's cached results:
+/// [`content_key`] over the serialized run inputs (workload name, crate
+/// version, machine/DO/energy configuration, instruction limit, seed).
+/// Two configs differing in any of those fields get different keys; the
+/// telemetry handle does not participate (observability never changes
+/// results).
 pub fn cache_key(workload: &str, cfg: &RunConfig) -> String {
-    let material = KeyMaterial {
+    content_key(&KeyMaterial {
         workload: workload.to_string(),
         crate_version: env!("CARGO_PKG_VERSION").to_string(),
         machine: cfg.machine.clone(),
@@ -299,33 +355,53 @@ pub fn cache_key(workload: &str, cfg: &RunConfig) -> String {
         energy: cfg.energy,
         instruction_limit: cfg.instruction_limit,
         workload_seed: cfg.workload_seed,
-    };
-    let bytes = serde_json::to_string(&material).expect("key material serializes");
-    // FNV-1a 64, dependency-free and stable across platforms.
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1_0000_01b3);
+    })
+}
+
+/// FNV-1a over `bytes`, 64-bit, with multiplier `0x1_0000_01b3` (the
+/// reference 64-bit prime is `0x100_0000_01b3`): the dependency-free,
+/// platform-stable hash behind every cache key and fingerprint of the
+/// harness. Every committed cache name depends on this exact multiplier.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x1_0000_01b3)
+    })
+}
+
+/// 16 hex digits of [`fnv1a`] over the JSON serialization of `material`:
+/// two values get equal keys iff their JSON is byte-identical.
+pub fn content_key<T: Serialize + ?Sized>(material: &T) -> String {
+    let json = serde_json::to_string(material).expect("key material serializes");
+    format!("{:016x}", fnv1a(json.bytes()))
+}
+
+/// Reads a JSON cache file.
+///
+/// # Errors
+///
+/// Fails, naming the path, when the file cannot be read or parsed.
+pub fn load_json<T: Deserialize>(path: &Path) -> BenchResult<T> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| BenchError::msg(format!("{}: {e}", path.display())))?;
+    serde_json::from_str(&text).map_err(|e| BenchError::msg(format!("{}: {e}", path.display())))
+}
+
+/// Writes `text` to `path` atomically, creating the parent directory: a
+/// temp file renamed into place, so a reader (or a concurrent run) never
+/// sees a torn file.
+///
+/// # Errors
+///
+/// Fails, naming the path, when the directory, the temp file or the
+/// rename fails.
+pub fn save_atomic(path: &Path, text: &str) -> BenchResult<()> {
+    let fail = |p: &Path, e: std::io::Error| BenchError::msg(format!("{}: {e}", p.display()));
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).map_err(|e| fail(dir, e))?;
     }
-    format!("{hash:016x}")
-}
-
-fn cache_file_name(workload: &str, cfg: &RunConfig) -> String {
-    format!("{workload}-{}.json", cache_key(workload, cfg))
-}
-
-fn try_load(path: &Path) -> Option<SchemeResults> {
-    let data = std::fs::read_to_string(path).ok()?;
-    serde_json::from_str(&data).ok()
-}
-
-fn save(path: &Path, results: &SchemeResults) -> std::io::Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    std::fs::create_dir_all(dir)?;
-    // Atomic publish: a reader (or a concurrent run) never sees a torn file.
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, serde_json::to_string(results).expect("serializable"))?;
-    std::fs::rename(&tmp, path)
+    std::fs::write(&tmp, text).map_err(|e| fail(&tmp, e))?;
+    std::fs::rename(&tmp, path).map_err(|e| fail(path, e))
 }
 
 /// Parses the shared `--telemetry <path>` CLI flag: returns a JSONL-file
@@ -423,47 +499,6 @@ pub fn bar_chart(labels: &[&str], series: &[(&str, Vec<f64>)], width: usize) -> 
     out
 }
 
-/// Appends one experiment's formatted output to `results/SUMMARY.md`.
-///
-/// Not thread-safe (read-modify-write): call it from the ordered merge
-/// phase — e.g. via [`experiments::commit_report`] — never from inside a
-/// job.
-pub fn append_summary(section: &str, body: &str) {
-    let path = results_dir().join("SUMMARY.md");
-    let _ = std::fs::create_dir_all(results_dir());
-    let mut text = std::fs::read_to_string(&path).unwrap_or_default();
-    // Replace an existing section of the same name, else append.
-    let header = format!(
-        "## {section}
-"
-    );
-    if let Some(start) = text.find(&header) {
-        let rest = &text[start + header.len()..];
-        let end = rest
-            .find(
-                "
-## ",
-            )
-            .map(|e| start + header.len() + e + 1)
-            .unwrap_or(text.len());
-        text.replace_range(start..end, "");
-    }
-    text.push_str(&header);
-    text.push_str(
-        "
-```text
-",
-    );
-    text.push_str(body.trim_end());
-    text.push_str(
-        "
-```
-
-",
-    );
-    let _ = std::fs::write(&path, text);
-}
-
 /// Arithmetic mean (the paper's "avg" rows average percentages).
 pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
     let v: Vec<f64> = values.into_iter().collect();
@@ -517,22 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_section_replacement() {
-        let dir = std::env::temp_dir().join(format!("ace_sum_{}", std::process::id()));
-        std::env::set_var("ACE_RESULTS_DIR", &dir);
-        append_summary("Alpha", "first");
-        append_summary("Beta", "second");
-        append_summary("Alpha", "updated");
-        let text = std::fs::read_to_string(dir.join("SUMMARY.md")).unwrap();
-        std::env::remove_var("ACE_RESULTS_DIR");
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(!text.contains("first"));
-        assert!(text.contains("updated"));
-        assert!(text.contains("second"));
-        assert_eq!(text.matches("## Alpha").count(), 1);
-    }
-
-    #[test]
     fn cache_key_tracks_config_fields() {
         let base = RunConfig::default();
         let key = cache_key("db", &base);
@@ -557,6 +576,23 @@ mod tests {
             ..RunConfig::default()
         };
         assert_eq!(key, cache_key("db", &traced));
+    }
+
+    #[test]
+    fn save_atomic_round_trips_through_load_json() {
+        let dir = std::env::temp_dir().join(format!("ace_cache_io_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("nested").join("entry.json");
+        save_atomic(&path, "[1,2,3]").unwrap();
+        assert_eq!(load_json::<Vec<u64>>(&path).unwrap(), vec![1, 2, 3]);
+        let names: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["entry.json"], "no temp file is left behind");
+        let err = load_json::<Vec<u64>>(&dir.join("missing.json")).unwrap_err();
+        assert!(err.to_string().contains("missing.json"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The pdm experiment inherits the engine's headline guarantee: a
-//! parallel `run_pdm` is byte-identical to a serial one — same serialized
-//! results, same rendered report, same cache files.
+//! parallel run of its set is byte-identical to a serial one — same
+//! serialized results, same rendered report, same cache files.
 //!
-//! Runs are instruction-limited via `PdmOptions::config` so the suite
+//! Runs are instruction-limited via `ExperimentSet::config` so the suite
 //! stays quick in debug builds; the cache key sees the limit, keeping
 //! these entries apart from full-length results.
 
-use ace_bench::experiments::pdm::{render, run_pdm, PdmOptions};
+use ace_bench::experiments::pdm::{render, PdmResults, PDM_WORKLOADS};
+use ace_bench::ExperimentSet;
 use ace_core::RunConfig;
 use std::path::PathBuf;
 
@@ -21,16 +22,14 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn run_at_width(jobs: usize, tag: &str) -> (String, String, PathBuf) {
     let dir = temp_dir(tag);
-    let results = run_pdm(&PdmOptions {
-        jobs,
-        results_dir: Some(dir.clone()),
-        config: Some(RunConfig {
+    let results: Vec<PdmResults> = ExperimentSet::presets(PDM_WORKLOADS)
+        .results_dir(&dir)
+        .config(RunConfig {
             instruction_limit: Some(LIMIT),
             ..RunConfig::default()
-        }),
-        ..PdmOptions::default()
-    })
-    .expect("pdm suite over six workloads");
+        })
+        .run_cached(jobs)
+        .expect("pdm suite over six workloads");
     let json = serde_json::to_string(&results).unwrap();
     let text = render(&results).text;
     (json, text, dir)

@@ -15,7 +15,7 @@
 
 use crate::driver::{fleet_registry_version, run_fleet, FleetConfig, FleetOutcome};
 use crate::store::TuningStore;
-use ace_bench::{BenchError, BenchResult};
+use ace_bench::{content_key, fnv1a, BenchError, BenchResult};
 use ace_telemetry::Telemetry;
 use ace_workloads::{gen, GenParams};
 use std::fmt::Write as _;
@@ -26,16 +26,6 @@ use std::path::{Path, PathBuf};
 /// tuning episodes to converge and publish, or the store never fills and
 /// the fingerprint oracle degenerates to hashing emptiness.
 const CORPUS_LIMIT: u64 = 8_000_000;
-
-/// FNV-1a 64 over `bytes`.
-fn fnv(bytes: impl Iterator<Item = u8>) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    }
-    hash
-}
 
 /// Byte-level fingerprint of a store's full content: every entry in
 /// signature-sorted order, configurations and exact float bits included.
@@ -52,14 +42,21 @@ pub fn store_fingerprint(store: &TuningStore) -> String {
             entry.stamp
         );
     }
-    format!("{:016x}", fnv(text.bytes()))
+    format!("{:016x}", fnv1a(text.bytes()))
 }
 
 /// Byte-level fingerprint of one pass outcome (serialized rows; the
 /// schedule-dependent `wall` field is skipped by its serde attribute).
+/// A workload given as a spec-file path is hashed by its file name, so
+/// the fingerprint does not depend on where the spec directory is.
 pub fn outcome_fingerprint(outcome: &FleetOutcome) -> String {
-    let json = serde_json::to_string(outcome).expect("fleet outcome serializes");
-    format!("{:016x}", fnv(json.bytes()))
+    let mut outcome = outcome.clone();
+    for machine in &mut outcome.machines {
+        if let Some(file) = Path::new(&machine.spec.preset).file_name() {
+            machine.spec.preset = file.to_string_lossy().into_owned();
+        }
+    }
+    content_key(&outcome)
 }
 
 /// The four fingerprints one cold+warm fleet run produces.

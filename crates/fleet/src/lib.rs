@@ -45,7 +45,7 @@ pub use driver::{
 pub use obs::{render_wave_line, ObsGate, ObsGateLine, ObsGateReport, ObsSampler, WaveHealth};
 pub use store::{PublishOutcome, StoreEntry, TuningStore};
 
-use ace_bench::{BenchError, BenchResult};
+use ace_bench::{content_key, load_json, save_atomic, BenchError, BenchResult};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -62,24 +62,17 @@ struct KeyMaterial {
     registry_version: u16,
 }
 
-/// Content-addressed cache key of one fleet configuration: 16 hex digits
-/// of FNV-1a over the serialized run inputs (crate version, the full
-/// [`FleetConfig`], the fleet DO profile, and the registry version).
+/// Content-addressed cache key of one fleet configuration:
+/// [`content_key`] over the serialized run inputs (crate version, the
+/// full [`FleetConfig`], the fleet DO profile, and the registry version).
 /// Anything that could change the report changes the key.
 pub fn fleet_cache_key(cfg: &FleetConfig) -> String {
-    let material = KeyMaterial {
+    content_key(&KeyMaterial {
         crate_version: env!("CARGO_PKG_VERSION").to_string(),
         config: cfg.clone(),
         do_config: fleet_do_config(),
         registry_version: fleet_registry_version(),
-    };
-    let bytes = serde_json::to_string(&material).expect("key material serializes");
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    }
-    format!("{hash:016x}")
+    })
 }
 
 /// File name of a fleet result cache entry: `fleet-<key>.json`. The
@@ -116,10 +109,7 @@ impl FleetCache {
     /// mismatch.
     pub fn load(path: impl AsRef<Path>) -> BenchResult<FleetCache> {
         let path = path.as_ref();
-        let data = std::fs::read_to_string(path)
-            .map_err(|e| BenchError::msg(format!("{}: {e}", path.display())))?;
-        let cache: FleetCache = serde_json::from_str(&data)
-            .map_err(|e| BenchError::msg(format!("{}: {e}", path.display())))?;
+        let cache: FleetCache = load_json(path)?;
         if cache.schema_version != FLEET_SCHEMA_VERSION {
             return Err(BenchError::msg(format!(
                 "{}: fleet cache schema {} (current is {})",
@@ -131,24 +121,17 @@ impl FleetCache {
         Ok(cache)
     }
 
-    /// Writes the cache atomically (temp file + rename).
+    /// Writes the cache atomically ([`save_atomic`]).
     ///
     /// # Errors
     ///
     /// Fails when the parent directory cannot be created or the file
     /// cannot be written.
     pub fn write(&self, path: impl AsRef<Path>) -> BenchResult<()> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| BenchError::msg(format!("{}: {e}", dir.display())))?;
-        }
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, serde_json::to_string(self).expect("serializable"))
-            .map_err(|e| BenchError::msg(format!("{}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| BenchError::msg(format!("{}: {e}", path.display())))?;
-        Ok(())
+        save_atomic(
+            path.as_ref(),
+            &serde_json::to_string(self).expect("serializable"),
+        )
     }
 }
 

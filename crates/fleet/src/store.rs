@@ -34,7 +34,7 @@
 //! empty ledger.
 
 use crate::driver::MachineOutcome;
-use ace_bench::{BenchError, BenchResult};
+use ace_bench::{save_atomic, BenchError, BenchResult};
 use ace_core::{AceConfig, HotspotSignature, StoreAnswer, StorePublication, WarmStartContext};
 use ace_workloads::Program;
 use std::collections::HashMap;
@@ -176,7 +176,15 @@ impl TuningStore {
         let io_err = |e: std::io::Error| BenchError::msg(format!("{}: {e}", path.display()));
         let mut store = TuningStore::in_memory(version, capacity);
         if path.exists() {
-            let data = std::fs::read_to_string(&path).map_err(io_err)?;
+            let bytes = std::fs::read(&path).map_err(io_err)?;
+            let data = String::from_utf8(bytes).map_err(|e| {
+                let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
+                let line = valid.iter().filter(|&&b| b == b'\n').count() + 1;
+                BenchError::msg(format!(
+                    "{}:{line}: store log line is not valid UTF-8",
+                    path.display()
+                ))
+            })?;
             let complete = data.rfind('\n').map_or(0, |i| i + 1);
             let (body, tail) = data.split_at(complete);
             for (lineno, line) in body.lines().enumerate() {
@@ -378,12 +386,7 @@ impl TuningStore {
             text.push_str(&serde_json::to_string(&publication).expect("publication serializes"));
             text.push('\n');
         }
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, text)
-            .map_err(|e| BenchError::msg(format!("{}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| BenchError::msg(format!("{}: {e}", path.display())))?;
-        Ok(())
+        save_atomic(path, &text)
     }
 }
 
@@ -595,6 +598,26 @@ mod tests {
         // An unparsable line followed by more lines is interior, torn or not.
         std::fs::write(&path, format!("{good}\nnot json\n{good}")).unwrap();
         assert!(TuningStore::open(&path, 7, 16).is_err());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_non_utf8_line_is_a_line_numbered_error() {
+        let path = temp_log("utf8");
+        let good = serde_json::to_string(&publication(1, 0.5)).unwrap();
+        let with_bad_line = |before: String, after: String| {
+            [before.as_bytes(), &b"\xff\xfe"[..], after.as_bytes()].concat()
+        };
+        let open_fails_at = |log: Vec<u8>, line: usize| {
+            std::fs::write(&path, &log).unwrap();
+            let err = TuningStore::open(&path, 7, 16).unwrap_err().to_string();
+            let want = format!(":{line}: store log line is not valid UTF-8");
+            assert!(err.contains(&want), "{err}");
+            assert_eq!(std::fs::read(&path).unwrap(), log, "nothing truncated");
+        };
+        // A bad middle line, then a bad unterminated final line.
+        open_fails_at(with_bad_line(format!("{good}\n"), format!("\n{good}\n")), 2);
+        open_fails_at(with_bad_line(format!("{good}\n{good}\n"), String::new()), 3);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -270,7 +270,10 @@ fn reuse_follows_the_baseline_rule_and_keeps_the_spec() {
     cfg.instruction_limit = 200_000;
     cfg.measure_baseline = false;
     let mut store = memory_store();
-    assert_eq!(observed_pass(&cfg, &mut store, 2).1, LedgerCounts::default());
+    assert_eq!(
+        observed_pass(&cfg, &mut store, 2).1,
+        LedgerCounts::default()
+    );
 
     // The recorded runs have no baseline, so a pass that wants one
     // simulates them again; the next pass reuses them whole.

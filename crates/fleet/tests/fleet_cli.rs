@@ -5,6 +5,7 @@
 //! whichever side of `--wave-size` it is on. A store log too deeply
 //! nested to parse is a typed error and exit 1, not a stack overflow.
 //! `--telemetry` runs the passes even when a cached report would answer.
+//! Two `--corpus` runs print the same fingerprints.
 
 use ace_fleet::{
     fleet_cache_file_name, fleet_cache_key, fleet_registry_version, FleetCache, FleetConfig,
@@ -218,4 +219,42 @@ fn telemetry_runs_the_passes_instead_of_the_cached_report() {
         first.starts_with("fleet: 64 machines x2 passes"),
         "the passes must run: {first}"
     );
+}
+
+/// Each `fleet --corpus` process writes its specs to a directory of its
+/// own, so concurrent runs cannot delete each other's, and the
+/// fingerprints it prints depend only on the corpus content: two runs
+/// print the same line.
+#[test]
+fn corpus_fingerprints_do_not_depend_on_the_process() {
+    let dir = temp_dir("corpus");
+    let spawn = || {
+        Command::new(env!("CARGO_BIN_EXE_fleet"))
+            .env("ACE_RESULTS_DIR", &dir)
+            .args(["--corpus", "2", "--jobs", "1"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("fleet binary runs")
+    };
+    let runs = [spawn(), spawn()];
+    let lines: Vec<String> = runs
+        .into_iter()
+        .map(|child| {
+            let out = child.wait_with_output().expect("fleet exits");
+            let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            stdout
+                .lines()
+                .find(|line| line.starts_with("fingerprints stable"))
+                .unwrap_or_else(|| panic!("no fingerprint line in {stdout}"))
+                .to_string()
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(lines[0], lines[1]);
 }
