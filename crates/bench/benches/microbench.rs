@@ -8,7 +8,7 @@ use ace_core::{
 use ace_energy::EnergyModel;
 use ace_phase::{BbvConfig, BbvDetector, WorkingSetConfig, WorkingSetDetector};
 use ace_sim::{
-    Block, BranchEvent, BranchPredictor, Cache, CacheGeometry, CuKind, Machine, MachineConfig,
+    Block, BranchEvent, BranchPredictor, Cache, CacheGeometry, CuId, Machine, MachineConfig,
     MemAccess, SizeLevel, Tlb,
 };
 use ace_workloads::{preset, Executor};
@@ -248,9 +248,9 @@ fn bench_machine(c: &mut Criterion) {
     });
     group.bench_function("request_resize_guarded", |b| {
         let mut m = Machine::new(MachineConfig::table2()).unwrap();
-        m.request_resize(CuKind::L1d, SizeLevel::SMALLEST);
+        m.request_resize(CuId::L1d, SizeLevel::SMALLEST);
         // Subsequent requests are guard-rejected: measures the fast path.
-        b.iter(|| black_box(m.request_resize(CuKind::L1d, SizeLevel::LARGEST)))
+        b.iter(|| black_box(m.request_resize(CuId::L1d, SizeLevel::LARGEST)))
     });
     group.finish();
 }
@@ -308,7 +308,7 @@ fn bench_tuner(c: &mut Criterion) {
     let mut group = c.benchmark_group("tuner");
     group.bench_function("full_walk", |b| {
         b.iter(|| {
-            let mut t = ConfigTuner::new(single_cu_list(CuKind::L1d), 0.02);
+            let mut t = ConfigTuner::new(single_cu_list(CuId::L1d), 0.02);
             let mut k = 0.0;
             while t.next_trial().is_some() {
                 k += 0.1;

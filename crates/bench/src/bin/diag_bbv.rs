@@ -8,7 +8,7 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "compress".to_string());
     let mut mgr = BbvAceManager::new(BbvManagerConfig::default(), EnergyModel::default_180nm());
-    let _ = Experiment::preset(name.as_str())
+    let _ = Experiment::workload(name.as_str())
         .run_with(&mut mgr)
         .expect("preset run");
     let r = mgr.report();

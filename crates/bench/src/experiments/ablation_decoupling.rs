@@ -6,48 +6,41 @@
 //! configurations, with small hotspots' L2 requests mostly bouncing off
 //! the 1 M-instruction hardware guard).
 
-use super::{outln, ExpCtx, Report};
+use super::{hotspot_report, outln, run_group, ExpCtx, Report};
 use crate::{format_table, mean, BenchResult};
-use ace_core::{Experiment, HotspotAceManager, HotspotManagerConfig, RunConfig};
-use ace_energy::EnergyModel;
+use ace_core::{Experiment, HotspotManagerConfig, Scheme, SchemeRun};
 use ace_workloads::PRESET_NAMES;
 
 pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     let mut report = Report::new("ablation_decoupling");
-    let cfg = RunConfig::default();
-    let model = EnergyModel::default_180nm();
     let mut rows = Vec::new();
     let mut agg: Vec<(f64, f64, f64, f64)> = Vec::new();
+    let hotspot = |decouple: bool| {
+        Scheme::Hotspot(HotspotManagerConfig {
+            decouple,
+            ..HotspotManagerConfig::default()
+        })
+    };
 
     for name in PRESET_NAMES {
-        let base = Experiment::preset(name)
-            .config(cfg.clone())
-            .telemetry(&ctx.telemetry)
-            .run()?;
-
-        let run_one = |decouple: bool| -> BenchResult<(f64, f64, f64, f64, u64)> {
-            let mut mgr = HotspotAceManager::new(
-                HotspotManagerConfig {
-                    decouple,
-                    ..HotspotManagerConfig::default()
-                },
-                model,
-            );
-            let r = Experiment::preset(name)
-                .config(cfg.clone())
-                .telemetry(&ctx.telemetry)
-                .run_with(&mut mgr)?;
-            let rep = mgr.report();
-            Ok((
+        let experiment = Experiment::workload(name).telemetry(&ctx.telemetry);
+        let [base, on, off] = run_group(
+            experiment,
+            [Scheme::Baseline, hotspot(true), hotspot(false)],
+        )?;
+        let base = &base.record;
+        let stats = |run: &SchemeRun| {
+            let (r, rep) = (&run.record, hotspot_report(run));
+            (
                 100.0 * (1.0 - r.energy.total_nj() / base.energy.total_nj()),
-                100.0 * r.slowdown_vs(&base),
+                100.0 * r.slowdown_vs(base),
                 100.0 * rep.tuned_fraction(),
                 (rep.l1d().tunings + rep.l2().tunings) as f64,
                 r.counters.guard_rejections,
-            ))
+            )
         };
-        let (s_on, sl_on, t_on, tr_on, _) = run_one(true)?;
-        let (s_off, sl_off, t_off, tr_off, rej_off) = run_one(false)?;
+        let (s_on, sl_on, t_on, tr_on, _) = stats(&on);
+        let (s_off, sl_off, t_off, tr_off, rej_off) = stats(&off);
         agg.push((s_on, s_off, sl_on, sl_off));
         rows.push(vec![
             name.to_string(),

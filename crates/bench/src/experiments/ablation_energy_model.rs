@@ -7,11 +7,9 @@
 //! comparison: the tuners see the changed objective and re-decide, so this
 //! is a true end-to-end sensitivity study, not a re-pricing of one run.
 
-use super::{outln, ExpCtx, Report};
+use super::{outln, run_group, ExpCtx, Report};
 use crate::{format_table, mean, BenchResult};
-use ace_core::{
-    BbvAceManager, BbvManagerConfig, Experiment, HotspotAceManager, HotspotManagerConfig, RunConfig,
-};
+use ace_core::Experiment;
 use ace_energy::EnergyModel;
 use ace_workloads::PRESET_NAMES;
 
@@ -31,27 +29,14 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
         let mut hot_sav = Vec::new();
         let mut hot_slow = Vec::new();
         for name in PRESET_NAMES {
-            let cfg = RunConfig {
-                energy: model,
-                ..RunConfig::default()
-            };
-            let base = Experiment::preset(name)
-                .config(cfg.clone())
-                .telemetry(&ctx.telemetry)
-                .run()?;
-            let mut b = BbvAceManager::new(BbvManagerConfig::default(), model);
-            let rb = Experiment::preset(name)
-                .config(cfg.clone())
-                .telemetry(&ctx.telemetry)
-                .run_with(&mut b)?;
-            let mut h = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-            let rh = Experiment::preset(name)
-                .config(cfg)
-                .telemetry(&ctx.telemetry)
-                .run_with(&mut h)?;
+            let experiment = Experiment::workload(name)
+                .energy(model)
+                .telemetry(&ctx.telemetry);
+            let [base, rb, rh] = run_group(experiment, ["baseline", "bbv", "hotspot"])?;
+            let (base, rb, rh) = (&base.record, &rb.record, &rh.record);
             bbv_sav.push(100.0 * (1.0 - rb.energy.total_nj() / base.energy.total_nj()));
             hot_sav.push(100.0 * (1.0 - rh.energy.total_nj() / base.energy.total_nj()));
-            hot_slow.push(100.0 * rh.slowdown_vs(&base));
+            hot_slow.push(100.0 * rh.slowdown_vs(base));
         }
         rows.push(vec![
             format!("{scale}x"),

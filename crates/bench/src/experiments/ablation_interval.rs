@@ -6,62 +6,65 @@
 //! tuning — the "all CUs adapt at the pace of the slowest" limitation that
 //! motivates CU decoupling.
 
-use super::{outln, ExpCtx, Report};
+use super::{bbv_report, outln, ExpCtx, Report};
 use crate::{format_table, mean, BenchResult};
-use ace_core::{BbvAceManager, BbvManagerConfig, Experiment, RunConfig};
-use ace_energy::EnergyModel;
+use ace_core::{BbvManagerConfig, Experiment, Scheme};
 use ace_phase::BbvConfig;
 use ace_workloads::PRESET_NAMES;
 
+/// The sampling intervals swept, in instructions.
+const INTERVALS: [u64; 5] = [250_200, 500_200, 1_000_200, 2_000_200, 4_000_200];
+
 pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     let mut report = Report::new("ablation_interval");
-    let model = EnergyModel::default_180nm();
     let out = &mut report.text;
     outln!(
         out,
         "Ablation: BBV sampling interval sweep (averages over the 7 workloads)\n"
     );
-    let mut rows = Vec::new();
-    for interval in [250_200u64, 500_200, 1_000_200, 2_000_200, 4_000_200] {
-        let mut stats = Vec::new();
-        for name in PRESET_NAMES {
-            let cfg = RunConfig::default();
-            let base = Experiment::preset(name)
-                .config(cfg.clone())
-                .telemetry(&ctx.telemetry)
-                .run()?;
-            let mut mgr = BbvAceManager::new(
-                BbvManagerConfig {
-                    bbv: BbvConfig {
-                        interval_instr: interval,
-                        ..BbvConfig::default()
-                    },
-                    ..BbvManagerConfig::default()
+    // One baseline and a BBV leg per interval share each workload's run;
+    // `stats[i]` collects interval `i`'s per-workload rows.
+    let mut stats = vec![Vec::new(); INTERVALS.len()];
+    for name in PRESET_NAMES {
+        let bbv = INTERVALS.map(|interval_instr| {
+            Scheme::Bbv(BbvManagerConfig {
+                bbv: BbvConfig {
+                    interval_instr,
+                    ..BbvConfig::default()
                 },
-                model,
-            );
-            let r = Experiment::preset(name)
-                .config(cfg)
-                .telemetry(&ctx.telemetry)
-                .run_with(&mut mgr)?;
-            let rep = mgr.report();
+                ..BbvManagerConfig::default()
+            })
+        });
+        let runs = Experiment::workload(name)
+            .telemetry(&ctx.telemetry)
+            .run_schemes(std::iter::once(Scheme::Baseline).chain(bbv))?;
+        let (base, sweep) = runs.split_first().expect("one run per scheme");
+        let base = &base.record;
+        for (stats, run) in stats.iter_mut().zip(sweep) {
+            let (r, rep) = (&run.record, bbv_report(run));
             stats.push((
                 100.0 * rep.stability.stable_fraction(),
                 rep.tuned_phases as f64,
                 100.0 * (1.0 - r.energy.total_nj() / base.energy.total_nj()),
-                100.0 * r.slowdown_vs(&base),
+                100.0 * r.slowdown_vs(base),
                 r.counters.guard_rejections as f64,
             ));
         }
-        rows.push(vec![
-            format!("{:.2}M", interval as f64 / 1e6),
-            format!("{:.0}%", mean(stats.iter().map(|s| s.0))),
-            format!("{:.1}", mean(stats.iter().map(|s| s.1))),
-            format!("{:.1}", mean(stats.iter().map(|s| s.2))),
-            format!("{:.2}", mean(stats.iter().map(|s| s.3))),
-            format!("{:.0}", mean(stats.iter().map(|s| s.4))),
-        ]);
     }
+    let rows: Vec<_> = INTERVALS
+        .iter()
+        .zip(&stats)
+        .map(|(&interval, stats)| {
+            vec![
+                format!("{:.2}M", interval as f64 / 1e6),
+                format!("{:.0}%", mean(stats.iter().map(|s| s.0))),
+                format!("{:.1}", mean(stats.iter().map(|s| s.1))),
+                format!("{:.1}", mean(stats.iter().map(|s| s.2))),
+                format!("{:.2}", mean(stats.iter().map(|s| s.3))),
+                format!("{:.0}", mean(stats.iter().map(|s| s.4))),
+            ]
+        })
+        .collect();
     outln!(
         out,
         "{}",

@@ -11,7 +11,7 @@
 //! predicted configuration is installed at classification with zero tuning
 //! latency; the normal tuned scheme is the comparison point.
 
-use super::{outln, ExpCtx, Report};
+use super::{hotspot_report, outln, run_group, ExpCtx, Report};
 use crate::{format_table, mean, BenchResult};
 use ace_core::{AceConfig, Experiment, HotspotAceManager, HotspotManagerConfig};
 use ace_energy::EnergyModel;
@@ -62,12 +62,9 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     let mut agg = Vec::new();
     for name in PRESET_NAMES {
         let program = ace_workloads::preset(name).unwrap();
-        let base = Experiment::preset(name).telemetry(&ctx.telemetry).run()?;
-
-        let mut tuned = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-        let tuned_run = Experiment::preset(name)
-            .telemetry(&ctx.telemetry)
-            .run_with(&mut tuned)?;
+        let experiment = || Experiment::workload(name).telemetry(&ctx.telemetry);
+        let [base, tuned] = run_group(experiment(), ["baseline", "hotspot"])?;
+        let (base, tuned_run, tuned_rep) = (&base.record, &tuned.record, hotspot_report(&tuned));
 
         let mut predicted = HotspotAceManager::new(HotspotManagerConfig::default(), model);
         for id in 0..program.method_count() as u32 {
@@ -91,26 +88,23 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
                 ),
             );
         }
-        let pred_run = Experiment::preset(name)
-            .telemetry(&ctx.telemetry)
-            .run_with(&mut predicted)?;
+        let pred_run = experiment().run_with(&mut predicted)?;
         let pred_rep = predicted.report();
-        let tuned_rep = tuned.report();
 
         let t_sav = 100.0 * (1.0 - tuned_run.energy.total_nj() / base.energy.total_nj());
         let p_sav = 100.0 * (1.0 - pred_run.energy.total_nj() / base.energy.total_nj());
         agg.push((
             t_sav,
             p_sav,
-            100.0 * tuned_run.slowdown_vs(&base),
-            100.0 * pred_run.slowdown_vs(&base),
+            100.0 * tuned_run.slowdown_vs(base),
+            100.0 * pred_run.slowdown_vs(base),
         ));
         rows.push(vec![
             name.to_string(),
             format!("{t_sav:.1}"),
             format!("{p_sav:.1}"),
-            format!("{:.2}", 100.0 * tuned_run.slowdown_vs(&base)),
-            format!("{:.2}", 100.0 * pred_run.slowdown_vs(&base)),
+            format!("{:.2}", 100.0 * tuned_run.slowdown_vs(base)),
+            format!("{:.2}", 100.0 * pred_run.slowdown_vs(base)),
             format!("{}", tuned_rep.l1d().tunings + tuned_rep.l2().tunings),
             format!("{}", pred_rep.l1d().tunings + pred_rep.l2().tunings),
         ]);

@@ -6,41 +6,37 @@
 //! seeds (which perturb invocation sizes, loop counts, access addresses,
 //! and branch outcomes) and reports the spread.
 
-use super::{outln, ExpCtx, Report};
+use super::{outln, run_group, ExpCtx, Report};
 use crate::{format_table, mean, BenchResult};
-use ace_core::{Experiment, HotspotAceManager, HotspotManagerConfig, RunConfig};
-use ace_energy::EnergyModel;
+use ace_core::{Experiment, RunConfig};
 use ace_sim::OnlineStats;
 use ace_workloads::PRESET_NAMES;
 
 pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     let mut report = Report::new("ablation_seeds");
-    let model = EnergyModel::default_180nm();
-    let seeds = [0u64, 0x5EED_0001, 0x5EED_0002, 0x5EED_0003];
+    // The workload's own seed, then three overrides.
+    let seeds = [
+        None,
+        Some(0x5EED_0001),
+        Some(0x5EED_0002),
+        Some(0x5EED_0003),
+    ];
     let mut rows = Vec::new();
     let mut grand = Vec::new();
     for name in PRESET_NAMES {
         let mut savings = OnlineStats::new();
         let mut slowdowns = OnlineStats::new();
-        for (i, &seed) in seeds.iter().enumerate() {
-            let mut cfg = RunConfig {
-                energy: model,
-                ..RunConfig::default()
-            };
-            if i > 0 {
-                cfg.workload_seed = Some(seed);
-            }
-            let base = Experiment::preset(name)
-                .config(cfg.clone())
-                .telemetry(&ctx.telemetry)
-                .run()?;
-            let mut mgr = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-            let r = Experiment::preset(name)
-                .config(cfg)
-                .telemetry(&ctx.telemetry)
-                .run_with(&mut mgr)?;
+        for workload_seed in seeds {
+            let experiment = Experiment::workload(name)
+                .config(RunConfig {
+                    workload_seed,
+                    ..RunConfig::default()
+                })
+                .telemetry(&ctx.telemetry);
+            let [base, r] = run_group(experiment, ["baseline", "hotspot"])?;
+            let (base, r) = (&base.record, &r.record);
             savings.push(100.0 * (1.0 - r.energy.total_nj() / base.energy.total_nj()));
-            slowdowns.push(100.0 * r.slowdown_vs(&base));
+            slowdowns.push(100.0 * r.slowdown_vs(base));
         }
         grand.push(savings.mean());
         rows.push(vec![

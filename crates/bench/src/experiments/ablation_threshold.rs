@@ -19,13 +19,13 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
         "Ablation: hot_threshold sweep (identification latency vs captured savings)\n"
     );
     for name in ["compress", "javac"] {
-        let base = Experiment::preset(name).telemetry(&ctx.telemetry).run()?;
+        let base = Experiment::workload(name).telemetry(&ctx.telemetry).run()?;
         let mut rows = Vec::new();
         for threshold in [2u32, 5, 10, 20, 40] {
             let mut cfg = RunConfig::default();
             cfg.do_config.hot_threshold = threshold;
             let mut mgr = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-            let r = Experiment::preset(name)
+            let r = Experiment::workload(name)
                 .config(cfg)
                 .telemetry(&ctx.telemetry)
                 .run_with(&mut mgr)?;

@@ -34,10 +34,8 @@
 //! in the seven presets at a 100x iteration scale.
 
 use super::{outln, ExpCtx, Report};
-use crate::{
-    content_key, fnv1a, format_table, results_dir, run_jobs, save_atomic, BenchResult, Job,
-};
-use ace_core::{Experiment, RunRecord};
+use crate::{content_key, format_table, results_dir, run_jobs, save_atomic, BenchResult, Job};
+use ace_core::{fnv1a, Experiment, RunRecord};
 use ace_telemetry::Telemetry;
 use ace_workloads::{gen, minimize, GenParams, WorkloadSpec};
 use serde::{Deserialize, Serialize};

@@ -46,7 +46,7 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
             energy: model,
             ..RunConfig::default()
         };
-        let base = Experiment::preset(name)
+        let base = Experiment::workload(name)
             .config(cfg.clone())
             .telemetry(&ctx.telemetry)
             .run()?;
@@ -59,13 +59,13 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
             ..RunConfig::default()
         };
         let mut two = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-        let r2 = Experiment::preset(name)
+        let r2 = Experiment::workload(name)
             .config(cfg2)
             .telemetry(&ctx.telemetry)
             .run_with(&mut two)?;
 
         let mut three = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-        let r3 = Experiment::preset(name)
+        let r3 = Experiment::workload(name)
             .config(cfg)
             .telemetry(&ctx.telemetry)
             .run_with(&mut three)?;

@@ -52,7 +52,7 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
 
         // BBV via the manager (also yields per-phase IPC CoV).
         let mut bbv = BbvAceManager::new(BbvManagerConfig::default(), EnergyModel::default_180nm());
-        let _ = Experiment::preset(name)
+        let _ = Experiment::workload(name)
             .telemetry(&ctx.telemetry)
             .run_with(&mut bbv)?;
         let r = bbv.report();

@@ -6,55 +6,36 @@
 //! temporal scheme as evaluated in the paper, BBV *with* the next-phase
 //! predictor the paper leaves out, and the DO-based hotspot scheme.
 
-use super::{outln, ExpCtx, Report};
+use super::{bbv_report, outln, run_group, ExpCtx, Report};
 use crate::{format_table, mean, BenchResult};
 use ace_core::{
-    BbvAceManager, BbvManagerConfig, Experiment, HotspotAceManager, HotspotManagerConfig,
-    PositionalAceManager, PositionalManagerConfig,
+    BbvManagerConfig, Experiment, HotspotManagerConfig, PositionalManagerConfig, Scheme, SchemeRun,
 };
-use ace_energy::EnergyModel;
 use ace_workloads::PRESET_NAMES;
 
 pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     let mut report = Report::new("ext_schemes");
-    let model = EnergyModel::default_180nm();
     let mut rows = Vec::new();
     let mut agg: Vec<[f64; 8]> = Vec::new();
+    let schemes = [
+        Scheme::Baseline,
+        Scheme::Positional(PositionalManagerConfig::default()),
+        Scheme::Bbv(BbvManagerConfig::default()),
+        Scheme::Bbv(BbvManagerConfig {
+            use_predictor: true,
+            ..BbvManagerConfig::default()
+        }),
+        Scheme::Hotspot(HotspotManagerConfig::default()),
+    ];
 
     for name in PRESET_NAMES {
-        let program = ace_workloads::preset(name).unwrap();
-        let base = Experiment::preset(name).telemetry(&ctx.telemetry).run()?;
+        let experiment = Experiment::workload(name).telemetry(&ctx.telemetry);
+        let [base, r_pos, r_bbv, r_pred, r_hs] = run_group(experiment, schemes.clone())?;
+        let base = &base.record;
         let sav =
-            |r: &ace_core::RunRecord| 100.0 * (1.0 - r.energy.total_nj() / base.energy.total_nj());
-        let slow = |r: &ace_core::RunRecord| 100.0 * r.slowdown_vs(&base);
-
-        let mut pos =
-            PositionalAceManager::new(&program, PositionalManagerConfig::default(), model);
-        let r_pos = Experiment::preset(name)
-            .telemetry(&ctx.telemetry)
-            .run_with(&mut pos)?;
-
-        let mut bbv = BbvAceManager::new(BbvManagerConfig::default(), model);
-        let r_bbv = Experiment::preset(name)
-            .telemetry(&ctx.telemetry)
-            .run_with(&mut bbv)?;
-
-        let mut bbv_pred = BbvAceManager::new(
-            BbvManagerConfig {
-                use_predictor: true,
-                ..BbvManagerConfig::default()
-            },
-            model,
-        );
-        let r_pred = Experiment::preset(name)
-            .telemetry(&ctx.telemetry)
-            .run_with(&mut bbv_pred)?;
-        let pred_report = bbv_pred.report();
-
-        let mut hs = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-        let r_hs = Experiment::preset(name)
-            .telemetry(&ctx.telemetry)
-            .run_with(&mut hs)?;
+            |r: &SchemeRun| 100.0 * (1.0 - r.record.energy.total_nj() / base.energy.total_nj());
+        let slow = |r: &SchemeRun| 100.0 * r.record.slowdown_vs(base);
+        let pred_report = bbv_report(&r_pred);
 
         agg.push([
             sav(&r_pos),

@@ -10,39 +10,25 @@
 //! keep detection sound, and the hardware guard absorbs the threads'
 //! competing configuration requests.
 
-use super::{outln, ExpCtx, Report};
+use super::{bbv_report, hotspot_report, outln, run_group, ExpCtx, Report};
 use crate::{format_table, BenchResult};
-use ace_core::{
-    BbvAceManager, BbvManagerConfig, Experiment, HotspotAceManager, HotspotManagerConfig,
-    NullManager,
-};
-use ace_energy::EnergyModel;
+use ace_core::Experiment;
 use ace_workloads::mtrt_threaded;
 
 pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     let mut report = Report::new("ext_threads");
     let (program, entries) = mtrt_threaded();
-    let model = EnergyModel::default_180nm();
     // A 1 M-instruction quantum is 1 ms at the 1 GHz design point — the
     // order of a Java green-thread timeslice; much shorter quanta make the
     // threads' differing L1D choices thrash the shared cache on every
     // switch (measured below via the guard-rejection count).
     let quantum = 1_000_000;
-    let experiment = || {
-        Experiment::program(program.clone())
-            .threaded(&entries, quantum)
-            .telemetry(&ctx.telemetry)
-    };
-
-    let base = experiment().run_with(&mut NullManager)?;
-
-    let mut hs = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-    let hot = experiment().run_with(&mut hs)?;
-    let hrep = hs.report();
-
-    let mut bbv = BbvAceManager::new(BbvManagerConfig::default(), model);
-    let bb = experiment().run_with(&mut bbv)?;
-    let brep = bbv.report();
+    let experiment = Experiment::program(program)
+        .threaded(&entries, quantum)
+        .telemetry(&ctx.telemetry);
+    let [base, hot, bb] = run_group(experiment, ["baseline", "hotspot", "bbv"])?;
+    let (hrep, brep) = (hotspot_report(&hot), bbv_report(&bb));
+    let (base, hot, bb) = (&base.record, &hot.record, &bb.record);
 
     let out = &mut report.text;
     outln!(
@@ -60,9 +46,9 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     let rows = vec![
         vec![
             "hotspot".to_string(),
-            format!("{:.1}", 100.0 * hot.l1d_saving_vs(&base)),
-            format!("{:.1}", 100.0 * hot.l2_saving_vs(&base)),
-            format!("{:.2}", 100.0 * hot.slowdown_vs(&base)),
+            format!("{:.1}", 100.0 * hot.l1d_saving_vs(base)),
+            format!("{:.1}", 100.0 * hot.l2_saving_vs(base)),
+            format!("{:.2}", 100.0 * hot.slowdown_vs(base)),
             format!(
                 "{}/{}",
                 hrep.tuned_hotspots,
@@ -72,9 +58,9 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
         ],
         vec![
             "BBV".to_string(),
-            format!("{:.1}", 100.0 * bb.l1d_saving_vs(&base)),
-            format!("{:.1}", 100.0 * bb.l2_saving_vs(&base)),
-            format!("{:.2}", 100.0 * bb.slowdown_vs(&base)),
+            format!("{:.1}", 100.0 * bb.l1d_saving_vs(base)),
+            format!("{:.1}", 100.0 * bb.l2_saving_vs(base)),
+            format!("{:.2}", 100.0 * bb.slowdown_vs(base)),
             format!("{}/{}", brep.tuned_phases, brep.phases),
             format!("{}", bb.counters.guard_rejections),
         ],

@@ -15,9 +15,9 @@
 //! orders of magnitude above the window's — exactly the "lost
 //! reconfiguration opportunities" argument of Section 2.3.
 
-use super::{outln, ExpCtx, Report};
+use super::{hotspot_report, outln, run_group, ExpCtx, Report};
 use crate::{format_table, mean, BenchResult};
-use ace_core::{Experiment, HotspotAceManager, HotspotManagerConfig, RunConfig};
+use ace_core::Experiment;
 use ace_energy::EnergyModel;
 use ace_runtime::DoConfig;
 use ace_workloads::PRESET_NAMES;
@@ -29,34 +29,22 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     let mut agg: Vec<[f64; 4]> = Vec::new();
 
     for name in PRESET_NAMES {
+        let experiment = || {
+            Experiment::workload(name)
+                .energy(model)
+                .telemetry(&ctx.telemetry)
+        };
         // Two-CU configuration (the paper's evaluation), window energy
         // counted but not adapted.
-        let cfg2 = RunConfig {
-            energy: model,
-            ..RunConfig::default()
-        };
-        let base = Experiment::preset(name)
-            .config(cfg2.clone())
-            .telemetry(&ctx.telemetry)
-            .run()?;
-        let mut two = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-        let r2 = Experiment::preset(name)
-            .config(cfg2)
-            .telemetry(&ctx.telemetry)
-            .run_with(&mut two)?;
+        let [base, r2] = run_group(experiment(), ["baseline", "hotspot"])?;
+        let (base, r2) = (&base.record, &r2.record);
 
         // Three-CU configuration: leaves become window hotspots.
-        let cfg3 = RunConfig {
-            energy: model,
-            do_config: DoConfig::with_window(),
-            ..RunConfig::default()
-        };
-        let mut three = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-        let r3 = Experiment::preset(name)
-            .config(cfg3)
-            .telemetry(&ctx.telemetry)
-            .run_with(&mut three)?;
-        let rep3 = three.report();
+        let three = experiment()
+            .do_config(DoConfig::with_window())
+            .scheme("hotspot")
+            .run_scheme()?;
+        let (r3, rep3) = (&three.record, hotspot_report(&three));
 
         let sav2 = 100.0 * (1.0 - r2.energy.total_nj() / base.energy.total_nj());
         let sav3 = 100.0 * (1.0 - r3.energy.total_nj() / base.energy.total_nj());
@@ -64,16 +52,16 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
         agg.push([
             sav2,
             sav3,
-            100.0 * r2.slowdown_vs(&base),
-            100.0 * r3.slowdown_vs(&base),
+            100.0 * r2.slowdown_vs(base),
+            100.0 * r3.slowdown_vs(base),
         ]);
         rows.push(vec![
             name.to_string(),
             format!("{sav2:.1}"),
             format!("{sav3:.1}"),
             format!("{win_sav:.1}"),
-            format!("{:.2}", 100.0 * r2.slowdown_vs(&base)),
-            format!("{:.2}", 100.0 * r3.slowdown_vs(&base)),
+            format!("{:.2}", 100.0 * r2.slowdown_vs(base)),
+            format!("{:.2}", 100.0 * r3.slowdown_vs(base)),
             format!("{}", rep3.window_hotspots()),
             format!("{}", rep3.window().tunings),
             format!("{}", rep3.window().reconfigs),

@@ -90,7 +90,7 @@ impl CachedResults for PdmResults {
         match workload {
             "pdm_shortphase" => Experiment::program(shortphase_program()),
             "pdm_drift" => Experiment::program(drift_program()),
-            _ => Experiment::preset(workload),
+            _ => Experiment::workload(workload),
         }
     }
 

@@ -45,7 +45,9 @@ pub mod experiments;
 
 pub use engine::{default_jobs, run_jobs, BenchError, BenchResult, Job, JobOutcome};
 
-use ace_core::{BbvReport, Experiment, HotspotReport, RunConfig, RunRecord, SchemeExt, SchemeRun};
+use ace_core::{
+    fnv1a, BbvReport, Experiment, HotspotReport, RunConfig, RunRecord, SchemeExt, SchemeRun,
+};
 use ace_telemetry::Telemetry;
 use ace_workloads::PRESET_NAMES;
 use serde::{Deserialize, Serialize};
@@ -112,7 +114,7 @@ pub trait CachedResults: Serialize + Deserialize + 'static {
     /// The experiment a workload's legs run: the named preset or spec
     /// file unless the set defines workloads of its own.
     fn experiment(workload: &str) -> Experiment {
-        Experiment::preset(workload)
+        Experiment::workload(workload)
     }
 
     /// Assembles one workload's results from its runs, in
@@ -358,18 +360,9 @@ pub fn cache_key(workload: &str, cfg: &RunConfig) -> String {
     })
 }
 
-/// FNV-1a over `bytes`, 64-bit, with multiplier `0x1_0000_01b3` (the
-/// reference 64-bit prime is `0x100_0000_01b3`): the dependency-free,
-/// platform-stable hash behind every cache key and fingerprint of the
-/// harness. Every committed cache name depends on this exact multiplier.
-pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
-        (hash ^ u64::from(b)).wrapping_mul(0x1_0000_01b3)
-    })
-}
-
-/// 16 hex digits of [`fnv1a`] over the JSON serialization of `material`:
-/// two values get equal keys iff their JSON is byte-identical.
+/// 16 hex digits of [`fnv1a`] over the JSON serialization of
+/// `material`: two values get equal keys iff their JSON is
+/// byte-identical.
 pub fn content_key<T: Serialize + ?Sized>(material: &T) -> String {
     let json = serde_json::to_string(material).expect("key material serializes");
     format!("{:016x}", fnv1a(json.bytes()))

@@ -268,11 +268,11 @@ impl BbvAceManager {
                 // trials measure immediately; an interval whose setup
                 // changed the L2 absorbs the expensive refill unmeasured
                 // and the following stable interval measures it.
-                let l2_before = machine.level(ace_sim::CuKind::L2);
+                let l2_before = machine.level(ace_sim::CuId::L2);
                 let mut applied = 0;
                 let ok =
                     trial.request_traced(machine, &mut applied, &self.tel, ReconfigCause::Trial);
-                let l2_changed = machine.level(ace_sim::CuKind::L2) != l2_before;
+                let l2_changed = machine.level(ace_sim::CuId::L2) != l2_before;
                 if ok && !l2_changed {
                     self.plan = Plan::Trial(outcome.phase);
                 }

@@ -2,14 +2,14 @@
 //! run.
 //!
 //! An experiment names a workload (a preset or an owned [`Program`]),
-//! picks a scheme (a registered id, or an owned [`crate::TuningScheme`]
-//! instance via [`SchemeSpec`](crate::SchemeSpec)), and layers run
-//! options on top of [`RunConfig::default`]:
+//! picks a scheme (a registered id, or a [`Scheme`](crate::Scheme) value
+//! for a non-default configuration), and layers run options on top of
+//! [`RunConfig::default`]:
 //!
 //! ```
 //! use ace_core::Experiment;
 //!
-//! let record = Experiment::preset("javac")
+//! let record = Experiment::workload("javac")
 //!     .scheme("hotspot")
 //!     .seed(7)
 //!     .instruction_limit(2_000_000)
@@ -26,18 +26,18 @@
 //! Runs that share the workload, seed, instruction limit and threading
 //! replay one instruction stream, so they can run as *legs* of one
 //! shared run, in lockstep off a single executor:
-//! [`Experiment::run_schemes`] takes registry schemes and returns one
-//! [`SchemeRun`] each, [`Experiment::run_legs`] takes caller-built
-//! managers, each with its own telemetry handle ([`Leg`]). Every leg's
-//! record equals the record of its run alone.
+//! [`Experiment::run_schemes`] takes schemes, by id or by value, and
+//! returns one [`SchemeRun`] each, [`Experiment::run_legs`] takes
+//! caller-built managers, each with its own telemetry handle ([`Leg`]).
+//! Every leg's record equals the record of its run alone.
 //!
 //! ```
 //! use ace_core::Experiment;
 //!
-//! let runs = Experiment::preset("db")
+//! let runs = Experiment::workload("db")
 //!     .instruction_limit(1_000_000)
 //!     .run_schemes(["baseline", "hotspot"])?;
-//! let solo = Experiment::preset("db")
+//! let solo = Experiment::workload("db")
 //!     .scheme("hotspot")
 //!     .instruction_limit(1_000_000)
 //!     .run()?;
@@ -46,7 +46,7 @@
 //! ```
 
 use crate::driver::{self, RunConfig, RunRecord, SingleThread, Threads};
-use crate::scheme::{SchemeCtx, SchemeManager, SchemeRegistry, SchemeReport, SchemeSpec};
+use crate::scheme::{Scheme, SchemeCtx, SchemeManager, SchemeReport, SchemeSpec};
 use crate::AceManager;
 use ace_energy::EnergyModel;
 use ace_runtime::DoConfig;
@@ -72,7 +72,7 @@ pub struct SchemeRun {
 pub enum ExperimentError {
     /// The preset name is not one of [`ace_workloads::PRESET_NAMES`].
     UnknownWorkload(String),
-    /// The scheme id is not in the experiment's registry.
+    /// The scheme id is not in the builtin scheme registry.
     UnknownScheme(String),
     /// The machine configuration was rejected by the simulator.
     Machine(ConfigError),
@@ -137,9 +137,7 @@ enum Source {
 pub struct Experiment {
     source: Source,
     scheme: SchemeSpec,
-    registry: SchemeRegistry,
     cfg: RunConfig,
-    model: EnergyModel,
     threading: Option<(Vec<MethodId>, u64)>,
 }
 
@@ -153,12 +151,6 @@ impl Experiment {
     /// files yield [`ExperimentError::Workload`].
     pub fn workload(name_or_path: impl Into<String>) -> Experiment {
         Experiment::with_source(Source::Named(name_or_path.into()))
-    }
-
-    /// An experiment over the named preset workload (an alias of
-    /// [`Experiment::workload`], kept for its established call sites).
-    pub fn preset(name: impl Into<String>) -> Experiment {
-        Experiment::workload(name)
     }
 
     /// An experiment over an in-memory workload spec (e.g. one from
@@ -175,32 +167,18 @@ impl Experiment {
     }
 
     fn with_source(source: Source) -> Experiment {
-        let model = EnergyModel::default_180nm();
         Experiment {
             source,
-            scheme: SchemeSpec::named("baseline"),
-            registry: SchemeRegistry::builtin(),
-            cfg: RunConfig {
-                energy: model,
-                ..RunConfig::default()
-            },
-            model,
+            scheme: Scheme::Baseline.into(),
+            cfg: RunConfig::default(),
             threading: None,
         }
     }
 
     /// Selects the management scheme (default baseline): a registered id
-    /// (`"hotspot"`) or a [`SchemeSpec`](crate::SchemeSpec) carrying an
-    /// owned instance.
+    /// (`"hotspot"`) or a [`Scheme`] value.
     pub fn scheme(mut self, scheme: impl Into<SchemeSpec>) -> Experiment {
         self.scheme = scheme.into();
-        self
-    }
-
-    /// Replaces the scheme registry named specs resolve against (default
-    /// [`SchemeRegistry::builtin`]) — the hook for custom schemes.
-    pub fn registry(mut self, registry: SchemeRegistry) -> Experiment {
-        self.registry = registry;
         self
     }
 
@@ -238,14 +216,12 @@ impl Experiment {
     /// managers' tuning objectives.
     pub fn energy(mut self, model: EnergyModel) -> Experiment {
         self.cfg.energy = model;
-        self.model = model;
         self
     }
 
     /// Replaces the whole [`RunConfig`] (options set earlier are lost;
     /// later builder calls still apply on top).
     pub fn config(mut self, cfg: RunConfig) -> Experiment {
-        self.model = cfg.energy;
         self.cfg = cfg;
         self
     }
@@ -351,13 +327,13 @@ impl Experiment {
             .into_iter()
             .map(|spec| {
                 let spec = spec.into();
-                spec.resolve(&self.registry)
-                    .ok_or_else(|| ExperimentError::UnknownScheme(spec.id()))
+                spec.resolve()
+                    .ok_or_else(|| ExperimentError::UnknownScheme(spec.id().to_string()))
             })
             .collect::<Result<Vec<_>, _>>()?;
         let ctx = SchemeCtx {
             program: &program,
-            model: self.model,
+            model: self.cfg.energy,
         };
         let mut managers: Vec<Box<dyn SchemeManager>> =
             schemes.iter().map(|scheme| scheme.build(&ctx)).collect();
@@ -408,7 +384,7 @@ impl Experiment {
     /// use ace_core::{Experiment, FixedManager, AceConfig};
     ///
     /// let mut mgr = FixedManager::new(AceConfig::default());
-    /// let record = Experiment::preset("db")
+    /// let record = Experiment::workload("db")
     ///     .instruction_limit(1_000_000)
     ///     .run_with(&mut mgr)?;
     /// assert!(record.ipc > 0.0);
@@ -440,7 +416,7 @@ impl Experiment {
     ///
     /// let (traced, untraced) = (Telemetry::counting(), Telemetry::off());
     /// let mut fixed = FixedManager::new(AceConfig::default());
-    /// let records = Experiment::preset("db")
+    /// let records = Experiment::workload("db")
     ///     .instruction_limit(1_000_000)
     ///     .run_legs([
     ///         Leg::new(&mut fixed, &traced),
@@ -488,7 +464,7 @@ mod tests {
 
     #[test]
     fn builder_runs_a_preset() {
-        let r = Experiment::preset("db")
+        let r = Experiment::workload("db")
             .instruction_limit(1_000_000)
             .run()
             .unwrap();
@@ -498,7 +474,7 @@ mod tests {
 
     #[test]
     fn unknown_preset_is_an_error() {
-        let err = Experiment::preset("nope").run().unwrap_err();
+        let err = Experiment::workload("nope").run().unwrap_err();
         assert!(matches!(err, ExperimentError::UnknownWorkload(_)));
         assert!(err.to_string().contains("nope"));
     }
@@ -510,7 +486,7 @@ mod tests {
             .instruction_limit(1_000_000)
             .run()
             .unwrap();
-        let b = Experiment::preset("db")
+        let b = Experiment::workload("db")
             .instruction_limit(1_000_000)
             .run()
             .unwrap();
@@ -545,7 +521,7 @@ mod tests {
 
     #[test]
     fn unknown_scheme_is_an_error() {
-        let err = Experiment::preset("db")
+        let err = Experiment::workload("db")
             .scheme("warp-drive")
             .instruction_limit(1_000_000)
             .run()
@@ -556,7 +532,7 @@ mod tests {
 
     #[test]
     fn scheme_runs_carry_reports() {
-        let run = Experiment::preset("db")
+        let run = Experiment::workload("db")
             .scheme("hotspot")
             .instruction_limit(2_000_000)
             .run_scheme()
@@ -565,7 +541,7 @@ mod tests {
         assert_eq!(run.report.scheme, "hotspot");
         assert!(matches!(run.report.ext, SchemeExt::Hotspot(_)));
 
-        let run = Experiment::preset("db")
+        let run = Experiment::workload("db")
             .scheme("bbv")
             .instruction_limit(2_000_000)
             .run_scheme()
@@ -579,7 +555,7 @@ mod tests {
         // counters for *every* scheme; before the redesign only the
         // hotspot arm did, so BBV reported 0 with a nonzero counter.
         for scheme in ["baseline", "hotspot", "bbv", "pdm"] {
-            let run = Experiment::preset("javac")
+            let run = Experiment::workload("javac")
                 .scheme(scheme)
                 .instruction_limit(4_000_000)
                 .run_scheme()
@@ -593,11 +569,11 @@ mod tests {
 
     #[test]
     fn seed_changes_the_run() {
-        let a = Experiment::preset("db")
+        let a = Experiment::workload("db")
             .instruction_limit(1_000_000)
             .run()
             .unwrap();
-        let b = Experiment::preset("db")
+        let b = Experiment::workload("db")
             .seed(0x5EED)
             .instruction_limit(1_000_000)
             .run()

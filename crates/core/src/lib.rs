@@ -22,17 +22,18 @@
 //! * [`Experiment`] — the typed builder tying workload, DO system,
 //!   machine and manager into one measured run.
 //!
-//! Schemes are open for extension: implement [`TuningScheme`], register
-//! it in a [`SchemeRegistry`], and every experiment, bench and trace
-//! consumer picks it up by id — no closed enum to extend.
+//! Schemes are values: a [`Scheme`] names a manager and carries its
+//! configuration, [`Scheme::build`] constructs the manager, and the
+//! [`SchemeRegistry`] maps each builtin id to its default scheme. A
+//! non-default configuration runs wherever an id does, as a value.
 //!
 //! ## Example: compare the two schemes on one workload
 //!
 //! ```no_run
 //! use ace_core::Experiment;
 //!
-//! let base = Experiment::preset("db").run()?;
-//! let ours = Experiment::preset("db").scheme("hotspot").run()?;
+//! let base = Experiment::workload("db").run()?;
+//! let ours = Experiment::workload("db").scheme("hotspot").run()?;
 //! println!(
 //!     "L1D energy saving: {:.0}%, slowdown: {:.2}%",
 //!     100.0 * ours.l1d_saving_vs(&base),
@@ -67,11 +68,10 @@ pub use measure::{Measurement, Probe};
 pub use pdm_mgr::{PdmManagerConfig, PdmReport, PhaseVector};
 pub use positional_mgr::{PositionalAceManager, PositionalManagerConfig, PositionalReport};
 pub use scheme::{
-    BaselineScheme, BbvScheme, FixedScheme, HotspotScheme, PdmScheme, PositionalScheme, SchemeCtx,
-    SchemeExt, SchemeManager, SchemeRegistry, SchemeReport, SchemeSpec, TuningScheme,
-    WarmStartCapable,
+    Scheme, SchemeCtx, SchemeExt, SchemeManager, SchemeRegistry, SchemeReport, SchemeSpec,
 };
 pub use tuner::ConfigTuner;
 pub use warm::{
-    cu_mask_of, registry_version, HotspotSignature, StoreAnswer, StorePublication, WarmStartContext,
+    cu_mask_of, fnv1a, registry_version, HotspotSignature, StoreAnswer, StorePublication,
+    WarmStartContext,
 };

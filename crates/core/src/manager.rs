@@ -112,7 +112,7 @@ impl AceManager for FixedManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ace_sim::{CuKind, MachineConfig, SizeLevel};
+    use ace_sim::{CuId, MachineConfig, SizeLevel};
 
     #[test]
     fn fixed_manager_pins_levels() {
@@ -122,8 +122,8 @@ mod tests {
             SizeLevel::new(3).unwrap(),
         ));
         mgr.on_start(&mut m);
-        assert_eq!(m.level(CuKind::L1d), SizeLevel::new(2).unwrap());
-        assert_eq!(m.level(CuKind::L2), SizeLevel::new(3).unwrap());
+        assert_eq!(m.level(CuId::L1d), SizeLevel::new(2).unwrap());
+        assert_eq!(m.level(CuId::L2), SizeLevel::new(3).unwrap());
     }
 
     #[test]
@@ -132,7 +132,7 @@ mod tests {
         let mut mgr = NullManager;
         mgr.on_start(&mut m);
         mgr.on_finish(&mut m);
-        assert_eq!(m.level(CuKind::L1d), SizeLevel::LARGEST);
-        assert_eq!(m.level(CuKind::L2), SizeLevel::LARGEST);
+        assert_eq!(m.level(CuId::L1d), SizeLevel::LARGEST);
+        assert_eq!(m.level(CuId::L2), SizeLevel::LARGEST);
     }
 }

@@ -107,11 +107,8 @@ mod tests {
         let mut epis = Vec::new();
         for level in [0u8, 3] {
             let mut m = Machine::new(MachineConfig::table2()).unwrap();
-            m.apply_resize(
-                ace_sim::CuKind::L1d,
-                ace_sim::SizeLevel::new(level).unwrap(),
-            );
-            m.apply_resize(ace_sim::CuKind::L2, ace_sim::SizeLevel::new(level).unwrap());
+            m.apply_resize(ace_sim::CuId::L1d, ace_sim::SizeLevel::new(level).unwrap());
+            m.apply_resize(ace_sim::CuId::L2, ace_sim::SizeLevel::new(level).unwrap());
             let probe = Probe::arm(&mut m, &model);
             for _ in 0..2000 {
                 for a in (0..2048u64).step_by(64) {

@@ -1,47 +1,50 @@
-//! The open scheme layer: [`TuningScheme`], [`SchemeRegistry`] and the
-//! unified [`SchemeReport`].
+//! Management schemes as values: [`Scheme`], the builtin
+//! [`SchemeRegistry`] and the unified [`SchemeReport`].
 //!
-//! PR 5 replaced hardcoded CU fields with a registry of configurable
-//! units; this module does the same for management schemes. A scheme is a
-//! named factory ([`TuningScheme`]) producing a boxed [`SchemeManager`]
-//! — an [`AceManager`] that can additionally summarize its run as a
-//! [`SchemeReport`] and, if it supports it, expose warm-start plumbing
-//! through [`WarmStartCapable`] instead of concrete downcasts.
+//! A [`Scheme`] names a manager and carries its configuration, and
+//! [`Scheme::build`] is the one place that constructs the managers. Every
+//! manager it builds is a [`SchemeManager`]: an [`AceManager`] that also
+//! summarizes its run as a [`SchemeReport`]. The registry maps each builtin
+//! id to its scheme under the default configuration.
 //!
-//! [`Experiment::scheme`](crate::Experiment::scheme) accepts anything
-//! convertible into a [`SchemeSpec`]: a registered id (`"hotspot"`,
-//! `"pdm"`, ...), a legacy [`Scheme`](crate::Scheme) enum value, or an
-//! owned scheme instance for one-off configurations:
+//! [`Experiment::scheme`](crate::Experiment::scheme) and
+//! [`Experiment::run_schemes`](crate::Experiment::run_schemes) accept
+//! anything convertible into a [`SchemeSpec`]: a registered id
+//! (`"hotspot"`, `"pdm"`, ...) or a [`Scheme`] value for a non-default
+//! configuration:
 //!
 //! ```
-//! use ace_core::{Experiment, HotspotManagerConfig, HotspotScheme, SchemeSpec};
-//! use std::sync::Arc;
+//! use ace_core::{Experiment, HotspotManagerConfig, Scheme};
 //!
 //! // By registered id:
-//! let run = Experiment::preset("db")
+//! let run = Experiment::workload("db")
 //!     .scheme("hotspot")
 //!     .instruction_limit(1_000_000)
 //!     .run_scheme()?;
 //! assert_eq!(run.report.scheme, "hotspot");
 //!
-//! // By instance, for a non-default configuration:
-//! let custom = HotspotScheme(HotspotManagerConfig {
+//! // By value, for a non-default configuration:
+//! let custom = Scheme::Hotspot(HotspotManagerConfig {
 //!     sample_period: 8,
 //!     ..HotspotManagerConfig::default()
 //! });
-//! let run = Experiment::preset("db")
-//!     .scheme(SchemeSpec::instance(Arc::new(custom)))
+//! let run = Experiment::workload("db")
+//!     .scheme(custom)
 //!     .instruction_limit(1_000_000)
 //!     .run_scheme()?;
 //! assert_eq!(run.report.scheme, "hotspot");
 //! # Ok::<(), ace_core::ExperimentError>(())
 //! ```
+//!
+//! Adding a scheme takes three steps: a [`Scheme`] variant (with its id in
+//! [`Scheme::name`]), its arm of [`Scheme::build`], and
+//! [`SchemeManager::scheme_report`] for its manager. A scheme that should
+//! run by id also joins the registry's table.
 
 use crate::cu::AceConfig;
 use crate::driver::RunRecord;
 use crate::manager::{AceManager, FixedManager, NullManager};
 use crate::pdm_mgr::{PdmManagerConfig, PdmReport};
-use crate::warm::WarmStartContext;
 use crate::{
     BbvAceManager, BbvManagerConfig, BbvReport, HotspotAceManager, HotspotManagerConfig,
     HotspotReport, PositionalAceManager, PositionalManagerConfig, PositionalReport,
@@ -49,10 +52,8 @@ use crate::{
 use ace_energy::EnergyModel;
 use ace_workloads::Program;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::sync::Arc;
 
-/// Everything a [`TuningScheme`] may consult when building its manager.
+/// Everything [`Scheme::build`] may consult when building a manager.
 pub struct SchemeCtx<'a> {
     /// The resolved workload (positional adaptation needs its static
     /// method sizes).
@@ -61,42 +62,73 @@ pub struct SchemeCtx<'a> {
     pub model: EnergyModel,
 }
 
-/// Warm-start plumbing, for schemes that can adopt selections from a
-/// shared tuning store (see [`WarmStartContext`]).
-///
-/// Reached through [`SchemeManager::warm_start`], so fleet drivers wire
-/// the store without naming a concrete manager type.
-pub trait WarmStartCapable {
-    /// Attaches a frozen snapshot of the shared tuning store.
-    fn set_warm_start(&mut self, context: WarmStartContext);
-    /// Detaches the context, carrying the answers this run read from it
-    /// and its buffered publications.
-    fn take_warm_start(&mut self) -> Option<WarmStartContext>;
+/// A management scheme as a value: which manager drives a run, and under
+/// which configuration.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scheme {
+    /// The non-adaptive baseline: every CU pinned at its largest size.
+    Baseline,
+    /// A fixed configuration installed at start (static-oracle points).
+    Fixed(AceConfig),
+    /// The paper's DO-based hotspot scheme with CU decoupling.
+    Hotspot(HotspotManagerConfig),
+    /// The temporal baseline: BBV phases + tune-all-combinations.
+    Bbv(BbvManagerConfig),
+    /// Huang et al.'s positional scheme (large-procedure boundaries).
+    Positional(PositionalManagerConfig),
+    /// Phase Distance Mapping: hotspot-boundary adaptation that predicts a
+    /// new phase's configuration from its behavioral distance to an
+    /// already-tuned phase instead of re-walking the candidate list. Its
+    /// manager is the hotspot manager with a knowledge table
+    /// ([`HotspotAceManager::pdm`]).
+    Pdm(PdmManagerConfig),
 }
 
-/// An [`AceManager`] produced by a [`TuningScheme`]: the policy hooks
-/// plus end-of-run reporting and optional capabilities.
+impl Scheme {
+    /// Stable lowercase id, used for registry lookup, job keys, results
+    /// cache namespaces and CLI flags. [`Scheme::Fixed`] is `"fixed"`, an
+    /// id the registry does not hold.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Scheme::Baseline => "baseline",
+            Scheme::Fixed(_) => "fixed",
+            Scheme::Hotspot(_) => "hotspot",
+            Scheme::Bbv(_) => "bbv",
+            Scheme::Positional(_) => "positional",
+            Scheme::Pdm(_) => "pdm",
+        }
+    }
+
+    /// Builds a fresh manager for one run.
+    pub fn build(&self, ctx: &SchemeCtx<'_>) -> Box<dyn SchemeManager> {
+        match self {
+            Scheme::Baseline => Box::new(NullManager),
+            Scheme::Fixed(config) => Box::new(FixedManager::new(*config)),
+            Scheme::Hotspot(cfg) => Box::new(HotspotAceManager::new(cfg.clone(), ctx.model)),
+            Scheme::Bbv(cfg) => Box::new(BbvAceManager::new(cfg.clone(), ctx.model)),
+            Scheme::Positional(cfg) => Box::new(PositionalAceManager::new(
+                ctx.program,
+                cfg.clone(),
+                ctx.model,
+            )),
+            Scheme::Pdm(cfg) => Box::new(HotspotAceManager::pdm(cfg.clone(), ctx.model)),
+        }
+    }
+}
+
+/// An [`AceManager`] built by [`Scheme::build`]: the policy hooks plus
+/// end-of-run reporting.
 pub trait SchemeManager: AceManager {
     /// Summarizes the run. `record` supplies machine-counted facts the
     /// manager cannot observe itself — every scheme fills
     /// [`SchemeReport::guard_rejections`] from it uniformly.
     fn scheme_report(&self, record: &RunRecord) -> SchemeReport;
 
-    /// The warm-start capability, if this scheme supports one.
-    fn warm_start(&mut self) -> Option<&mut dyn WarmStartCapable> {
+    /// The manager a shared tuning store attaches to
+    /// ([`HotspotAceManager::set_warm_start`]), if this scheme takes one.
+    fn warm_start(&mut self) -> Option<&mut HotspotAceManager> {
         None
     }
-}
-
-/// A named, registrable management scheme: a factory for the manager that
-/// drives one run.
-pub trait TuningScheme: Send + Sync {
-    /// Stable lowercase id, used for registry lookup, job keys, results
-    /// cache namespaces and CLI flags.
-    fn name(&self) -> &str;
-
-    /// Builds a fresh manager for one run.
-    fn build(&self, ctx: &SchemeCtx<'_>) -> Box<dyn SchemeManager>;
 }
 
 /// Per-scheme extension payload of a [`SchemeReport`].
@@ -203,222 +235,86 @@ impl SchemeReport {
     }
 }
 
-/// How an [`crate::Experiment`] names its scheme: a registered id or an
-/// owned instance.
-#[derive(Clone)]
+/// How an [`crate::Experiment`] names its scheme: a registered id,
+/// resolved when the experiment runs, or a [`Scheme`] value.
+#[derive(Debug, Clone)]
 pub struct SchemeSpec(SpecInner);
 
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 enum SpecInner {
     Named(String),
-    Instance(Arc<dyn TuningScheme>),
+    Value(Scheme),
 }
 
 impl SchemeSpec {
-    /// A scheme to be resolved by id against the experiment's registry.
-    pub fn named(id: impl Into<String>) -> SchemeSpec {
-        SchemeSpec(SpecInner::Named(id.into()))
-    }
-
-    /// A concrete scheme instance, bypassing the registry — the way to
-    /// run a non-default scheme configuration.
-    pub fn instance(scheme: Arc<dyn TuningScheme>) -> SchemeSpec {
-        SchemeSpec(SpecInner::Instance(scheme))
-    }
-
     /// The scheme id this spec names.
-    pub fn id(&self) -> String {
+    pub fn id(&self) -> &str {
         match &self.0 {
-            SpecInner::Named(id) => id.clone(),
-            SpecInner::Instance(s) => s.name().to_string(),
+            SpecInner::Named(id) => id,
+            SpecInner::Value(scheme) => scheme.name(),
         }
     }
 
-    /// Resolves to a runnable scheme, consulting `registry` for named
-    /// specs. `None` if the id is not registered.
-    pub fn resolve(&self, registry: &SchemeRegistry) -> Option<Arc<dyn TuningScheme>> {
+    /// The scheme to run: a value as it is, a name looked up in
+    /// [`SchemeRegistry::builtin`]. `None` if the id is not registered.
+    pub fn resolve(&self) -> Option<Scheme> {
         match &self.0 {
-            SpecInner::Named(id) => registry.get(id).cloned(),
-            SpecInner::Instance(s) => Some(Arc::clone(s)),
-        }
-    }
-}
-
-impl fmt::Debug for SchemeSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            SpecInner::Named(id) => write!(f, "SchemeSpec::named({id:?})"),
-            SpecInner::Instance(s) => write!(f, "SchemeSpec::instance({:?})", s.name()),
+            SpecInner::Named(id) => SchemeRegistry::builtin().get(id),
+            SpecInner::Value(scheme) => Some(scheme.clone()),
         }
     }
 }
 
 impl From<&str> for SchemeSpec {
     fn from(id: &str) -> SchemeSpec {
-        SchemeSpec::named(id)
+        SchemeSpec(SpecInner::Named(id.to_string()))
     }
 }
 
 impl From<String> for SchemeSpec {
     fn from(id: String) -> SchemeSpec {
-        SchemeSpec::named(id)
+        SchemeSpec(SpecInner::Named(id))
     }
 }
 
-/// The scheme registry: id → [`TuningScheme`], mirroring the simulator's
-/// `CuRegistry` for configurable units.
-#[derive(Clone, Default)]
-pub struct SchemeRegistry {
-    schemes: Vec<Arc<dyn TuningScheme>>,
+impl From<Scheme> for SchemeSpec {
+    fn from(scheme: Scheme) -> SchemeSpec {
+        SchemeSpec(SpecInner::Value(scheme))
+    }
 }
+
+/// The builtin scheme table: id → [`Scheme`] under its default
+/// configuration, mirroring the simulator's `CuRegistry` for configurable
+/// units.
+#[derive(Debug, Clone, Copy)]
+pub struct SchemeRegistry;
 
 impl SchemeRegistry {
-    /// An empty registry.
-    pub fn new() -> SchemeRegistry {
-        SchemeRegistry::default()
-    }
-
-    /// The five built-in schemes under their default configurations:
+    /// The five builtin schemes under their default configurations:
     /// `baseline`, `hotspot`, `bbv`, `positional`, `pdm`.
     pub fn builtin() -> SchemeRegistry {
-        let mut reg = SchemeRegistry::new();
-        reg.register(Arc::new(BaselineScheme));
-        reg.register(Arc::new(HotspotScheme::default()));
-        reg.register(Arc::new(BbvScheme::default()));
-        reg.register(Arc::new(PositionalScheme::default()));
-        reg.register(Arc::new(PdmScheme::default()));
-        reg
+        SchemeRegistry
     }
 
-    /// Registers `scheme`, replacing any scheme of the same name.
-    pub fn register(&mut self, scheme: Arc<dyn TuningScheme>) {
-        if let Some(slot) = self.schemes.iter_mut().find(|s| s.name() == scheme.name()) {
-            *slot = scheme;
-        } else {
-            self.schemes.push(scheme);
-        }
-    }
-
-    /// The scheme registered as `name`.
-    pub fn get(&self, name: &str) -> Option<&Arc<dyn TuningScheme>> {
-        self.schemes.iter().find(|s| s.name() == name)
+    /// The scheme registered as `id`, under its default configuration.
+    pub fn get(&self, id: &str) -> Option<Scheme> {
+        Self::table().find(|scheme| scheme.name() == id)
     }
 
     /// Registered ids, in registration order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.schemes.iter().map(|s| s.name())
+    pub fn names(&self) -> impl Iterator<Item = &'static str> {
+        Self::table().map(|scheme| scheme.name())
     }
 
-    /// Number of registered schemes.
-    pub fn len(&self) -> usize {
-        self.schemes.len()
-    }
-
-    /// Whether no scheme is registered.
-    pub fn is_empty(&self) -> bool {
-        self.schemes.is_empty()
-    }
-}
-
-impl fmt::Debug for SchemeRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.names()).finish()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Built-in schemes.
-// ---------------------------------------------------------------------
-
-/// The non-adaptive baseline: every CU pinned at its largest size.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BaselineScheme;
-
-impl TuningScheme for BaselineScheme {
-    fn name(&self) -> &str {
-        "baseline"
-    }
-
-    fn build(&self, _ctx: &SchemeCtx<'_>) -> Box<dyn SchemeManager> {
-        Box::new(NullManager)
-    }
-}
-
-/// A fixed configuration installed at start (static-oracle points).
-#[derive(Debug, Clone, Copy)]
-pub struct FixedScheme(pub AceConfig);
-
-impl TuningScheme for FixedScheme {
-    fn name(&self) -> &str {
-        "fixed"
-    }
-
-    fn build(&self, _ctx: &SchemeCtx<'_>) -> Box<dyn SchemeManager> {
-        Box::new(FixedManager::new(self.0))
-    }
-}
-
-/// The paper's DO-based hotspot scheme with CU decoupling.
-#[derive(Debug, Clone, Default)]
-pub struct HotspotScheme(pub HotspotManagerConfig);
-
-impl TuningScheme for HotspotScheme {
-    fn name(&self) -> &str {
-        "hotspot"
-    }
-
-    fn build(&self, ctx: &SchemeCtx<'_>) -> Box<dyn SchemeManager> {
-        Box::new(HotspotAceManager::new(self.0.clone(), ctx.model))
-    }
-}
-
-/// The temporal baseline: BBV phases + tune-all-combinations.
-#[derive(Debug, Clone, Default)]
-pub struct BbvScheme(pub BbvManagerConfig);
-
-impl TuningScheme for BbvScheme {
-    fn name(&self) -> &str {
-        "bbv"
-    }
-
-    fn build(&self, ctx: &SchemeCtx<'_>) -> Box<dyn SchemeManager> {
-        Box::new(BbvAceManager::new(self.0.clone(), ctx.model))
-    }
-}
-
-/// Huang et al.'s positional scheme (large-procedure boundaries).
-#[derive(Debug, Clone, Default)]
-pub struct PositionalScheme(pub PositionalManagerConfig);
-
-impl TuningScheme for PositionalScheme {
-    fn name(&self) -> &str {
-        "positional"
-    }
-
-    fn build(&self, ctx: &SchemeCtx<'_>) -> Box<dyn SchemeManager> {
-        Box::new(PositionalAceManager::new(
-            ctx.program,
-            self.0.clone(),
-            ctx.model,
-        ))
-    }
-}
-
-/// Phase Distance Mapping: hotspot-boundary adaptation that predicts a
-/// new phase's configuration from its behavioral distance to an
-/// already-tuned phase instead of re-walking the candidate list. Its
-/// manager is the hotspot manager with a knowledge table
-/// ([`HotspotAceManager::pdm`]).
-#[derive(Debug, Clone, Default)]
-pub struct PdmScheme(pub PdmManagerConfig);
-
-impl TuningScheme for PdmScheme {
-    fn name(&self) -> &str {
-        "pdm"
-    }
-
-    fn build(&self, ctx: &SchemeCtx<'_>) -> Box<dyn SchemeManager> {
-        Box::new(HotspotAceManager::pdm(self.0.clone(), ctx.model))
+    fn table() -> impl Iterator<Item = Scheme> {
+        [
+            Scheme::Baseline,
+            Scheme::Hotspot(HotspotManagerConfig::default()),
+            Scheme::Bbv(BbvManagerConfig::default()),
+            Scheme::Positional(PositionalManagerConfig::default()),
+            Scheme::Pdm(PdmManagerConfig::default()),
+        ]
+        .into_iter()
     }
 }
 
@@ -475,22 +371,12 @@ impl SchemeManager for HotspotAceManager {
     }
 
     /// `None` for PDM: its own table is where its selections come from.
-    fn warm_start(&mut self) -> Option<&mut dyn WarmStartCapable> {
+    fn warm_start(&mut self) -> Option<&mut HotspotAceManager> {
         if self.pdm_table().is_some() {
             None
         } else {
             Some(self)
         }
-    }
-}
-
-impl WarmStartCapable for HotspotAceManager {
-    fn set_warm_start(&mut self, context: WarmStartContext) {
-        HotspotAceManager::set_warm_start(self, context);
-    }
-
-    fn take_warm_start(&mut self) -> Option<WarmStartContext> {
-        HotspotAceManager::take_warm_start(self)
     }
 }
 
@@ -545,37 +431,28 @@ mod tests {
             ["baseline", "hotspot", "bbv", "positional", "pdm"],
             "builtin registration order is stable"
         );
-        assert_eq!(reg.len(), 5);
-        assert!(!reg.is_empty());
+        assert_eq!(
+            reg.get("hotspot"),
+            Some(Scheme::Hotspot(HotspotManagerConfig::default()))
+        );
+        assert!(reg.get("fixed").is_none(), "fixed points are values only");
         assert!(reg.get("nope").is_none());
     }
 
     #[test]
-    fn register_replaces_same_name() {
-        let mut reg = SchemeRegistry::builtin();
-        let custom = HotspotScheme(HotspotManagerConfig {
-            sample_period: 4,
-            ..HotspotManagerConfig::default()
-        });
-        reg.register(Arc::new(custom));
-        assert_eq!(reg.len(), 5, "same-name registration replaces");
-        let names: Vec<&str> = reg.names().collect();
-        assert_eq!(names[1], "hotspot", "replacement keeps its slot");
-    }
-
-    #[test]
     fn spec_resolution_and_ids() {
-        let reg = SchemeRegistry::builtin();
-        let spec = SchemeSpec::named("bbv");
+        let spec = SchemeSpec::from("bbv");
         assert_eq!(spec.id(), "bbv");
-        assert_eq!(spec.resolve(&reg).unwrap().name(), "bbv");
+        assert_eq!(spec.resolve().unwrap().name(), "bbv");
 
-        let spec = SchemeSpec::named("nope");
-        assert!(spec.resolve(&reg).is_none());
+        let spec = SchemeSpec::from("nope");
+        assert_eq!(spec.id(), "nope");
+        assert!(spec.resolve().is_none());
 
-        let spec = SchemeSpec::instance(Arc::new(BaselineScheme));
-        assert_eq!(spec.id(), "baseline");
-        assert!(spec.resolve(&SchemeRegistry::new()).is_some());
+        let fixed = Scheme::Fixed(AceConfig::default());
+        let spec = SchemeSpec::from(fixed.clone());
+        assert_eq!(spec.id(), "fixed");
+        assert_eq!(spec.resolve(), Some(fixed));
     }
 
     #[test]

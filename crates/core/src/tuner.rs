@@ -22,9 +22,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// ```
 /// use ace_core::{ConfigTuner, Measurement, single_cu_list};
-/// use ace_sim::CuKind;
+/// use ace_sim::CuId;
 ///
-/// let mut t = ConfigTuner::new(single_cu_list(CuKind::L1d), 0.02);
+/// let mut t = ConfigTuner::new(single_cu_list(CuId::L1d), 0.02);
 /// while let Some(_cfg) = t.next_trial() {
 ///     // ...run one invocation under _cfg and measure it...
 ///     t.record(Measurement { instr: 100_000, ipc: 2.0, epi_nj: 1.0 });
@@ -230,7 +230,7 @@ impl ConfigTuner {
 mod tests {
     use super::*;
     use crate::cu::{combined_list, single_cu_list};
-    use ace_sim::{CuKind, SizeLevel};
+    use ace_sim::{CuId, SizeLevel};
 
     fn meas(ipc: f64, epi: f64) -> Measurement {
         Measurement {
@@ -242,7 +242,7 @@ mod tests {
 
     #[test]
     fn picks_min_epi_meeting_threshold() {
-        let mut t = ConfigTuner::new(single_cu_list(CuKind::L1d), 0.02);
+        let mut t = ConfigTuner::new(single_cu_list(CuId::L1d), 0.02);
         // Baseline: ipc 2.0, epi 1.0. Level1: tiny drop, cheaper. Level2:
         // cheaper still but violates threshold handled below? no: passes.
         // Level3: cheapest but 10% slower -> rejected.
@@ -266,7 +266,7 @@ mod tests {
 
     #[test]
     fn early_abort_on_threshold_violation() {
-        let mut t = ConfigTuner::new(single_cu_list(CuKind::L1d), 0.02);
+        let mut t = ConfigTuner::new(single_cu_list(CuId::L1d), 0.02);
         t.record(meas(2.0, 1.0));
         t.record(meas(1.5, 0.5)); // 25% degradation: abort now.
         assert!(t.is_done());
@@ -277,7 +277,7 @@ mod tests {
 
     #[test]
     fn baseline_never_rejected() {
-        let mut t = ConfigTuner::new(single_cu_list(CuKind::L1d), 0.02);
+        let mut t = ConfigTuner::new(single_cu_list(CuId::L1d), 0.02);
         for _ in 0..4 {
             t.record(meas(1.0, 2.0));
         }
@@ -286,7 +286,7 @@ mod tests {
 
     #[test]
     fn equal_epi_prefers_earlier_larger_config() {
-        let mut t = ConfigTuner::new(single_cu_list(CuKind::L2), 0.02);
+        let mut t = ConfigTuner::new(single_cu_list(CuId::L2), 0.02);
         for _ in 0..4 {
             t.record(meas(2.0, 1.0));
         }
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn finalize_midway_uses_partial_data() {
-        let mut t = ConfigTuner::new(single_cu_list(CuKind::L1d), 0.02);
+        let mut t = ConfigTuner::new(single_cu_list(CuId::L1d), 0.02);
         t.record(meas(2.0, 1.0));
         t.record(meas(2.0, 0.7));
         t.finalize();
@@ -332,7 +332,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already finished")]
     fn rejects_record_after_done() {
-        let mut t = ConfigTuner::new(single_cu_list(CuKind::L1d), 0.02);
+        let mut t = ConfigTuner::new(single_cu_list(CuId::L1d), 0.02);
         t.finalize();
         t.record(meas(1.0, 1.0));
     }

@@ -93,28 +93,31 @@ pub fn cu_mask_of(configs: &[AceConfig]) -> u8 {
     mask
 }
 
-/// A 16-bit fingerprint of a machine's CU registry (FNV-1a over every
+/// A 16-bit fingerprint of a machine's CU registry ([`fnv1a`] over every
 /// descriptor, folded). Stores stamp their entries with it so a fleet
 /// whose hardware description changes starts cold instead of applying
 /// selections tuned for different ladders.
 pub fn registry_version(registry: &CuRegistry) -> u16 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let put = |hash: &mut u64, byte: u8| {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(0x1_0000_01b3);
-    };
-    for desc in registry.iter() {
-        put(&mut hash, desc.cu.index() as u8);
-        put(&mut hash, desc.levels);
-        for b in desc.reconfig_interval.to_le_bytes() {
-            put(&mut hash, b);
-        }
-        for b in desc.min_hotspot_instr.to_le_bytes() {
-            put(&mut hash, b);
-        }
-        put(&mut hash, desc.flush as u8);
-    }
+    let hash = fnv1a(registry.iter().flat_map(|desc| {
+        [desc.cu.index() as u8, desc.levels]
+            .into_iter()
+            .chain(desc.reconfig_interval.to_le_bytes())
+            .chain(desc.min_hotspot_instr.to_le_bytes())
+            .chain([desc.flush as u8])
+    }));
     (hash ^ (hash >> 16) ^ (hash >> 32) ^ (hash >> 48)) as u16
+}
+
+/// The workspace's 64-bit FNV-1a-style hash: the FNV-1a offset basis and
+/// xor-then-multiply loop, but with multiplier `0x1_0000_01b3` where the
+/// FNV 64-bit prime is `0x100_0000_01b3`. Dependency-free and
+/// platform-stable, it keys every result cache, fleet fingerprint and
+/// [`registry_version`]; each committed cache name and store stamp depends
+/// on this exact multiplier.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x1_0000_01b3)
+    })
 }
 
 /// One converged selection a run wants to publish to the shared store.
@@ -288,6 +291,17 @@ mod tests {
             FlushSemantics::WritebackDirty,
         ));
         assert_ne!(registry_version(&a), registry_version(&b));
+    }
+
+    #[test]
+    fn fnv1a_and_registry_version_are_pinned() {
+        assert_eq!(fnv1a(*b""), 0xcbf2_9ce4_8422_2325);
+        // Standard FNV-1a 64 gives 0xaf63_dc4c_8601_ec8c for "a"; this
+        // hash differs because its multiplier is not the FNV prime.
+        assert_eq!(fnv1a(*b"a"), 0x1162_bb90_8601_ec8c);
+        // The version the committed fleet report and store log carry.
+        let table2 = ace_sim::MachineConfig::table2().cu_registry();
+        assert_eq!(registry_version(&table2), 0xef9a);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use ace_core::{AceManager, BbvAceManager, BbvManagerConfig};
 use ace_energy::EnergyModel;
 use ace_phase::BbvConfig;
-use ace_sim::{Block, BranchEvent, CuKind, Machine, MachineConfig, MemAccess, SizeLevel};
+use ace_sim::{Block, BranchEvent, CuId, Machine, MachineConfig, MemAccess, SizeLevel};
 
 /// Test-scale machine: guard intervals shrunk with the sampling interval
 /// so the alignment matches the real configuration.
@@ -63,7 +63,7 @@ fn recurring_phase_reapplies_its_configuration() {
     }
     let after_tuning = mgr.report();
     assert_eq!(after_tuning.tuned_phases, 1, "phase 0 tuned");
-    let chosen_l1d = m.level(CuKind::L1d);
+    let chosen_l1d = m.level(CuId::L1d);
     assert!(
         chosen_l1d > SizeLevel::LARGEST,
         "tiny working set shrinks the L1D"
@@ -78,7 +78,7 @@ fn recurring_phase_reapplies_its_configuration() {
     run_interval(&mut m, &mut mgr, 0);
     run_interval(&mut m, &mut mgr, 0);
     assert_eq!(
-        m.level(CuKind::L1d),
+        m.level(CuId::L1d),
         chosen_l1d,
         "recurring phase must reuse its chosen configuration"
     );

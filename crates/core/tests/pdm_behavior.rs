@@ -4,9 +4,8 @@
 //! workload of behaviorally similar kernels produces prediction hits and
 //! measurably fewer trials.
 
-use ace_core::{Experiment, PdmManagerConfig, PdmScheme, SchemeExt, SchemeSpec};
+use ace_core::{Experiment, PdmManagerConfig, Scheme, SchemeExt};
 use ace_workloads::{MemPattern, Program, ProgramBuilder, Stmt};
-use std::sync::Arc;
 
 /// Eight short kernels with near-identical behavior: the first tunes by
 /// search, the rest are prediction-hit candidates.
@@ -44,12 +43,10 @@ fn zero_threshold_degrades_exactly_to_search() {
     // every lookup misses and the tuner walks the same list the hotspot
     // scheme walks, so the measured run is identical.
     let pdm = Experiment::program(similar_kernels())
-        .scheme(SchemeSpec::instance(Arc::new(PdmScheme(
-            PdmManagerConfig {
-                distance_threshold: 0.0,
-                ..PdmManagerConfig::default()
-            },
-        ))))
+        .scheme(Scheme::Pdm(PdmManagerConfig {
+            distance_threshold: 0.0,
+            ..PdmManagerConfig::default()
+        }))
         .run_scheme()
         .unwrap();
 

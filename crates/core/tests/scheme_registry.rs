@@ -1,8 +1,11 @@
-//! Properties of the scheme registry: every builtin id resolves to a
-//! scheme of that name, directly and through a `SchemeSpec`, and
-//! arbitrary strings never alias a registered scheme.
+//! Properties of the scheme registry: every builtin id resolves to its
+//! scheme under the default configuration, directly and through a
+//! `SchemeSpec`, and arbitrary strings never alias a registered scheme.
 
-use ace_core::{SchemeRegistry, SchemeSpec};
+use ace_core::{
+    BbvManagerConfig, HotspotManagerConfig, PdmManagerConfig, PositionalManagerConfig, Scheme,
+    SchemeRegistry, SchemeSpec,
+};
 use proptest::prelude::*;
 
 /// The builtin registry's ids, in registration order.
@@ -12,16 +15,26 @@ const NAMED: [&str; 5] = ["baseline", "hotspot", "bbv", "positional", "pdm"];
 fn every_named_scheme_resolves() {
     let registry = SchemeRegistry::builtin();
     assert!(registry.names().eq(NAMED));
-    for name in NAMED {
+    let defaults = [
+        Scheme::Baseline,
+        Scheme::Hotspot(HotspotManagerConfig::default()),
+        Scheme::Bbv(BbvManagerConfig::default()),
+        Scheme::Positional(PositionalManagerConfig::default()),
+        Scheme::Pdm(PdmManagerConfig::default()),
+    ];
+    for (name, default) in NAMED.into_iter().zip(defaults) {
         let resolved = registry
             .get(name)
             .unwrap_or_else(|| panic!("{name} not registered"));
         assert_eq!(resolved.name(), name);
+        assert_eq!(resolved, default);
 
-        // A named spec carries the id and resolves to the same scheme.
-        let spec = SchemeSpec::named(name);
+        // A named spec carries the id and resolves to the same scheme,
+        // and so does a spec holding the value.
+        let spec = SchemeSpec::from(name);
         assert_eq!(spec.id(), name);
-        assert_eq!(spec.resolve(&registry).unwrap().name(), name);
+        assert_eq!(spec.resolve(), Some(default.clone()));
+        assert_eq!(SchemeSpec::from(default.clone()).resolve(), Some(default));
     }
 }
 

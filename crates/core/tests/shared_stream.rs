@@ -30,13 +30,13 @@ fn assert_same_run(shared: &SchemeRun, solo: &SchemeRun) {
 
 #[test]
 fn every_scheme_as_a_leg_matches_its_solo_run() {
-    let shared = Experiment::preset("jess")
+    let shared = Experiment::workload("jess")
         .instruction_limit(LIMIT)
         .run_schemes(SCHEMES)
         .unwrap();
     assert_eq!(shared.len(), SCHEMES.len());
     for (run, scheme) in shared.iter().zip(SCHEMES) {
-        let solo = Experiment::preset("jess")
+        let solo = Experiment::workload("jess")
             .scheme(scheme)
             .instruction_limit(LIMIT)
             .run_scheme()
@@ -76,7 +76,7 @@ fn traced(run: impl FnOnce(&Telemetry)) -> (Vec<Event>, String) {
 fn shared_telemetry_replays_each_leg_in_scheme_order() {
     let schemes = ["baseline", "bbv", "hotspot"];
     let shared = traced(|tel| {
-        Experiment::preset("db")
+        Experiment::workload("db")
             .instruction_limit(LIMIT)
             .telemetry(tel)
             .run_schemes(schemes)
@@ -84,7 +84,7 @@ fn shared_telemetry_replays_each_leg_in_scheme_order() {
     });
     let solo = traced(|tel| {
         for scheme in schemes {
-            Experiment::preset("db")
+            Experiment::workload("db")
                 .scheme(scheme)
                 .instruction_limit(LIMIT)
                 .telemetry(tel)
@@ -100,7 +100,7 @@ fn shared_telemetry_replays_each_leg_in_scheme_order() {
 #[test]
 fn caller_built_legs_trace_into_their_own_handles() {
     let experiment = || {
-        Experiment::preset("javac")
+        Experiment::workload("javac")
             .seed(11)
             .instruction_limit(LIMIT)
     };
@@ -137,7 +137,7 @@ fn caller_built_legs_trace_into_their_own_handles() {
 
 #[test]
 fn an_unknown_scheme_fails_the_whole_shared_run() {
-    let err = Experiment::preset("db")
+    let err = Experiment::workload("db")
         .instruction_limit(LIMIT)
         .run_schemes(["baseline", "warp-drive"])
         .unwrap_err();
@@ -146,10 +146,10 @@ fn an_unknown_scheme_fails_the_whole_shared_run() {
 
 #[test]
 fn no_legs_means_no_runs() {
-    let runs = Experiment::preset("db")
+    let runs = Experiment::workload("db")
         .run_schemes(Vec::<&str>::new())
         .unwrap();
     assert!(runs.is_empty());
-    let records = Experiment::preset("db").run_legs([]).unwrap();
+    let records = Experiment::workload("db").run_legs([]).unwrap();
     assert!(records.is_empty());
 }

@@ -34,7 +34,7 @@ fn fast_do() -> DoConfig {
 }
 
 fn run(preset: &str, mgr: &mut HotspotAceManager, tel: &Telemetry) {
-    Experiment::preset(preset)
+    Experiment::workload(preset)
         .do_config(fast_do())
         .instruction_limit(LIMIT)
         .telemetry(tel)

@@ -357,12 +357,12 @@ impl Default for EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ace_sim::{Block, CuKind, Machine, MachineConfig, MemAccess};
+    use ace_sim::{Block, CuId, Machine, MachineConfig, MemAccess};
 
     fn run_fixed(l1d_level: u8, l2_level: u8, rounds: u32) -> MachineCounters {
         let mut m = Machine::new(MachineConfig::table2()).unwrap();
-        m.apply_resize(CuKind::L1d, SizeLevel::new(l1d_level).unwrap());
-        m.apply_resize(CuKind::L2, SizeLevel::new(l2_level).unwrap());
+        m.apply_resize(CuId::L1d, SizeLevel::new(l1d_level).unwrap());
+        m.apply_resize(CuId::L2, SizeLevel::new(l2_level).unwrap());
         let snap = m.counters().clone();
         for _ in 0..rounds {
             for a in (0..4096u64).step_by(64) {
@@ -447,7 +447,7 @@ mod tests {
             });
         }
         let before = model.breakdown(m.counters()).l1d_reconfig_nj;
-        m.apply_resize(CuKind::L1d, SizeLevel::new(2).unwrap());
+        m.apply_resize(CuId::L1d, SizeLevel::new(2).unwrap());
         let after = model.breakdown(m.counters()).l1d_reconfig_nj;
         assert!(after > before, "flush writebacks must cost energy");
     }
@@ -495,7 +495,7 @@ mod tests {
         let model = EnergyModel::default_180nm();
         let mut big = Machine::new(MachineConfig::table2()).unwrap();
         let mut small = Machine::new(MachineConfig::table2()).unwrap();
-        small.apply_resize(CuKind::L1d, SizeLevel::SMALLEST);
+        small.apply_resize(CuId::L1d, SizeLevel::SMALLEST);
         for m in [&mut big, &mut small] {
             for _ in 0..30 {
                 for a in (0..49152u64).step_by(64) {

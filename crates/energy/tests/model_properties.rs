@@ -3,7 +3,7 @@
 //! counters.
 
 use ace_energy::{CacheEnergyParams, EnergyModel, WindowEnergyParams};
-use ace_sim::{Block, CuKind, Machine, MachineConfig, MemAccess, SizeLevel};
+use ace_sim::{Block, CuId, Machine, MachineConfig, MemAccess, SizeLevel};
 use proptest::prelude::*;
 
 fn arb_cache_params() -> impl Strategy<Value = CacheEnergyParams> {
@@ -97,7 +97,7 @@ fn shrinking_the_window_saves_window_energy() {
     let model = EnergyModel::default_180nm_with_window();
     let run = |level: u8| {
         let mut m = Machine::new(MachineConfig::table2()).unwrap();
-        m.apply_resize(CuKind::Window, SizeLevel::new(level).unwrap());
+        m.apply_resize(CuId::Window, SizeLevel::new(level).unwrap());
         for _ in 0..2000 {
             m.exec_block(&Block {
                 pc: 0x400,

@@ -15,7 +15,8 @@
 
 use crate::driver::{fleet_registry_version, run_fleet, FleetConfig, FleetOutcome};
 use crate::store::TuningStore;
-use ace_bench::{content_key, fnv1a, BenchError, BenchResult};
+use ace_bench::{content_key, BenchError, BenchResult};
+use ace_core::fnv1a;
 use ace_telemetry::Telemetry;
 use ace_workloads::{gen, GenParams};
 use std::fmt::Write as _;

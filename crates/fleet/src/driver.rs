@@ -44,9 +44,9 @@ pub fn fleet_registry_version() -> u16 {
 }
 
 /// The tuning scheme fleet machines run, resolved by id from the scheme
-/// registry. The driver only requires that the scheme advertise the
-/// warm-start capability ([`ace_core::WarmStartCapable`]); any registered
-/// scheme that does can serve a fleet.
+/// registry. The driver only requires that the scheme's manager take a
+/// warm-start store ([`ace_core::SchemeManager::warm_start`]); any
+/// registered scheme whose manager does can serve a fleet.
 pub const FLEET_SCHEME: &str = "hotspot";
 
 /// The DO-system profile fleet machines run under: aggressive promotion
@@ -576,8 +576,7 @@ fn run_machine(
     let known = last
         .and_then(|last| last.outcome.baseline)
         .filter(|_| measure_baseline);
-    let registry = SchemeRegistry::builtin();
-    let scheme = registry
+    let scheme = SchemeRegistry::builtin()
         .get(FLEET_SCHEME)
         .ok_or_else(|| BenchError::msg(format!("scheme {FLEET_SCHEME:?} is not registered")))?;
     let mut mgr = scheme.build(&SchemeCtx {

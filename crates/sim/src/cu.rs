@@ -11,8 +11,8 @@
 //! [`CuId`] is a small index type rather than an enum precisely so the
 //! set of units is open-ended. The well-known units ship as associated
 //! constants ([`CuId::Window`], [`CuId::L1d`], [`CuId::L2`],
-//! [`CuId::Dtlb`]) whose spellings match the historical `CuKind` enum
-//! variants; `CuKind` itself survives as a type alias.
+//! [`CuId::Dtlb`]) whose spellings match the variants of the closed enum
+//! it replaced.
 
 use crate::config::NUM_SIZE_LEVELS;
 use serde::{Deserialize, Error, Serialize, Value};
@@ -67,7 +67,7 @@ impl CuId {
         ["window", "l1d", "l2", "dtlb"][self.index()]
     }
 
-    /// Historical `CuKind`/`Cu` variant spelling, kept stable because the
+    /// Historical enum-variant spelling, kept stable because the
     /// telemetry JSONL encoding is pinned by committed trace fixtures.
     fn variant(self) -> &'static str {
         ["Window", "L1d", "L2", "Dtlb"][self.index()]
@@ -119,10 +119,6 @@ impl Deserialize for CuId {
         }
     }
 }
-
-/// Backward-compatible spelling: the closed `CuKind` enum became the
-/// open [`CuId`] index in 0.3.
-pub type CuKind = CuId;
 
 /// What an applied reconfiguration does to the unit's state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -253,7 +249,7 @@ mod tests {
 
     #[test]
     fn const_patterns_still_match() {
-        // `CuKind::L1d`-style spellings must keep working in match arms.
+        // `CuId::L1d`-style spellings must keep working in match arms.
         let cu = CuId::L1d;
         let label = match cu {
             CuId::Window => "w",

@@ -21,7 +21,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use ace_sim::{Machine, MachineConfig, Block, MemAccess, CuKind, SizeLevel};
+//! use ace_sim::{Machine, MachineConfig, Block, MemAccess, CuId, SizeLevel};
 //!
 //! let mut m = Machine::new(MachineConfig::table2())?;
 //! let block = Block {
@@ -34,7 +34,7 @@
 //!     m.exec_block(&block);
 //! }
 //! // Ask the ACE hardware to shrink the L1D to 32 KB.
-//! let outcome = m.request_resize(CuKind::L1d, SizeLevel::new(1).unwrap());
+//! let outcome = m.request_resize(CuId::L1d, SizeLevel::new(1).unwrap());
 //! assert!(outcome.in_effect());
 //! # Ok::<(), ace_sim::ConfigError>(())
 //! ```
@@ -55,7 +55,7 @@ mod trace_io;
 pub use branch::{BranchPredictor, BranchStats};
 pub use cache::{AccessOutcome, Cache, CacheStats, FlushReport};
 pub use config::{CacheGeometry, ConfigError, MachineConfig, SizeLevel, NUM_SIZE_LEVELS};
-pub use cu::{CuDescriptor, CuId, CuKind, CuRegistry, FlushSemantics, MAX_CUS};
+pub use cu::{CuDescriptor, CuId, CuRegistry, FlushSemantics, MAX_CUS};
 pub use machine::{Machine, MachineCounters, ReconfigOutcome};
 pub use stats::OnlineStats;
 pub use tlb::{Tlb, TlbStats};

@@ -81,13 +81,11 @@ impl Deserialize for SpanName {
     }
 }
 
-/// A configurable unit of the modeled machine.
-///
-/// Since the registry refactor this is the open [`ace_sim::CuId`] index,
-/// not a closed enum: events name whatever unit a machine registered.
-/// The JSONL encoding of the historical units is unchanged (committed
-/// trace fixtures pin it).
-pub use ace_sim::CuId as Cu;
+/// A configurable unit of the modeled machine: the open
+/// [`ace_sim::CuId`] index, so events name whatever unit a machine
+/// registered. The JSONL encoding of the historical units is unchanged
+/// (committed trace fixtures pin it).
+pub use ace_sim::CuId;
 
 /// The program region a tuning episode is attached to, one variant per
 /// adaptation scheme.
@@ -203,7 +201,7 @@ pub enum Event {
     /// A CU actually changed size.
     Reconfigured {
         /// Which configurable unit resized.
-        cu: Cu,
+        cu: CuId,
         /// Size-level index before the resize (0 = largest).
         from: u8,
         /// Size-level index after the resize.
@@ -507,7 +505,7 @@ mod tests {
     #[test]
     fn events_report_their_kind() {
         let ev = Event::Reconfigured {
-            cu: Cu::L1d,
+            cu: CuId::L1d,
             from: 0,
             to: 2,
             cause: ReconfigCause::Apply,

@@ -22,12 +22,12 @@
 //! ## Example
 //!
 //! ```
-//! use ace_telemetry::{Cu, Event, ReconfigCause, Telemetry};
+//! use ace_telemetry::{CuId, Event, ReconfigCause, Telemetry};
 //!
 //! // Capture every event in memory.
 //! let (tel, buffer) = Telemetry::buffered();
 //! tel.emit(|| Event::Reconfigured {
-//!     cu: Cu::L1d,
+//!     cu: CuId::L1d,
 //!     from: 0,
 //!     to: 2,
 //!     cause: ReconfigCause::Apply,
@@ -56,7 +56,7 @@ mod snapshot;
 mod stream;
 
 pub use ace_sim::MAX_CUS;
-pub use event::{Cu, Event, EventKind, ReconfigCause, Scope, SpanName, SPAN_NAME_CAP};
+pub use event::{CuId, Event, EventKind, ReconfigCause, Scope, SpanName, SPAN_NAME_CAP};
 pub use metrics::{Counter, Gauge, Histogram, Metrics, ScopedTimer};
 pub use sink::{JsonlSink, MemorySink, NullSink, Sink};
 pub use snapshot::{

@@ -153,7 +153,7 @@ impl Drop for JsonlSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Cu, ReconfigCause};
+    use crate::event::{CuId, ReconfigCause};
 
     /// Shared byte buffer standing in for a file.
     #[derive(Clone, Default)]
@@ -180,7 +180,7 @@ mod tests {
                 instret: 1_000_000,
             },
             Event::Reconfigured {
-                cu: Cu::L2,
+                cu: CuId::L2,
                 from: 0,
                 to: 3,
                 cause: ReconfigCause::Trial,

@@ -122,7 +122,7 @@ pub fn read_events(path: impl AsRef<Path>) -> Result<Vec<Event>, StreamError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Cu, ReconfigCause, Scope};
+    use crate::event::{CuId, ReconfigCause, Scope};
     use crate::sink::{JsonlSink, Sink};
     use std::io::Write;
     use std::sync::{Arc, Mutex};
@@ -149,7 +149,7 @@ mod tests {
                 instret: 1_000,
             },
             Event::Reconfigured {
-                cu: Cu::L1d,
+                cu: CuId::L1d,
                 from: 0,
                 to: 2,
                 cause: ReconfigCause::Apply,

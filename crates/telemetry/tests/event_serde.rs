@@ -8,7 +8,7 @@
 //!   so an accidental field rename/reorder fails loudly instead of
 //!   silently orphaning existing traces.
 
-use ace_telemetry::{Cu, Event, EventKind, EventStream, ReconfigCause, Scope, SpanName};
+use ace_telemetry::{CuId, Event, EventKind, EventStream, ReconfigCause, Scope, SpanName};
 use proptest::prelude::*;
 
 fn scope_from(tag: u8, id: u32) -> Scope {
@@ -56,7 +56,7 @@ fn build_event(
             instret,
         },
         4 => Event::Reconfigured {
-            cu: Cu::ALL[(id % 3) as usize],
+            cu: CuId::ALL[(id % 3) as usize],
             from: (id % 4) as u8,
             to: (big % 4) as u8,
             cause: [
@@ -191,7 +191,7 @@ fn fixtures() -> Vec<(Event, &'static str)> {
         ),
         (
             Event::Reconfigured {
-                cu: Cu::L2,
+                cu: CuId::L2,
                 from: 0,
                 to: 3,
                 cause: ReconfigCause::Apply,

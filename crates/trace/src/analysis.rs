@@ -10,11 +10,11 @@
 //! analyze in one pass.
 //!
 //! Everything is deterministic: scopes iterate in [`Scope`]'s `Ord`
-//! order, CUs in [`Cu::ALL`] order, and floats are accumulated in
+//! order, CUs in [`CuId::ALL`] order, and floats are accumulated in
 //! stream order — two byte-identical traces produce byte-identical
 //! analyses (the trace CLI's regression tests rely on this).
 
-use ace_telemetry::{Cu, Event, EventKind, ReconfigCause, Scope, MAX_CUS};
+use ace_telemetry::{CuId, Event, EventKind, ReconfigCause, Scope, MAX_CUS};
 use std::collections::BTreeMap;
 
 /// Number of CU size levels (paper Table 2: four per unit, 0 = largest).
@@ -121,7 +121,7 @@ pub struct LevelResidency {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CuResidency {
     /// The unit.
-    pub cu: Cu,
+    pub cu: CuId,
     /// Per-level residency; index = size level (0 = largest).
     pub levels: [LevelResidency; NUM_LEVELS],
     /// Total resizes of the unit.
@@ -134,7 +134,7 @@ pub struct CuResidency {
 }
 
 impl CuResidency {
-    fn new(cu: Cu) -> CuResidency {
+    fn new(cu: CuId) -> CuResidency {
         CuResidency {
             cu,
             levels: [LevelResidency::default(); NUM_LEVELS],
@@ -228,7 +228,7 @@ pub struct Promotion {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reconfig {
     /// Which unit resized.
-    pub cu: Cu,
+    pub cu: CuId,
     /// Level before.
     pub from: u8,
     /// Level after.
@@ -380,7 +380,7 @@ pub struct Analysis {
     pub promotions: Vec<Promotion>,
     /// Per-scope episode reconstruction, in [`Scope`] order.
     pub scopes: Vec<ScopeAnalysis>,
-    /// Per-CU configuration residency, in [`Cu::ALL`] order.
+    /// Per-CU configuration residency, in [`CuId::ALL`] order.
     pub residency: [CuResidency; MAX_CUS],
     /// Every reconfiguration, in stream order.
     pub reconfigs: Vec<Reconfig>,
@@ -512,7 +512,7 @@ struct CuState {
 }
 
 impl CuState {
-    fn new(cu: Cu) -> CuState {
+    fn new(cu: CuId) -> CuState {
         CuState {
             residency: CuResidency::new(cu),
             level: 0,
@@ -601,7 +601,7 @@ impl Analyzer {
             final_cycle: 0,
             promotions: Vec::new(),
             scopes: BTreeMap::new(),
-            cus: Cu::ALL.map(CuState::new),
+            cus: CuId::ALL.map(CuState::new),
             reconfigs: Vec::new(),
             segments: Vec::new(),
             current_segment: None,
@@ -917,7 +917,7 @@ mod tests {
                 instret: 200,
             },
             Event::Reconfigured {
-                cu: Cu::L1d,
+                cu: CuId::L1d,
                 from: 0,
                 to: 1,
                 cause: ReconfigCause::Trial,
@@ -931,7 +931,7 @@ mod tests {
                 instret: 300,
             },
             Event::Reconfigured {
-                cu: Cu::L1d,
+                cu: CuId::L1d,
                 from: 1,
                 to: 2,
                 cause: ReconfigCause::Trial,
@@ -952,7 +952,7 @@ mod tests {
                 instret: 420,
             },
             Event::Reconfigured {
-                cu: Cu::L1d,
+                cu: CuId::L1d,
                 from: 2,
                 to: 1,
                 cause: ReconfigCause::Apply,
@@ -1009,7 +1009,7 @@ mod tests {
     #[test]
     fn residency_attributes_cycles_per_level() {
         let analysis = Analysis::of(&lifecycle());
-        let l1d = &analysis.residency[Cu::L1d.index()];
+        let l1d = &analysis.residency[CuId::L1d.index()];
         assert_eq!(l1d.reconfigs, 3);
         assert_eq!(l1d.by_cause, [2, 1, 0]);
         assert_eq!(l1d.level_mismatches, 0);
@@ -1021,7 +1021,7 @@ mod tests {
         assert_eq!(l1d.levels[3].cycles, 0);
         assert_eq!(l1d.total_cycles(), 500);
         // Untouched CUs spend the whole trace at level 0.
-        let l2 = &analysis.residency[Cu::L2.index()];
+        let l2 = &analysis.residency[CuId::L2.index()];
         assert_eq!(l2.reconfigs, 0);
         assert_eq!(l2.levels[0].cycles, 500);
     }
@@ -1106,14 +1106,14 @@ mod tests {
     #[test]
     fn level_mismatch_is_counted_not_fatal() {
         let events = vec![Event::Reconfigured {
-            cu: Cu::L2,
+            cu: CuId::L2,
             from: 2, // analyzer thinks level 0
             to: 3,
             cause: ReconfigCause::Trial,
             cycle: 100,
         }];
         let analysis = Analysis::of(&events);
-        let l2 = &analysis.residency[Cu::L2.index()];
+        let l2 = &analysis.residency[CuId::L2.index()];
         assert_eq!(l2.level_mismatches, 1);
         // Attribution trusts the recorded `from` level.
         assert_eq!(l2.levels[2].cycles, 100);

@@ -19,7 +19,7 @@
 //! so two identically seeded runs export byte-identical traces.
 
 use crate::analysis::{Analysis, EpisodeOutcome};
-use ace_telemetry::Cu;
+use ace_telemetry::CuId;
 use serde::Value;
 
 const PID_INSTRET: u64 = 1;
@@ -110,7 +110,7 @@ pub fn chrome_trace(analysis: &Analysis) -> String {
             &format!("tune {}", scope.scope.label()),
         ));
     }
-    for cu in Cu::ALL {
+    for cu in CuId::ALL {
         events.push(meta(
             "thread_name",
             PID_CYCLE,
@@ -306,7 +306,7 @@ mod tests {
                 instret: 200,
             },
             Event::Reconfigured {
-                cu: Cu::L1d,
+                cu: CuId::L1d,
                 from: 0,
                 to: 3,
                 cause: ReconfigCause::Apply,

@@ -14,7 +14,7 @@
 //! both directions because either direction means behaviour changed.
 
 use crate::analysis::{Analysis, EpisodeOutcome};
-use ace_telemetry::{Cu, EventKind};
+use ace_telemetry::{CuId, EventKind};
 use std::fmt::Write as _;
 
 /// Regression thresholds for [`diff`]. The defaults suit CI comparisons
@@ -231,7 +231,7 @@ pub fn diff(a: &Analysis, b: &Analysis, thresholds: &DiffThresholds) -> DiffRepo
 
     // Residency: total-variation distance between cycle-fraction
     // distributions. 0 = identical, 1 = disjoint.
-    for cu in Cu::ALL {
+    for cu in CuId::ALL {
         let fa = a.residency[cu.index()].cycle_fractions();
         let fb = b.residency[cu.index()].cycle_fractions();
         let tv: f64 = fa
@@ -282,14 +282,14 @@ mod tests {
             instret: 1000,
         });
         events.push(Event::Reconfigured {
-            cu: Cu::L1d,
+            cu: CuId::L1d,
             from: 0,
             to: cu_to,
             cause: ReconfigCause::Apply,
             cycle: 500,
         });
         events.push(Event::Reconfigured {
-            cu: Cu::L1d,
+            cu: CuId::L1d,
             from: cu_to,
             to: cu_to,
             cause: ReconfigCause::Reset,

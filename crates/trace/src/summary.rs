@@ -6,7 +6,7 @@
 //! on byte-identical summaries for `--jobs 1` vs `--jobs 4` traces).
 
 use crate::analysis::{Analysis, EpisodeOutcome, NUM_LEVELS};
-use ace_telemetry::{Cu, EventKind};
+use ace_telemetry::{CuId, EventKind};
 use std::fmt::Write as _;
 
 /// Renders the headline summary: event counts, counter span, promotions,
@@ -141,7 +141,7 @@ pub fn summarize(analysis: &Analysis) -> String {
     }
 
     let _ = writeln!(out, "configuration residency (cycles per level):");
-    for cu in Cu::ALL {
+    for cu in CuId::ALL {
         let res = &analysis.residency[cu.index()];
         let fractions = res.cycle_fractions();
         let _ = write!(out, "  {:<8}", cu.name());
@@ -269,7 +269,7 @@ mod tests {
                 instret: 300,
             },
             Event::Reconfigured {
-                cu: Cu::Window,
+                cu: CuId::Window,
                 from: 0,
                 to: 2,
                 cause: ReconfigCause::Apply,

@@ -13,7 +13,7 @@
 //! trajectory (content-addressed result caching, byte-identical summary
 //! tests) depends on never happening.
 
-use ace_sim::{Block, BlockSource, CuKind, Machine, MachineConfig, SizeLevel};
+use ace_sim::{Block, BlockSource, CuId, Machine, MachineConfig, SizeLevel};
 use ace_workloads::{preset, Executor};
 
 /// Expected counters for one pinned run.
@@ -139,13 +139,13 @@ fn run_pinned(name: &str) -> (u64, Machine) {
         m.exec_block(&buf);
         nb += 1;
         if nb == 5_000 {
-            m.apply_resize(CuKind::L1d, SizeLevel::new(2).unwrap());
-            m.apply_resize(CuKind::L2, SizeLevel::new(1).unwrap());
-            m.apply_resize(CuKind::Window, SizeLevel::new(1).unwrap());
+            m.apply_resize(CuId::L1d, SizeLevel::new(2).unwrap());
+            m.apply_resize(CuId::L2, SizeLevel::new(1).unwrap());
+            m.apply_resize(CuId::Window, SizeLevel::new(1).unwrap());
         }
         if nb == 20_000 {
-            m.apply_resize(CuKind::L1d, SizeLevel::LARGEST);
-            m.apply_resize(CuKind::L2, SizeLevel::new(3).unwrap());
+            m.apply_resize(CuId::L1d, SizeLevel::LARGEST);
+            m.apply_resize(CuId::L2, SizeLevel::new(3).unwrap());
         }
     }
     (nb, m)

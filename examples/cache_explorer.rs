@@ -6,17 +6,16 @@
 //! cargo run --release --example cache_explorer [workload]
 //! ```
 
-use ace::core::{AceConfig, Experiment, FixedScheme, SchemeSpec};
+use ace::core::{AceConfig, Experiment, Scheme};
 use ace::sim::SizeLevel;
 use std::error::Error;
-use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let name = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "mpeg".to_string());
 
-    let base = Experiment::preset(name.as_str()).run()?;
+    let base = Experiment::workload(name.as_str()).run()?;
     println!(
         "{name}: baseline IPC {:.3}, cache energy {:.2} mJ",
         base.ipc,
@@ -31,8 +30,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         print!("{l1d_size:>3}KB ");
         for l2 in 0..4u8 {
             let fixed = AceConfig::both(SizeLevel::new(l1d).unwrap(), SizeLevel::new(l2).unwrap());
-            let r = Experiment::preset(name.as_str())
-                .scheme(SchemeSpec::instance(Arc::new(FixedScheme(fixed))))
+            let r = Experiment::workload(name.as_str())
+                .scheme(Scheme::Fixed(fixed))
                 .run()?;
             let saving = 100.0 * (1.0 - r.energy.total_nj() / base.energy.total_nj());
             let slow = 100.0 * r.slowdown_vs(&base);

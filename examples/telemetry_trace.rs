@@ -18,7 +18,7 @@ fn main() -> Result<(), ExperimentError> {
         HotspotManagerConfig::default(),
         EnergyModel::default_180nm(),
     );
-    let record = Experiment::preset("compress")
+    let record = Experiment::workload("compress")
         .instruction_limit(60_000_000)
         .telemetry(&telemetry)
         .run_with(&mut mgr)?;

@@ -23,11 +23,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         energy: model,
         ..RunConfig::default()
     };
-    let base = Experiment::preset(name.as_str())
+    let base = Experiment::workload(name.as_str())
         .config(cfg2.clone())
         .run()?;
     let mut two = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-    let r2 = Experiment::preset(name.as_str())
+    let r2 = Experiment::workload(name.as_str())
         .config(cfg2)
         .run_with(&mut two)?;
 
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         ..RunConfig::default()
     };
     let mut three = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-    let r3 = Experiment::preset(name.as_str())
+    let r3 = Experiment::workload(name.as_str())
         .config(cfg3)
         .run_with(&mut three)?;
     let rep = three.report();

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         HotspotManagerConfig::default(),
         EnergyModel::default_180nm(),
     );
-    let record = Experiment::preset("jess")
+    let record = Experiment::workload("jess")
         .instruction_limit(60_000_000)
         .telemetry(&telemetry)
         .run_with(&mut mgr)?;

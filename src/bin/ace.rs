@@ -20,8 +20,7 @@
 //! is a zero `--limit`.
 
 use ace::core::{
-    AceConfig, Experiment, ExperimentError, FixedScheme, RunConfig, RunRecord, SchemeRegistry,
-    SchemeSpec,
+    AceConfig, Experiment, ExperimentError, RunConfig, RunRecord, Scheme, SchemeRegistry,
 };
 use ace::sim::{record_trace, Block, BlockSource, Machine, MachineConfig, SizeLevel, TraceReader};
 use ace::telemetry::Telemetry;
@@ -31,7 +30,6 @@ use ace::trace::{
 use ace::workloads::{Executor, Program, WorkloadRegistry, PRESET_NAMES};
 use std::error::Error;
 use std::process::ExitCode;
-use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -196,11 +194,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn Error>> {
     let program = load_program(name)?;
     // The baseline and the 16 fixed configurations, in grid order, as
     // legs of one run off one executor stream.
-    let mut schemes = vec![SchemeSpec::named("baseline")];
+    let mut schemes = vec![Scheme::Baseline];
     for l1d in SizeLevel::all() {
         for l2 in SizeLevel::all() {
-            let fixed = FixedScheme(AceConfig::both(l1d, l2));
-            schemes.push(SchemeSpec::instance(Arc::new(fixed)));
+            schemes.push(Scheme::Fixed(AceConfig::both(l1d, l2)));
         }
     }
     let runs = Experiment::program(program).run_schemes(schemes)?;

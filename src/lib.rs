@@ -22,8 +22,8 @@
 //! ```no_run
 //! use ace::core::Experiment;
 //!
-//! let baseline = Experiment::preset("db").run()?;
-//! let adaptive = Experiment::preset("db").scheme("hotspot").run()?;
+//! let baseline = Experiment::workload("db").run()?;
+//! let adaptive = Experiment::workload("db").scheme("hotspot").run()?;
 //! println!("L1D energy saving: {:.0}%", 100.0 * adaptive.l1d_saving_vs(&baseline));
 //! # Ok::<(), ace::core::ExperimentError>(())
 //! ```

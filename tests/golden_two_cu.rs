@@ -192,7 +192,7 @@ fn check_fixture(stem: &str, stream: &str, digest: &str) {
 #[test]
 fn two_cu_runs_match_pre_refactor_bytes() {
     for &(workload, scheme) in CASES {
-        let (stream, digest) = run_case(Experiment::preset(workload), scheme);
+        let (stream, digest) = run_case(Experiment::workload(workload), scheme);
         check_fixture(&format!("{workload}-{scheme}"), &stream, &digest);
     }
 }

@@ -23,12 +23,12 @@ struct Outcome {
 
 fn run_pair(name: &str) -> (Outcome, Outcome) {
     let model = EnergyModel::default_180nm();
-    let base = Experiment::preset(name).run().unwrap();
+    let base = Experiment::workload(name).run().unwrap();
 
     let mut bbv = BbvAceManager::new(BbvManagerConfig::default(), model);
-    let b = Experiment::preset(name).run_with(&mut bbv).unwrap();
+    let b = Experiment::workload(name).run_with(&mut bbv).unwrap();
     let mut hs = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-    let h = Experiment::preset(name).run_with(&mut hs).unwrap();
+    let h = Experiment::workload(name).run_with(&mut hs).unwrap();
 
     let mk = |r: &ace::core::RunRecord| Outcome {
         l1d_saving: 100.0 * r.l1d_saving_vs(&base),

@@ -5,15 +5,14 @@
 //! `crates/bench`.
 
 use ace::core::{
-    AceConfig, BbvAceManager, BbvManagerConfig, Experiment, FixedScheme, HotspotAceManager,
-    HotspotManagerConfig, SchemeSpec,
+    AceConfig, BbvAceManager, BbvManagerConfig, Experiment, HotspotAceManager,
+    HotspotManagerConfig, Scheme,
 };
 use ace::energy::EnergyModel;
 use ace::sim::SizeLevel;
-use std::sync::Arc;
 
 fn exp(name: &str, limit: u64) -> Experiment {
-    Experiment::preset(name).instruction_limit(limit)
+    Experiment::workload(name).instruction_limit(limit)
 }
 
 #[test]
@@ -115,9 +114,10 @@ fn bbv_scheme_reports_are_consistent() {
 fn fixed_configurations_trade_energy_for_ipc() {
     let base = exp("jess", 5_000_000).run().unwrap();
     let small = exp("jess", 5_000_000)
-        .scheme(SchemeSpec::instance(Arc::new(FixedScheme(
-            AceConfig::both(SizeLevel::SMALLEST, SizeLevel::SMALLEST),
-        ))))
+        .scheme(Scheme::Fixed(AceConfig::both(
+            SizeLevel::SMALLEST,
+            SizeLevel::SMALLEST,
+        )))
         .run()
         .unwrap();
     // The smallest configuration always burns less leakage...

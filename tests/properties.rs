@@ -4,7 +4,7 @@
 
 use ace::core::{single_cu_list, AceConfig, ConfigTuner, Measurement};
 use ace::sim::{
-    Cache, CacheGeometry, CuKind, Machine, MachineConfig, MemAccess, OnlineStats, SizeLevel,
+    Cache, CacheGeometry, CuId, Machine, MachineConfig, MemAccess, OnlineStats, SizeLevel,
 };
 use ace::workloads::{DetRng, Executor, MemPattern, ProgramBuilder, Step, Stmt};
 use proptest::prelude::*;
@@ -87,7 +87,7 @@ proptest! {
         epis in prop::collection::vec(0.01f64..2.0, 4),
         threshold in 0.0f64..0.3,
     ) {
-        let list = single_cu_list(CuKind::L1d);
+        let list = single_cu_list(CuId::L1d);
         let mut t = ConfigTuner::new(list.clone(), threshold);
         let mut fed = Vec::new();
         let mut i = 0;
@@ -127,7 +127,7 @@ proptest! {
     #[test]
     fn ace_config_serde_round_trip(levels in prop::collection::vec(prop::option::of(0u8..4), 4)) {
         let mut cfg = AceConfig::empty();
-        for (cu, lvl) in CuKind::ALL.into_iter().zip(levels.iter()) {
+        for (cu, lvl) in CuId::ALL.into_iter().zip(levels.iter()) {
             cfg.set(cu, lvl.map(|l| SizeLevel::new(l).unwrap()));
         }
         let json = serde_json::to_string(&cfg).unwrap();
@@ -151,9 +151,9 @@ proptest! {
         );
         let parsed: AceConfig = serde_json::from_str(&json).unwrap();
         let mut want = AceConfig::empty();
-        want.set(CuKind::L1d, l1d.map(|l| SizeLevel::new(l).unwrap()));
-        want.set(CuKind::L2, l2.map(|l| SizeLevel::new(l).unwrap()));
-        want.set(CuKind::Window, window.map(|l| SizeLevel::new(l).unwrap()));
+        want.set(CuId::L1d, l1d.map(|l| SizeLevel::new(l).unwrap()));
+        want.set(CuId::L2, l2.map(|l| SizeLevel::new(l).unwrap()));
+        want.set(CuId::Window, window.map(|l| SizeLevel::new(l).unwrap()));
         prop_assert_eq!(parsed, want);
     }
 
@@ -253,7 +253,7 @@ proptest! {
                 });
             }
             let now = m.instret();
-            let outcome = m.request_resize(CuKind::L1d, SizeLevel::new(lvl).unwrap());
+            let outcome = m.request_resize(CuId::L1d, SizeLevel::new(lvl).unwrap());
             if let ace::sim::ReconfigOutcome::Applied(_) = outcome {
                 if let Some(prev) = last_change_at {
                     prop_assert!(now - prev >= m.config().l1d_reconfig_interval,

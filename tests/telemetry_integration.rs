@@ -12,7 +12,7 @@ fn traced_run(workload: &str, limit: u64) -> (Vec<Event>, ace::core::HotspotRepo
         HotspotManagerConfig::default(),
         EnergyModel::default_180nm(),
     );
-    Experiment::preset(workload)
+    Experiment::workload(workload)
         .instruction_limit(limit)
         .telemetry(&telemetry)
         .run_with(&mut mgr)
@@ -79,7 +79,7 @@ fn jsonl_sink_captures_a_compress_run() {
             HotspotManagerConfig::default(),
             EnergyModel::default_180nm(),
         );
-        Experiment::preset("compress")
+        Experiment::workload("compress")
             .instruction_limit(60_000_000)
             .telemetry(&telemetry)
             .run_with(&mut mgr)
