@@ -32,7 +32,7 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
         let stats = |run: &SchemeRun| {
             let (r, rep) = (&run.record, hotspot_report(run));
             (
-                100.0 * (1.0 - r.energy.total_nj() / base.energy.total_nj()),
+                100.0 * r.saving_vs(base),
                 100.0 * r.slowdown_vs(base),
                 100.0 * rep.tuned_fraction(),
                 (rep.l1d().tunings + rep.l2().tunings) as f64,

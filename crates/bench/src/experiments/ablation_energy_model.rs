@@ -34,8 +34,8 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
                 .telemetry(&ctx.telemetry);
             let [base, rb, rh] = run_group(experiment, ["baseline", "bbv", "hotspot"])?;
             let (base, rb, rh) = (&base.record, &rb.record, &rh.record);
-            bbv_sav.push(100.0 * (1.0 - rb.energy.total_nj() / base.energy.total_nj()));
-            hot_sav.push(100.0 * (1.0 - rh.energy.total_nj() / base.energy.total_nj()));
+            bbv_sav.push(100.0 * rb.saving_vs(base));
+            hot_sav.push(100.0 * rh.saving_vs(base));
             hot_slow.push(100.0 * rh.slowdown_vs(base));
         }
         rows.push(vec![

@@ -45,7 +45,7 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
             stats.push((
                 100.0 * rep.stability.stable_fraction(),
                 rep.tuned_phases as f64,
-                100.0 * (1.0 - r.energy.total_nj() / base.energy.total_nj()),
+                100.0 * r.saving_vs(base),
                 100.0 * r.slowdown_vs(base),
                 r.counters.guard_rejections as f64,
             ));

@@ -91,8 +91,8 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
         let pred_run = experiment().run_with(&mut predicted)?;
         let pred_rep = predicted.report();
 
-        let t_sav = 100.0 * (1.0 - tuned_run.energy.total_nj() / base.energy.total_nj());
-        let p_sav = 100.0 * (1.0 - pred_run.energy.total_nj() / base.energy.total_nj());
+        let t_sav = 100.0 * tuned_run.saving_vs(base);
+        let p_sav = 100.0 * pred_run.saving_vs(base);
         agg.push((
             t_sav,
             p_sav,

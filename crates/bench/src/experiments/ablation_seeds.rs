@@ -35,7 +35,7 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
                 .telemetry(&ctx.telemetry);
             let [base, r] = run_group(experiment, ["baseline", "hotspot"])?;
             let (base, r) = (&base.record, &r.record);
-            savings.push(100.0 * (1.0 - r.energy.total_nj() / base.energy.total_nj()));
+            savings.push(100.0 * r.saving_vs(base));
             slowdowns.push(100.0 * r.slowdown_vs(base));
         }
         grand.push(savings.mean());

@@ -71,8 +71,8 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
             .run_with(&mut three)?;
         let rep3 = three.report();
 
-        let sav2 = 100.0 * (1.0 - r2.energy.total_nj() / base.energy.total_nj());
-        let sav3 = 100.0 * (1.0 - r3.energy.total_nj() / base.energy.total_nj());
+        let sav2 = 100.0 * r2.saving_vs(&base);
+        let sav3 = 100.0 * r3.saving_vs(&base);
         let tlb_sav = 100.0 * (1.0 - r3.energy.dtlb_nj / base.energy.dtlb_nj);
         agg.push([
             sav2,

@@ -32,8 +32,7 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
         let experiment = Experiment::workload(name).telemetry(&ctx.telemetry);
         let [base, r_pos, r_bbv, r_pred, r_hs] = run_group(experiment, schemes.clone())?;
         let base = &base.record;
-        let sav =
-            |r: &SchemeRun| 100.0 * (1.0 - r.record.energy.total_nj() / base.energy.total_nj());
+        let sav = |r: &SchemeRun| 100.0 * r.record.saving_vs(base);
         let slow = |r: &SchemeRun| 100.0 * r.record.slowdown_vs(base);
         let pred_report = bbv_report(&r_pred);
 

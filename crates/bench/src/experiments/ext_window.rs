@@ -46,8 +46,8 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
             .run_scheme()?;
         let (r3, rep3) = (&three.record, hotspot_report(&three));
 
-        let sav2 = 100.0 * (1.0 - r2.energy.total_nj() / base.energy.total_nj());
-        let sav3 = 100.0 * (1.0 - r3.energy.total_nj() / base.energy.total_nj());
+        let sav2 = 100.0 * r2.saving_vs(base);
+        let sav3 = 100.0 * r3.saving_vs(base);
         let win_sav = 100.0 * (1.0 - r3.energy.window_nj / base.energy.window_nj);
         agg.push([
             sav2,

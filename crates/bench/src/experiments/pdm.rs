@@ -72,7 +72,7 @@ impl PdmResults {
 
     /// Total cache-energy saving vs baseline, in percent.
     pub fn saving_pct(&self, run: &RunRecord) -> f64 {
-        100.0 * (1.0 - run.energy.total_nj() / self.baseline.energy.total_nj())
+        100.0 * run.saving_vs(&self.baseline)
     }
 
     /// Slowdown vs baseline, in percent.

@@ -79,6 +79,11 @@ impl RunRecord {
         1.0 - self.ipc / baseline.ipc
     }
 
+    /// Fractional total energy saving versus `baseline`.
+    pub fn saving_vs(&self, baseline: &RunRecord) -> f64 {
+        saving(self.energy.total_nj(), baseline.energy.total_nj())
+    }
+
     /// Fractional L1D energy saving versus `baseline`.
     pub fn l1d_saving_vs(&self, baseline: &RunRecord) -> f64 {
         saving(self.energy.l1d_nj, baseline.energy.l1d_nj)
@@ -156,10 +161,6 @@ pub(crate) trait StepSource<'p> {
     fn step<M: AceManager + ?Sized>(&mut self, buf: &mut Block, legs: &mut Legs<'p, '_, M>)
         -> Step;
 
-    /// Entry instret per live frame of the thread whose enter or exit
-    /// step came last.
-    fn entry_stack(&mut self) -> &mut Vec<u64>;
-
     /// Blocks emitted per walk kind, summed over threads.
     fn walk_profile(&self) -> [u64; 4];
 
@@ -171,7 +172,6 @@ pub(crate) trait StepSource<'p> {
 /// instruction limit it unwinds through the open exits.
 pub(crate) struct SingleThread<'p> {
     exec: Executor<'p>,
-    entry_stack: Vec<u64>,
 }
 
 impl<'p> SingleThread<'p> {
@@ -183,10 +183,7 @@ impl<'p> SingleThread<'p> {
         if let Some(limit) = cfg.instruction_limit {
             exec.set_instruction_limit(limit);
         }
-        SingleThread {
-            exec,
-            entry_stack: Vec::with_capacity(64),
-        }
+        SingleThread { exec }
     }
 }
 
@@ -194,11 +191,6 @@ impl<'p> StepSource<'p> for SingleThread<'p> {
     #[inline]
     fn step<M: AceManager + ?Sized>(&mut self, buf: &mut Block, _: &mut Legs<'p, '_, M>) -> Step {
         self.exec.step(buf)
-    }
-
-    #[inline]
-    fn entry_stack(&mut self) -> &mut Vec<u64> {
-        &mut self.entry_stack
     }
 
     fn walk_profile(&self) -> [u64; 4] {
@@ -213,14 +205,11 @@ impl<'p> StepSource<'p> for SingleThread<'p> {
 /// A multithreaded run: one executor per entry method (disjoint method
 /// subtrees), time-multiplexed in fixed instruction quanta over the one
 /// simulated core — the Dynamic SimpleScalar threading model, used by
-/// the dual-threaded mtrt experiment. Each thread keeps its own entry
-/// stack, and the run stops as soon as the machine reaches the
-/// instruction limit, without unwinding.
+/// the dual-threaded mtrt experiment. The run stops as soon as the
+/// machine reaches the instruction limit, without unwinding.
 pub(crate) struct Threads<'p> {
     mt: ThreadedExecutor<'p>,
     limit: Option<u64>,
-    entry_stacks: Vec<Vec<u64>>,
-    current: usize,
 }
 
 impl<'p> Threads<'p> {
@@ -248,8 +237,6 @@ impl<'p> Threads<'p> {
         Threads {
             mt: ThreadedExecutor::new(threads, quantum_instr),
             limit: cfg.instruction_limit,
-            entry_stacks: vec![Vec::new(); entries.len()],
-            current: 0,
         }
     }
 }
@@ -276,20 +263,10 @@ impl<'p> StepSource<'p> for Threads<'p> {
                 });
                 self.step(buf, legs)
             }
-            MtStep::Enter(tid, m) => {
-                self.current = tid.0 as usize;
-                Step::Enter(m)
-            }
-            MtStep::Exit(tid, m) => {
-                self.current = tid.0 as usize;
-                Step::Exit(m)
-            }
+            MtStep::Enter(_, m) => Step::Enter(m),
+            MtStep::Exit(_, m) => Step::Exit(m),
             MtStep::Done => Step::Done,
         }
-    }
-
-    fn entry_stack(&mut self) -> &mut Vec<u64> {
-        &mut self.entry_stacks[self.current]
     }
 
     fn walk_profile(&self) -> [u64; 4] {
@@ -352,17 +329,17 @@ where
                 leg.machine.exec_block(&buf);
                 leg.manager.on_block(&buf, &mut leg.machine);
             }),
-            Step::Enter(m) => {
-                source.entry_stack().push(legs.instret());
-                legs.each(|leg| {
-                    leg.manager.on_method_enter(m, &mut leg.machine);
-                    let event = leg.dos.on_enter(m, &mut leg.machine);
-                    leg.manager.on_event(event, &mut leg.machine);
-                });
-            }
+            Step::Enter(m) => legs.each(|leg| {
+                leg.manager.on_method_enter(m, &mut leg.machine);
+                let event = leg.dos.on_enter(m, &mut leg.machine);
+                leg.manager.on_event(event, &mut leg.machine);
+            }),
             Step::Exit(m) => {
-                let entered = source.entry_stack().pop().unwrap_or(0);
-                let invocation_instr = legs.instret() - entered;
+                // Every leg's DO system sees the same steps, so the first
+                // leg's sizes the invocation for all of them, on the
+                // exiting thread's own clock.
+                let first = &legs.first;
+                let invocation_instr = first.dos.open_frame_instr(&first.machine);
                 legs.each(|leg| {
                     leg.manager
                         .on_method_exit(m, invocation_instr, &mut leg.machine);

@@ -788,8 +788,8 @@ mod tests {
             HotspotManagerConfig::default(),
             EnergyModel::default_180nm(),
         );
-        assert_eq!(mgr.list_for(HotspotClass::L1d).len(), 4);
-        assert_eq!(mgr.list_for(HotspotClass::L2).len(), 4);
+        assert_eq!(mgr.list_for(HotspotClass::Cu(CuId::L1d)).len(), 4);
+        assert_eq!(mgr.list_for(HotspotClass::Cu(CuId::L2)).len(), 4);
         let coupled = HotspotAceManager::new(
             HotspotManagerConfig {
                 decouple: false,
@@ -797,7 +797,7 @@ mod tests {
             },
             EnergyModel::default_180nm(),
         );
-        assert_eq!(coupled.list_for(HotspotClass::L1d).len(), 16);
+        assert_eq!(coupled.list_for(HotspotClass::Cu(CuId::L1d)).len(), 16);
     }
 
     #[test]
@@ -806,12 +806,12 @@ mod tests {
             HotspotManagerConfig::default(),
             EnergyModel::default_180nm(),
         );
-        for cfg in mgr.list_for(HotspotClass::L1d) {
+        for cfg in mgr.list_for(HotspotClass::Cu(CuId::L1d)) {
             assert!(cfg.touches(CuId::L1d));
             assert!(!cfg.touches(CuId::L2));
         }
         assert_eq!(
-            mgr.list_for(HotspotClass::L2)[3],
+            mgr.list_for(HotspotClass::Cu(CuId::L2))[3],
             AceConfig::l2_only(SizeLevel::SMALLEST)
         );
     }
@@ -839,7 +839,7 @@ mod tests {
         for id in (0..64).rev() {
             let event = DoEvent::HotspotEnter {
                 method: MethodId(id),
-                class: HotspotClass::L1d,
+                class: HotspotClass::Cu(CuId::L1d),
             };
             mgr.on_event(event, &mut machine);
         }

@@ -96,8 +96,9 @@ pub struct PositionalReport {
 ///     PositionalManagerConfig::default(),
 ///     EnergyModel::default_180nm(),
 /// );
+/// let base = Experiment::program(program.clone()).run()?;
 /// let record = Experiment::program(program).run_with(&mut mgr)?;
-/// println!("saved {:.1}%", 100.0 * (1.0 - record.energy.total_nj() / 1.0));
+/// println!("saved {:.1}%", 100.0 * record.saving_vs(&base));
 /// # Ok::<(), ace_core::ExperimentError>(())
 /// ```
 #[derive(Debug)]
@@ -297,8 +298,8 @@ mod tests {
         let mut hs = crate::HotspotAceManager::new(crate::HotspotManagerConfig::default(), model);
         let r_hs = run_limited(&program, limit, &mut hs);
 
-        let sav_pos = 1.0 - r_pos.energy.total_nj() / base.energy.total_nj();
-        let sav_hs = 1.0 - r_hs.energy.total_nj() / base.energy.total_nj();
+        let sav_pos = r_pos.saving_vs(&base);
+        let sav_hs = r_hs.saving_vs(&base);
         assert!(
             sav_hs > sav_pos,
             "hotspot ({sav_hs:.3}) must beat positional ({sav_pos:.3})"

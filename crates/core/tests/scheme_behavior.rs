@@ -7,7 +7,7 @@ use ace_core::{
 };
 use ace_energy::EnergyModel;
 use ace_runtime::{DoEvent, HotspotClass};
-use ace_sim::{Block, Machine, MachineConfig, MemAccess};
+use ace_sim::{Block, CuId, Machine, MachineConfig, MemAccess};
 use ace_workloads::{MemPattern, MethodId, ProgramBuilder, Stmt};
 
 /// Runs `ninstr` instructions of hit-dominated work.
@@ -54,7 +54,7 @@ fn invoke<F: FnMut(&mut Machine)>(
     mgr.on_event(
         DoEvent::HotspotEnter {
             method,
-            class: HotspotClass::L1d,
+            class: HotspotClass::Cu(CuId::L1d),
         },
         machine,
     );
@@ -63,7 +63,7 @@ fn invoke<F: FnMut(&mut Machine)>(
     mgr.on_event(
         DoEvent::HotspotExit {
             method,
-            class: HotspotClass::L1d,
+            class: HotspotClass::Cu(CuId::L1d),
             invocation_instr: machine.instret() - start,
         },
         machine,
@@ -316,4 +316,36 @@ fn quantum_size_bounds_thread_blending() {
     assert_eq!(fine.instret / 1_000_000, coarse.instret / 1_000_000);
     // Finer multiplexing costs more context switches (drain cycles).
     assert!(fine.cycles > coarse.cycles);
+}
+
+/// Records every method exit the driver reports, with its size.
+#[derive(Default)]
+struct ExitSizes(Vec<(MethodId, u64)>);
+
+impl AceManager for ExitSizes {
+    fn on_method_exit(&mut self, method: MethodId, invocation_instr: u64, _: &mut Machine) {
+        self.0.push((method, invocation_instr));
+    }
+}
+
+#[test]
+fn threaded_exit_sizes_count_only_the_exiting_threads_instructions() {
+    // Thread 0 runs the same stream alone and beside thread 1, so its
+    // invocation sizes must not depend on thread 1's quanta.
+    let (program, entries) = ace_workloads::mtrt_threaded();
+    let t0_exits = |entries: &[MethodId], limit: u64| {
+        let mut sizes = ExitSizes::default();
+        Experiment::program(program.clone())
+            .threaded(entries, 200_000)
+            .instruction_limit(limit)
+            .run_with(&mut sizes)
+            .unwrap();
+        let t0 = |&(m, _): &(MethodId, u64)| program.method(m).name.starts_with("t0::");
+        sizes.0.into_iter().filter(t0).collect::<Vec<_>>()
+    };
+    let shared = t0_exits(&entries, 6_000_000);
+    let alone = t0_exits(&entries[..1], 3_000_000);
+    let n = shared.len().min(alone.len());
+    assert!(n >= 20, "only {n} thread-0 exits to compare");
+    assert_eq!(shared[..n], alone[..n]);
 }

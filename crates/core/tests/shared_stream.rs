@@ -68,7 +68,10 @@ fn threaded_legs_match_their_solo_runs() {
 fn traced(run: impl FnOnce(&Telemetry)) -> (Vec<Event>, String) {
     let (telemetry, sink) = Telemetry::buffered();
     run(&telemetry);
-    let counters = format!("{:?}", telemetry.metrics_snapshot().counters);
+    let metrics = telemetry
+        .metrics()
+        .expect("buffered telemetry keeps metrics");
+    let counters = format!("{:?}", metrics.snapshot().counters);
     (sink.drain(), counters)
 }
 

@@ -294,17 +294,16 @@ fn main() -> ExitCode {
         store_path.display(),
         preloaded
     );
-    let obs = args.obs_requested();
-    let mut cold_obs = obs.then(|| ObsSampler::new("cold").live(args.live));
-    let mut warm_obs = obs.then(|| ObsSampler::new("warm").live(args.live));
+    let mut cold_obs = ObsSampler::new("cold").live(args.live);
+    let mut warm_obs = ObsSampler::new("warm").live(args.live);
 
     let start = Instant::now();
-    let (cold, cold_counts) = match run_fleet_observed(
+    let cold = match run_fleet_observed(
         &args.cfg,
         &mut store,
         args.jobs,
         &telemetry,
-        cold_obs.as_mut(),
+        Some(&mut cold_obs),
     ) {
         Ok(outcome) => outcome,
         Err(e) => {
@@ -312,12 +311,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (warm, warm_counts) = match run_fleet_observed(
+    let warm = match run_fleet_observed(
         &args.cfg,
         &mut store,
         args.jobs,
         &telemetry,
-        warm_obs.as_mut(),
+        Some(&mut warm_obs),
     ) {
         Ok(outcome) => outcome,
         Err(e) => {
@@ -333,7 +332,11 @@ fn main() -> ExitCode {
     // It splits into the machines that simulated and those whose runs
     // came whole from the store's run ledger.
     let machines = (cold.ran() + warm.ran()) as f64;
-    let reused = cold_counts.runs_reused + warm_counts.runs_reused;
+    let runs_reused = |sampler: &ObsSampler| {
+        let last = sampler.records().last();
+        last.map_or(0, |record| record.metrics.counter("fleet.runs_reused"))
+    };
+    let reused = runs_reused(&cold_obs) + runs_reused(&warm_obs);
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
     eprintln!(
         "throughput: {:.1} machines/sec ({} machines in {:.1}s: {} simulated, {} reused; {} jobs)",
@@ -362,13 +365,7 @@ fn main() -> ExitCode {
     if let Some(path) = &args.obs_out {
         // Cold records then warm records: one wave-indexed JSONL stream,
         // byte-identical at any --jobs width.
-        let mut records = Vec::new();
-        if let Some(sampler) = &cold_obs {
-            records.extend_from_slice(sampler.records());
-        }
-        if let Some(sampler) = &warm_obs {
-            records.extend_from_slice(sampler.records());
-        }
+        let records = [cold_obs.records(), warm_obs.records()].concat();
         let write = std::fs::File::create(path)
             .and_then(|mut f| ace_telemetry::write_obs_jsonl(&mut f, &records));
         match write {
@@ -381,18 +378,16 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.metrics_out {
-        if let Some(sampler) = &warm_obs {
-            // Wall-clock throughput joins the registry only here, after
-            // every wave-indexed obs record has been snapshotted.
-            let m = sampler.metrics();
-            m.gauge("fleet.machines_per_sec").set(machines / elapsed);
-            m.gauge("fleet.wall_seconds").set(elapsed);
-            match std::fs::write(path, m.snapshot().render_prometheus()) {
-                Ok(()) => eprintln!("wrote warm-pass metrics to {path}"),
-                Err(e) => {
-                    eprintln!("cannot write metrics dump {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+        // Wall-clock throughput joins the registry only here, after
+        // every wave-indexed obs record has been snapshotted.
+        let m = warm_obs.metrics();
+        m.gauge("fleet.machines_per_sec").set(machines / elapsed);
+        m.gauge("fleet.wall_seconds").set(elapsed);
+        match std::fs::write(path, m.snapshot().render_prometheus()) {
+            Ok(()) => eprintln!("wrote warm-pass metrics to {path}"),
+            Err(e) => {
+                eprintln!("cannot write metrics dump {path}: {e}");
+                return ExitCode::FAILURE;
             }
         }
     }
@@ -406,14 +401,10 @@ fn main() -> ExitCode {
             ..args.gate
         };
         let checks = [
-            cold_obs
-                .as_ref()
-                .map(|s| cold_gate.check("cold", s.health())),
-            warm_obs
-                .as_ref()
-                .map(|s| args.gate.check("warm", s.health())),
+            cold_gate.check("cold", cold_obs.records()),
+            args.gate.check("warm", warm_obs.records()),
         ];
-        for report in checks.into_iter().flatten() {
+        for report in checks {
             eprint!("{}", report.render());
             watchdog_breached |= report.breached();
         }

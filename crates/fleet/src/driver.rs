@@ -185,7 +185,7 @@ impl FleetConfig {
     }
 }
 
-/// How a wave or pass used the store's run ledger: the baseline legs it
+/// How a wave used the store's run ledger: the baseline legs it
 /// simulated, and the baselines and whole runs it took from the ledger
 /// instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -379,7 +379,7 @@ pub fn run_fleet(
     jobs: usize,
     telemetry: &Telemetry,
 ) -> BenchResult<FleetOutcome> {
-    run_fleet_observed(cfg, store, jobs, telemetry, None).map(|(outcome, _)| outcome)
+    run_fleet_observed(cfg, store, jobs, telemetry, None)
 }
 
 /// [`run_fleet`] with a wave-health sampler attached: after every wave's
@@ -387,9 +387,10 @@ pub fn run_fleet(
 /// [`crate::obs::ObsSampler`]). Each wave is also bracketed by a
 /// `"wave"` telemetry span stamped with the fleet's cumulative retired
 /// instructions and (IPC-derived) cycles — harness-level spans that
-/// never enter the per-machine event streams. With `obs` `None` and
-/// telemetry off, the path is identical to the pre-obs driver. Beside
-/// the outcome it returns how the pass used the store's run ledger.
+/// never enter the per-machine event streams. At each wave barrier the
+/// wave's machines, shed count and [`LedgerCounts`] also go to the
+/// telemetry registry as `fleet.*` counters. With `obs` `None` and
+/// telemetry off, the path is identical to the pre-obs driver.
 ///
 /// # Errors
 ///
@@ -400,7 +401,7 @@ pub fn run_fleet_observed(
     jobs: usize,
     telemetry: &Telemetry,
     mut obs: Option<&mut crate::obs::ObsSampler>,
-) -> BenchResult<(FleetOutcome, LedgerCounts)> {
+) -> BenchResult<FleetOutcome> {
     if store.version() != fleet_registry_version() {
         return Err(BenchError::msg(format!(
             "store registry version {:#06x} does not match the fleet machines' {:#06x}",
@@ -418,7 +419,6 @@ pub fn run_fleet_observed(
         wall: Duration::ZERO,
     };
     let mut failures: Vec<String> = Vec::new();
-    let mut pass_counts = LedgerCounts::default();
     // Span stamps are fleet-cumulative architectural counters: retired
     // instructions summed over merged machines, cycles derived from each
     // machine's deterministic IPC. Purely wave-indexed — no wall clock —
@@ -487,9 +487,20 @@ pub fn run_fleet_observed(
             }
         }
         span.end_at(cum_instret, cum_cycle);
-        pass_counts.baselines_measured += wave_counts.baselines_measured;
-        pass_counts.baselines_reused += wave_counts.baselines_reused;
-        pass_counts.runs_reused += wave_counts.runs_reused;
+        // Deterministic fleet counters CI can scrape alongside the
+        // engine's scheduling histograms.
+        if let Some(metrics) = telemetry.metrics() {
+            let add = |name: &str, v: u64| metrics.counter(name).add(v);
+            add(
+                "fleet.machines_ran",
+                (outcome.machines.len() - wave_start) as u64,
+            );
+            add("fleet.shed", wave_shed);
+            add("fleet.waves", 1);
+            add("fleet.baselines_measured", wave_counts.baselines_measured);
+            add("fleet.baselines_reused", wave_counts.baselines_reused);
+            add("fleet.runs_reused", wave_counts.runs_reused);
+        }
         if !failures.is_empty() {
             break;
         }
@@ -503,29 +514,10 @@ pub fn run_fleet_observed(
             );
         }
     }
-    // Fleet totals belong in the metrics registry (satellite of the obs
-    // layer): deterministic counters CI can scrape alongside the
-    // engine's scheduling histograms.
-    if let Some(metrics) = telemetry.metrics() {
-        metrics
-            .counter("fleet.machines_ran")
-            .add(outcome.machines.len() as u64);
-        metrics.counter("fleet.shed").add(outcome.shed);
-        metrics.counter("fleet.waves").add(outcome.waves as u64);
-        metrics
-            .counter("fleet.baselines_measured")
-            .add(pass_counts.baselines_measured);
-        metrics
-            .counter("fleet.baselines_reused")
-            .add(pass_counts.baselines_reused);
-        metrics
-            .counter("fleet.runs_reused")
-            .add(pass_counts.runs_reused);
-    }
     if !failures.is_empty() {
         return Err(BenchError::msg(failures.join("; ")));
     }
-    Ok((outcome, pass_counts))
+    Ok(outcome)
 }
 
 /// What one machine job hands back to the wave barrier.
@@ -713,6 +705,7 @@ pub fn render_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::ObsSampler;
     use crate::store::PublishOutcome;
 
     #[test]
@@ -835,11 +828,24 @@ mod tests {
         std::fs::copy(&log, &replay_log).unwrap();
         let mut reopened = TuningStore::open(&replay_log, version, capacity).unwrap();
 
-        let (warm, _) = run_fleet_observed(&cfg, &mut session, 2, &Telemetry::off(), None).unwrap();
-        let (fresh, counts) =
-            run_fleet_observed(&cfg, &mut reopened, 2, &Telemetry::off(), None).unwrap();
+        let warm = run_fleet(&cfg, &mut session, 2, &Telemetry::off()).unwrap();
+        let mut sampler = ObsSampler::new("fresh");
+        let fresh = run_fleet_observed(
+            &cfg,
+            &mut reopened,
+            2,
+            &Telemetry::off(),
+            Some(&mut sampler),
+        )
+        .unwrap();
         let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(counts.runs_reused, 0, "a reopened store has no runs");
+        let reused = sampler
+            .records()
+            .last()
+            .unwrap()
+            .metrics
+            .counter("fleet.runs_reused");
+        assert_eq!(reused, 0, "a reopened store has no runs");
         let machine = &warm.machines[last.outcome.spec.index];
         assert_ne!(machine, &last.outcome, "the changed answer changes the run");
         assert_eq!(machine, &fresh.machines[last.outcome.spec.index]);

@@ -42,7 +42,7 @@ pub use driver::{
     fleet_do_config, fleet_registry_version, render_report, run_fleet, run_fleet_observed,
     FleetConfig, FleetOutcome, LedgerCounts, MachineOutcome, MachineSpec,
 };
-pub use obs::{render_wave_line, ObsGate, ObsGateLine, ObsGateReport, ObsSampler, WaveHealth};
+pub use obs::{render_wave_line, ObsGate, ObsGateLine, ObsGateReport, ObsSampler};
 pub use store::{PublishOutcome, StoreEntry, TuningStore};
 
 use ace_bench::{content_key, load_json, save_atomic, BenchError, BenchResult};

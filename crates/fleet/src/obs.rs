@@ -5,13 +5,13 @@
 //! [`ObsSampler::record_wave`] folds the wave's machine outcomes into a
 //! [`Metrics`] registry (cumulative counters, current-value gauges,
 //! IPC/EPI histograms) and snapshots it into one
-//! [`ObsRecord`] keyed by `(pass, wave)`.
-//! **Everything sampled is wave-indexed and architectural** — machine
+//! [`ObsRecord`] keyed by `(pass, wave)`: the only record the fleet keeps
+//! of a wave. **Everything sampled is wave-indexed and architectural** — machine
 //! counts, store state, counter-derived rates — never wall-clock, so the
 //! serialized obs stream is byte-identical at any `--jobs` width, the
 //! same contract the fleet report itself holds.
 //!
-//! On top of the per-wave [`WaveHealth`] series sit two consumers:
+//! On top of the per-wave records sit two consumers:
 //!
 //! * the live renderer ([`render_wave_line`]) — a one-line-per-wave
 //!   status the binary prints to stderr as waves complete,
@@ -21,7 +21,6 @@
 
 use crate::driver::{LedgerCounts, MachineOutcome};
 use ace_telemetry::{Metrics, ObsRecord};
-use serde::{Deserialize, Serialize};
 
 /// IPC histogram bucket bounds for fleet machines (sim IPC tops out
 /// well under 4 on the table-2 machine).
@@ -31,85 +30,31 @@ pub const IPC_BOUNDS: [f64; 8] = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0];
 /// energy over retired instructions).
 pub const EPI_BOUNDS: [f64; 8] = [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4];
 
-/// One wave's health row: cumulative fleet counters after the wave's
-/// merge, plus distribution percentiles from the cumulative IPC/EPI
-/// histograms. Every field is deterministic at any `--jobs` width.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WaveHealth {
-    /// 1-based wave index within the pass.
-    pub wave: u64,
-    /// Machines that have run so far (cumulative).
-    pub machines: u64,
-    /// Machines shed by admission so far (cumulative).
-    pub shed: u64,
-    /// Warm-start hits so far (cumulative).
-    pub warm_hits: u64,
-    /// Warm-start misses so far (cumulative).
-    pub warm_misses: u64,
-    /// Trials avoided via warm starts so far (cumulative).
-    pub trials_saved: u64,
-    /// Configuration trials measured so far (cumulative).
-    pub tunings: u64,
-    /// Store publications so far (cumulative).
-    pub publishes: u64,
-    /// Tuning-store entries after this wave's merge.
-    pub store_len: u64,
-    /// Median machine IPC (cumulative histogram quantile).
-    pub ipc_p50: f64,
-    /// 90th-percentile machine IPC.
-    pub ipc_p90: f64,
-    /// Median machine EPI, nJ/instr.
-    pub epi_p50: f64,
-    /// 90th-percentile machine EPI, nJ/instr.
-    pub epi_p90: f64,
-}
-
-impl WaveHealth {
-    /// Cumulative store hit rate in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.warm_hits + self.warm_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.warm_hits as f64 / lookups as f64
-        }
-    }
-
-    /// Cumulative shed rate in `[0, 1]` (shed over offered machines).
-    pub fn shed_rate(&self) -> f64 {
-        let offered = self.machines + self.shed;
-        if offered == 0 {
-            0.0
-        } else {
-            self.shed as f64 / offered as f64
-        }
-    }
-
-    /// Mean tuning trials per machine so far.
-    pub fn trials_per_machine(&self) -> f64 {
-        if self.machines == 0 {
-            0.0
-        } else {
-            self.tunings as f64 / self.machines as f64
-        }
+/// `num / den`, or 0 when `den` is 0.
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
 /// The deterministic one-line status for a completed wave — what
 /// `fleet --live` streams to stderr.
-pub fn render_wave_line(pass: &str, h: &WaveHealth) -> String {
+pub fn render_wave_line(pass: &str, record: &ObsRecord) -> String {
+    let m = &record.metrics;
     format!(
         "obs[{pass}] wave {:>3}: {} machines ({} shed), hit {:>5.1}%, saved {} trials, \
          store {}, ipc p50 {:.2} p90 {:.2}, epi p50 {:.2}",
-        h.wave,
-        h.machines,
-        h.shed,
-        100.0 * h.hit_rate(),
-        h.trials_saved,
-        h.store_len,
-        h.ipc_p50,
-        h.ipc_p90,
-        h.epi_p50,
+        record.wave,
+        m.counter("fleet.machines"),
+        m.counter("fleet.shed"),
+        100.0 * m.gauge("fleet.hit_rate"),
+        m.counter("fleet.trials_saved"),
+        m.gauge("fleet.store_size"),
+        m.gauge("fleet.ipc_p50"),
+        m.gauge("fleet.ipc_p90"),
+        m.gauge("fleet.epi_p50"),
     )
 }
 
@@ -117,21 +62,13 @@ pub fn render_wave_line(pass: &str, h: &WaveHealth) -> String {
 ///
 /// Owns a [`Metrics`] registry that accumulates fleet counters and
 /// IPC/EPI histograms; each recorded wave appends one cumulative
-/// [`ObsRecord`] snapshot and one [`WaveHealth`] row.
+/// [`ObsRecord`] snapshot of it.
 #[derive(Debug)]
 pub struct ObsSampler {
     pass: String,
     live: bool,
     metrics: Metrics,
     records: Vec<ObsRecord>,
-    health: Vec<WaveHealth>,
-    machines: u64,
-    shed: u64,
-    warm_hits: u64,
-    warm_misses: u64,
-    trials_saved: u64,
-    tunings: u64,
-    publishes: u64,
 }
 
 impl ObsSampler {
@@ -142,14 +79,6 @@ impl ObsSampler {
             live: false,
             metrics: Metrics::default(),
             records: Vec::new(),
-            health: Vec::new(),
-            machines: 0,
-            shed: 0,
-            warm_hits: 0,
-            warm_misses: 0,
-            trials_saved: 0,
-            tunings: 0,
-            publishes: 0,
         }
     }
 
@@ -161,11 +90,6 @@ impl ObsSampler {
         self
     }
 
-    /// The pass name records are keyed with.
-    pub fn pass(&self) -> &str {
-        &self.pass
-    }
-
     /// The sampler's metrics registry (the binary adds wall-clock gauges
     /// here *after* the pass, so they reach `--metrics-out` without
     /// entering the already-snapshotted obs records).
@@ -173,19 +97,9 @@ impl ObsSampler {
         &self.metrics
     }
 
-    /// Per-wave health rows recorded so far.
-    pub fn health(&self) -> &[WaveHealth] {
-        &self.health
-    }
-
-    /// Cumulative obs records recorded so far.
+    /// Cumulative obs records recorded so far, one per wave.
     pub fn records(&self) -> &[ObsRecord] {
         &self.records
-    }
-
-    /// Consumes the sampler into its obs records.
-    pub fn into_records(self) -> Vec<ObsRecord> {
-        self.records
     }
 
     /// Folds one merged wave into the sampler. `wave` is 1-based;
@@ -201,85 +115,57 @@ impl ObsSampler {
         store_len: usize,
         ledger: LedgerCounts,
     ) {
-        let ipc_hist = self.metrics.histogram("fleet.machine_ipc", &IPC_BOUNDS);
-        let epi_hist = self.metrics.histogram("fleet.machine_epi_nj", &EPI_BOUNDS);
-        for m in machines {
-            self.warm_hits += m.warm_hits;
-            self.warm_misses += m.warm_misses;
-            self.trials_saved += m.warm_trials_saved;
-            self.tunings += m.tunings;
-            self.publishes += m.store_publishes;
-            ipc_hist.record(m.ipc);
-            if m.instret > 0 {
-                epi_hist.record((m.l1d_nj + m.l2_nj) / m.instret as f64);
+        let m = &self.metrics;
+        let ipc_hist = m.histogram("fleet.machine_ipc", &IPC_BOUNDS);
+        let epi_hist = m.histogram("fleet.machine_epi_nj", &EPI_BOUNDS);
+        for machine in machines {
+            ipc_hist.record(machine.ipc);
+            if machine.instret > 0 {
+                epi_hist.record((machine.l1d_nj + machine.l2_nj) / machine.instret as f64);
             }
         }
-        self.machines += machines.len() as u64;
-        self.shed += shed;
 
-        let c = |name: &str, v: u64| self.metrics.counter(name).add(v);
-        c("fleet.machines", machines.len() as u64);
-        c("fleet.shed", shed);
-        c(
-            "fleet.warm_hits",
-            machines.iter().map(|m| m.warm_hits).sum(),
-        );
-        c(
-            "fleet.warm_misses",
-            machines.iter().map(|m| m.warm_misses).sum(),
-        );
-        c(
-            "fleet.trials_saved",
-            machines.iter().map(|m| m.warm_trials_saved).sum(),
-        );
-        c("fleet.tunings", machines.iter().map(|m| m.tunings).sum());
-        c(
-            "fleet.publishes",
-            machines.iter().map(|m| m.store_publishes).sum(),
-        );
-        c("fleet.baselines_measured", ledger.baselines_measured);
-        c("fleet.baselines_reused", ledger.baselines_reused);
-        c("fleet.runs_reused", ledger.runs_reused);
-
-        let health = WaveHealth {
-            wave,
-            machines: self.machines,
-            shed: self.shed,
-            warm_hits: self.warm_hits,
-            warm_misses: self.warm_misses,
-            trials_saved: self.trials_saved,
-            tunings: self.tunings,
-            publishes: self.publishes,
-            store_len: store_len as u64,
-            ipc_p50: ipc_hist.quantile(0.50),
-            ipc_p90: ipc_hist.quantile(0.90),
-            epi_p50: epi_hist.quantile(0.50),
-            epi_p90: epi_hist.quantile(0.90),
+        let add = |name: &str, v: u64| m.counter(name).add(v);
+        let add_sum = |name: &str, field: fn(&MachineOutcome) -> u64| {
+            add(name, machines.iter().map(field).sum())
         };
-        self.metrics.gauge("fleet.hit_rate").set(health.hit_rate());
-        self.metrics
-            .gauge("fleet.shed_rate")
-            .set(health.shed_rate());
-        self.metrics.gauge("fleet.store_size").set(store_len as f64);
-        self.metrics.gauge("fleet.ipc_p50").set(health.ipc_p50);
-        self.metrics.gauge("fleet.ipc_p90").set(health.ipc_p90);
-        self.metrics.gauge("fleet.epi_p50").set(health.epi_p50);
-        self.metrics.gauge("fleet.epi_p90").set(health.epi_p90);
+        add("fleet.machines", machines.len() as u64);
+        add("fleet.shed", shed);
+        add_sum("fleet.warm_hits", |o| o.warm_hits);
+        add_sum("fleet.warm_misses", |o| o.warm_misses);
+        add_sum("fleet.trials_saved", |o| o.warm_trials_saved);
+        add_sum("fleet.tunings", |o| o.tunings);
+        add_sum("fleet.publishes", |o| o.store_publishes);
+        add("fleet.baselines_measured", ledger.baselines_measured);
+        add("fleet.baselines_reused", ledger.baselines_reused);
+        add("fleet.runs_reused", ledger.runs_reused);
 
-        if self.live {
-            eprintln!("{}", render_wave_line(&self.pass, &health));
-        }
-        self.records.push(ObsRecord {
+        let total = |name: &str| m.counter(name).get();
+        let (hits, misses) = (total("fleet.warm_hits"), total("fleet.warm_misses"));
+        let (ran, shed) = (total("fleet.machines"), total("fleet.shed"));
+        let set = |name: &str, v: f64| m.gauge(name).set(v);
+        set("fleet.hit_rate", ratio(hits, hits + misses));
+        set("fleet.shed_rate", ratio(shed, ran + shed));
+        set("fleet.store_size", store_len as f64);
+        set("fleet.ipc_p50", ipc_hist.quantile(0.50));
+        set("fleet.ipc_p90", ipc_hist.quantile(0.90));
+        set("fleet.epi_p50", epi_hist.quantile(0.50));
+        set("fleet.epi_p90", epi_hist.quantile(0.90));
+
+        let record = ObsRecord {
             pass: self.pass.clone(),
             wave,
-            metrics: self.metrics.snapshot(),
-        });
-        self.health.push(health);
+            metrics: m.snapshot(),
+        };
+        if self.live {
+            eprintln!("{}", render_wave_line(&self.pass, &record));
+        }
+        self.records.push(record);
     }
 }
 
-/// Threshold watchdog over a pass's [`WaveHealth`] series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Threshold watchdog over a pass's obs records.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObsGate {
     /// Maximum tolerated cumulative shed rate (`[0, 1]`).
     pub max_shed_rate: f64,
@@ -302,7 +188,7 @@ impl Default for ObsGate {
 }
 
 /// One watchdog check's outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObsGateLine {
     /// What was checked.
     pub check: String,
@@ -315,7 +201,7 @@ pub struct ObsGateLine {
 }
 
 /// The watchdog's typed report for one pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObsGateReport {
     /// Which pass was checked.
     pub pass: String,
@@ -358,57 +244,62 @@ impl ObsGateReport {
 }
 
 impl ObsGate {
-    /// Checks a pass's health series. An empty series breaches nothing
+    /// Checks a pass's obs records. An empty series breaches nothing
     /// (there is nothing to judge); the shed and hit-rate checks read the
-    /// final cumulative row, the convergence check compares the last
+    /// final cumulative record, the convergence check compares the last
     /// wave's per-machine trials against the first wave's.
-    pub fn check(&self, pass: &str, health: &[WaveHealth]) -> ObsGateReport {
-        let mut lines = Vec::new();
-        let Some(last) = health.last() else {
-            return ObsGateReport {
-                pass: pass.to_string(),
-                lines,
-            };
+    pub fn check(&self, pass: &str, records: &[ObsRecord]) -> ObsGateReport {
+        let mut report = ObsGateReport {
+            pass: pass.to_string(),
+            lines: Vec::new(),
         };
-        lines.push(ObsGateLine {
-            check: "shed rate".to_string(),
-            value: last.shed_rate(),
-            limit: self.max_shed_rate,
-            breached: last.shed_rate() > self.max_shed_rate,
-        });
-        lines.push(ObsGateLine {
-            check: "hit rate (floor)".to_string(),
-            value: last.hit_rate(),
-            limit: self.min_hit_rate,
-            breached: self.min_hit_rate > 0.0 && last.hit_rate() < self.min_hit_rate,
-        });
+        let (Some(first), Some(last)) = (records.first(), records.last()) else {
+            return report;
+        };
+        let mut push = |check: &str, value: f64, limit: f64, breached: bool| {
+            report.lines.push(ObsGateLine {
+                check: check.to_string(),
+                value,
+                limit,
+                breached,
+            });
+        };
+        let shed_rate = last.metrics.gauge("fleet.shed_rate");
+        push(
+            "shed rate",
+            shed_rate,
+            self.max_shed_rate,
+            shed_rate > self.max_shed_rate,
+        );
+        let hit_rate = last.metrics.gauge("fleet.hit_rate");
+        push(
+            "hit rate (floor)",
+            hit_rate,
+            self.min_hit_rate,
+            self.min_hit_rate > 0.0 && hit_rate < self.min_hit_rate,
+        );
         // Convergence: the store should make later waves cheaper, never
         // markedly dearer. First-wave trials/machine is the reference.
-        let first = health.first().expect("non-empty");
-        let reference = first.trials_per_machine();
-        let prev = health.len().checked_sub(2).and_then(|i| health.get(i));
-        let last_wave_machines = last.machines - prev.map_or(0, |p| p.machines);
-        let last_wave_tunings = last.tunings - prev.map_or(0, |p| p.tunings);
-        let current = if last_wave_machines == 0 {
-            0.0
-        } else {
-            last_wave_tunings as f64 / last_wave_machines as f64
-        };
+        let reference = ratio(
+            first.metrics.counter("fleet.tunings"),
+            first.metrics.counter("fleet.machines"),
+        );
+        let prev = records.len().checked_sub(2).map(|i| &records[i].metrics);
+        let last_wave =
+            |name: &str| last.metrics.counter(name) - prev.map_or(0, |p| p.counter(name));
+        let current = ratio(last_wave("fleet.tunings"), last_wave("fleet.machines"));
         let slowdown = if reference > 0.0 {
             current / reference - 1.0
         } else {
             0.0
         };
-        lines.push(ObsGateLine {
-            check: "convergence slowdown".to_string(),
-            value: slowdown,
-            limit: self.max_convergence_slowdown,
-            breached: slowdown > self.max_convergence_slowdown,
-        });
-        ObsGateReport {
-            pass: pass.to_string(),
-            lines,
-        }
+        push(
+            "convergence slowdown",
+            slowdown,
+            self.max_convergence_slowdown,
+            slowdown > self.max_convergence_slowdown,
+        );
+        report
     }
 }
 
@@ -463,33 +354,30 @@ mod tests {
             },
         );
         assert_eq!(s.records().len(), 2);
-        assert_eq!(s.health().len(), 2);
+        assert_eq!(s.records()[1].wave, 2);
 
-        let h = &s.health()[1];
-        assert_eq!(h.machines, 3);
-        assert_eq!(h.shed, 1);
-        assert_eq!(h.warm_hits, 2);
-        assert_eq!(h.warm_misses, 4);
-        assert_eq!(h.tunings, 36);
-        assert_eq!(h.store_len, 5);
-        assert!((h.hit_rate() - 2.0 / 6.0).abs() < 1e-12);
-        assert!((h.shed_rate() - 0.25).abs() < 1e-12);
-        assert!(h.ipc_p50 > 0.0 && h.ipc_p90 >= h.ipc_p50);
-        assert!(h.epi_p50 > 0.0);
-
-        // Records are cumulative snapshots: wave 2's counters cover both
-        // waves, and the delta recovers wave 2 alone.
-        let w1 = &s.records()[0].metrics;
         let w2 = &s.records()[1].metrics;
-        assert_eq!(w2.counters["fleet.machines"], 3);
-        let delta = w2.delta_since(w1);
-        assert_eq!(delta.counters["fleet.machines"], 1);
-        assert_eq!(delta.counters["fleet.warm_hits"], 2);
-        assert_eq!(w2.counters["fleet.baselines_measured"], 2);
-        assert_eq!(delta.counters["fleet.baselines_measured"], 0);
-        assert_eq!(delta.counters["fleet.baselines_reused"], 1);
-        assert_eq!(w1.counters["fleet.runs_reused"], 0);
-        assert_eq!(delta.counters["fleet.runs_reused"], 1);
+        assert_eq!(w2.counter("fleet.machines"), 3);
+        assert_eq!(w2.counter("fleet.shed"), 1);
+        assert_eq!(w2.counter("fleet.warm_hits"), 2);
+        assert_eq!(w2.counter("fleet.warm_misses"), 4);
+        assert_eq!(w2.counter("fleet.tunings"), 36);
+        assert_eq!(w2.gauge("fleet.store_size"), 5.0);
+        assert!((w2.gauge("fleet.hit_rate") - 2.0 / 6.0).abs() < 1e-12);
+        assert!((w2.gauge("fleet.shed_rate") - 0.25).abs() < 1e-12);
+        let (p50, p90) = (w2.gauge("fleet.ipc_p50"), w2.gauge("fleet.ipc_p90"));
+        assert!(p50 > 0.0 && p90 >= p50);
+        assert!(w2.gauge("fleet.epi_p50") > 0.0);
+
+        // Records are cumulative snapshots: wave 1's counters cover wave
+        // 1 alone, wave 2's both waves.
+        let w1 = &s.records()[0].metrics;
+        let both = |name: &str| (w1.counter(name), w2.counter(name));
+        assert_eq!(both("fleet.machines"), (2, 3));
+        assert_eq!(both("fleet.warm_hits"), (0, 2));
+        assert_eq!(both("fleet.baselines_measured"), (2, 2));
+        assert_eq!(both("fleet.baselines_reused"), (0, 1));
+        assert_eq!(both("fleet.runs_reused"), (0, 1));
     }
 
     #[test]
@@ -538,7 +426,7 @@ mod tests {
             min_hit_rate: 0.5,
             max_convergence_slowdown: 0.25,
         }
-        .check("warm", s.health());
+        .check("warm", s.records());
         assert!(!healthy.breached(), "{}", healthy.render());
         assert_eq!(healthy.lines.len(), 3);
         assert!(healthy.render().contains("healthy"));
@@ -548,7 +436,7 @@ mod tests {
             min_hit_rate: 0.99,
             ..ObsGate::default()
         }
-        .check("warm", s.health());
+        .check("warm", s.records());
         assert!(strict.breached());
         assert!(strict.render().contains("FAIL"));
     }
@@ -576,7 +464,7 @@ mod tests {
             min_hit_rate: 0.0,
             max_convergence_slowdown: 0.25,
         }
-        .check("cold", s.health());
+        .check("cold", s.records());
         let breached: Vec<&str> = report
             .lines
             .iter()
@@ -603,9 +491,10 @@ mod tests {
             7,
             LedgerCounts::default(),
         );
-        let line = render_wave_line("warm", &s.health()[0]);
-        assert!(line.contains("obs[warm] wave   1"), "{line}");
-        assert!(line.contains("store 7"), "{line}");
-        assert_eq!(line, render_wave_line("warm", &s.health()[0]));
+        assert_eq!(
+            render_wave_line("warm", &s.records()[0]),
+            "obs[warm] wave   1: 1 machines (0 shed), hit  50.0%, saved 3 trials, \
+             store 7, ipc p50 1.12 p90 1.23, epi p50 0.15"
+        );
     }
 }

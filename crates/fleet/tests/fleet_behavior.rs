@@ -85,14 +85,9 @@ fn observed_pass(
     jobs: usize,
 ) -> (FleetOutcome, LedgerCounts) {
     let mut sampler = ObsSampler::new("pass");
-    let (out, counts) = run_fleet_observed(cfg, store, jobs, &Telemetry::off(), Some(&mut sampler))
+    let out = run_fleet_observed(cfg, store, jobs, &Telemetry::off(), Some(&mut sampler))
         .expect("fleet pass");
-    assert_eq!(
-        ledger_counts(sampler.metrics()),
-        counts,
-        "the sampler counts what the driver returns"
-    );
-    (out, counts)
+    (out, ledger_counts(sampler.metrics()))
 }
 
 fn measured(n: u64) -> LedgerCounts {

@@ -16,9 +16,6 @@ use serde::{Deserialize, Error, Serialize, Value};
 /// intervals: 50 K–500 K instructions adapt the L1 data cache, above
 /// 500 K the L2). Hotspots below every registered grain adapt nothing
 /// (but still exist as hotspots).
-///
-/// The historical variant spellings (`HotspotClass::L1d`, …) survive as
-/// associated constants over the open [`CuId`] index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HotspotClass {
     /// Below the smallest registered reconfiguration grain: no CU
@@ -28,18 +25,7 @@ pub enum HotspotClass {
     Cu(CuId),
 }
 
-#[allow(non_upper_case_globals)]
 impl HotspotClass {
-    /// Matched to the instruction window (5 K–50 K instructions, only
-    /// when the window CU is enabled).
-    pub const Window: HotspotClass = HotspotClass::Cu(CuId::Window);
-    /// 50 K–500 K instructions per invocation: tunes the L1D cache.
-    pub const L1d: HotspotClass = HotspotClass::Cu(CuId::L1d);
-    /// Above 500 K instructions per invocation: tunes the L2 cache.
-    pub const L2: HotspotClass = HotspotClass::Cu(CuId::L2);
-    /// Matched to the DTLB's grain (when the DTLB CU is registered).
-    pub const Dtlb: HotspotClass = HotspotClass::Cu(CuId::Dtlb);
-
     /// The configurable unit this class adapts, if any.
     pub fn cu(self) -> Option<CuId> {
         match self {
@@ -235,19 +221,19 @@ mod tests {
     #[test]
     fn class_counting() {
         let mut db = DoDatabase::new(4);
-        db.entry_mut(MethodId(0)).state = MethodState::Hot(HotspotClass::L1d);
-        db.entry_mut(MethodId(1)).state = MethodState::Hot(HotspotClass::L1d);
-        db.entry_mut(MethodId(2)).state = MethodState::Hot(HotspotClass::L2);
-        assert_eq!(db.count_class(HotspotClass::L1d), 2);
-        assert_eq!(db.count_class(HotspotClass::L2), 1);
+        db.entry_mut(MethodId(0)).state = MethodState::Hot(HotspotClass::Cu(CuId::L1d));
+        db.entry_mut(MethodId(1)).state = MethodState::Hot(HotspotClass::Cu(CuId::L1d));
+        db.entry_mut(MethodId(2)).state = MethodState::Hot(HotspotClass::Cu(CuId::L2));
+        assert_eq!(db.count_class(HotspotClass::Cu(CuId::L1d)), 2);
+        assert_eq!(db.count_class(HotspotClass::Cu(CuId::L2)), 1);
         assert_eq!(db.count_class(HotspotClass::TooSmall), 0);
         assert_eq!(db.hotspots().count(), 3);
     }
 
     #[test]
     fn display_classes() {
-        assert_eq!(HotspotClass::L1d.to_string(), "L1D");
-        assert_eq!(HotspotClass::L2.to_string(), "L2");
+        assert_eq!(HotspotClass::Cu(CuId::L1d).to_string(), "L1D");
+        assert_eq!(HotspotClass::Cu(CuId::L2).to_string(), "L2");
         assert_eq!(HotspotClass::TooSmall.to_string(), "small");
     }
 
@@ -282,13 +268,13 @@ mod tests {
     #[test]
     fn count_class_tracks_demotion() {
         let mut db = DoDatabase::new(3);
-        db.entry_mut(MethodId(0)).state = MethodState::Hot(HotspotClass::L1d);
-        db.entry_mut(MethodId(1)).state = MethodState::Hot(HotspotClass::L1d);
-        assert_eq!(db.count_class(HotspotClass::L1d), 2);
+        db.entry_mut(MethodId(0)).state = MethodState::Hot(HotspotClass::Cu(CuId::L1d));
+        db.entry_mut(MethodId(1)).state = MethodState::Hot(HotspotClass::Cu(CuId::L1d));
+        assert_eq!(db.count_class(HotspotClass::Cu(CuId::L1d)), 2);
         // Demote one back to cold (e.g. a deoptimization): counts and the
         // hotspot iterator must both reflect it.
         db.entry_mut(MethodId(0)).state = MethodState::Cold;
-        assert_eq!(db.count_class(HotspotClass::L1d), 1);
+        assert_eq!(db.count_class(HotspotClass::Cu(CuId::L1d)), 1);
         assert_eq!(db.hotspots().count(), 1);
         assert!(!db.entry(MethodId(0)).is_hot());
     }
@@ -298,7 +284,7 @@ mod tests {
         let mut db = DoDatabase::new(8);
         // Populate in scrambled order; iteration must follow MethodId.
         for i in [5u32, 1, 7, 3] {
-            db.entry_mut(MethodId(i)).state = MethodState::Hot(HotspotClass::L2);
+            db.entry_mut(MethodId(i)).state = MethodState::Hot(HotspotClass::Cu(CuId::L2));
         }
         let ids: Vec<u32> = db.hotspots().map(|(m, _)| m.0).collect();
         assert_eq!(ids, vec![1, 3, 5, 7]);

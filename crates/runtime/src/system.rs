@@ -278,6 +278,20 @@ impl<'p> DoSystem<'p> {
         &self.stats
     }
 
+    /// Instructions the current thread has retired so far inside its
+    /// innermost open frame, on that thread's own clock: the invocation
+    /// size [`DoSystem::on_exit`] would measure at `machine`'s instret.
+    /// Zero with no frame open.
+    #[inline]
+    pub fn open_frame_instr(&self, machine: &Machine) -> u64 {
+        let stack = &self.stacks[self.current];
+        let now = stack.virtual_instret + (machine.instret() - self.last_event_instret);
+        stack
+            .frames
+            .last()
+            .map_or(0, |&(_, entered, _)| now - entered)
+    }
+
     /// Attributes instructions since the last boundary event to the
     /// current thread's stack state.
     fn attribute(&mut self, now: u64) {
@@ -552,8 +566,14 @@ mod tests {
             dos.database().entry(leaf).class(),
             Some(HotspotClass::TooSmall)
         );
-        assert_eq!(dos.database().entry(child).class(), Some(HotspotClass::L1d));
-        assert_eq!(dos.database().entry(stage).class(), Some(HotspotClass::L2));
+        assert_eq!(
+            dos.database().entry(child).class(),
+            Some(HotspotClass::Cu(CuId::L1d))
+        );
+        assert_eq!(
+            dos.database().entry(stage).class(),
+            Some(HotspotClass::Cu(CuId::L2))
+        );
     }
 
     #[test]
@@ -627,14 +647,14 @@ mod tests {
         let row = dos.table4_summary(total);
         assert!(row.hotspots > 10, "hotspots: {}", row.hotspots);
         assert!(
-            dos.database().count_class(HotspotClass::L1d) > 3,
+            dos.database().count_class(HotspotClass::Cu(CuId::L1d)) > 3,
             "L1D hotspots: {}",
-            dos.database().count_class(HotspotClass::L1d)
+            dos.database().count_class(HotspotClass::Cu(CuId::L1d))
         );
         assert!(
-            dos.database().count_class(HotspotClass::L2) >= 1,
+            dos.database().count_class(HotspotClass::Cu(CuId::L2)) >= 1,
             "L2 hotspots: {}",
-            dos.database().count_class(HotspotClass::L2)
+            dos.database().count_class(HotspotClass::Cu(CuId::L2))
         );
         assert!(
             row.pct_code_in_hotspots > 60.0,
@@ -672,18 +692,18 @@ mod tests {
         // The paper's size-class rule, exactly at the 50 K / 500 K edges.
         let two_cu = DoConfig::default();
         assert_eq!(two_cu.classify(49_999), HotspotClass::TooSmall);
-        assert_eq!(two_cu.classify(50_000), HotspotClass::L1d);
-        assert_eq!(two_cu.classify(499_999), HotspotClass::L1d);
-        assert_eq!(two_cu.classify(500_000), HotspotClass::L2);
-        assert_eq!(two_cu.classify(u64::MAX), HotspotClass::L2);
+        assert_eq!(two_cu.classify(50_000), HotspotClass::Cu(CuId::L1d));
+        assert_eq!(two_cu.classify(499_999), HotspotClass::Cu(CuId::L1d));
+        assert_eq!(two_cu.classify(500_000), HotspotClass::Cu(CuId::L2));
+        assert_eq!(two_cu.classify(u64::MAX), HotspotClass::Cu(CuId::L2));
 
         // The window extension opens a 5 K–50 K band below the L1D grain.
         let three_cu = DoConfig::with_window();
         assert_eq!(three_cu.classify(4_999), HotspotClass::TooSmall);
-        assert_eq!(three_cu.classify(5_000), HotspotClass::Window);
-        assert_eq!(three_cu.classify(49_999), HotspotClass::Window);
-        assert_eq!(three_cu.classify(50_000), HotspotClass::L1d);
-        assert_eq!(three_cu.classify(500_000), HotspotClass::L2);
+        assert_eq!(three_cu.classify(5_000), HotspotClass::Cu(CuId::Window));
+        assert_eq!(three_cu.classify(49_999), HotspotClass::Cu(CuId::Window));
+        assert_eq!(three_cu.classify(50_000), HotspotClass::Cu(CuId::L1d));
+        assert_eq!(three_cu.classify(500_000), HotspotClass::Cu(CuId::L2));
     }
 
     #[test]
@@ -695,15 +715,15 @@ mod tests {
         mc.dtlb_configurable = true;
         let cfg = DoConfig::for_registry(&mc.cu_registry());
         assert_eq!(cfg.classify(4_999), HotspotClass::TooSmall);
-        assert_eq!(cfg.classify(5_000), HotspotClass::Window);
-        assert_eq!(cfg.classify(10_000), HotspotClass::Dtlb);
-        assert_eq!(cfg.classify(49_999), HotspotClass::Dtlb);
-        assert_eq!(cfg.classify(50_000), HotspotClass::L1d);
-        assert_eq!(cfg.classify(500_000), HotspotClass::L2);
+        assert_eq!(cfg.classify(5_000), HotspotClass::Cu(CuId::Window));
+        assert_eq!(cfg.classify(10_000), HotspotClass::Cu(CuId::Dtlb));
+        assert_eq!(cfg.classify(49_999), HotspotClass::Cu(CuId::Dtlb));
+        assert_eq!(cfg.classify(50_000), HotspotClass::Cu(CuId::L1d));
+        assert_eq!(cfg.classify(500_000), HotspotClass::Cu(CuId::L2));
 
         // with_cu replaces an existing grain rather than duplicating it.
         let moved = DoConfig::default().with_cu(CuId::L1d, 40_000);
         assert_eq!(moved.grains.len(), 2);
-        assert_eq!(moved.classify(40_000), HotspotClass::L1d);
+        assert_eq!(moved.classify(40_000), HotspotClass::Cu(CuId::L1d));
     }
 }

@@ -3,7 +3,7 @@
 //! limits cutting through probation, and the three-CU window class.
 
 use ace_runtime::{DoConfig, DoEvent, DoSystem, HotspotClass, MethodState};
-use ace_sim::{Block, Machine, MachineConfig};
+use ace_sim::{Block, CuId, Machine, MachineConfig};
 use ace_workloads::{Executor, MemPattern, MethodId, Program, ProgramBuilder, Step, Stmt};
 
 fn drive(program: &Program, config: DoConfig, limit: Option<u64>) -> (DoSystem<'_>, Machine) {
@@ -79,18 +79,21 @@ fn deep_nesting_classifies_every_level() {
     // level1: ~6.2K -> Window class.
     assert_eq!(
         dos.database().entry(ids[1]).class(),
-        Some(HotspotClass::Window)
+        Some(HotspotClass::Cu(CuId::Window))
     );
     // level3: ~57K -> L1d. level4: ~170K -> L1d. level5: ~515K -> L2.
     assert_eq!(
         dos.database().entry(ids[3]).class(),
-        Some(HotspotClass::L1d)
+        Some(HotspotClass::Cu(CuId::L1d))
     );
     assert_eq!(
         dos.database().entry(ids[4]).class(),
-        Some(HotspotClass::L1d)
+        Some(HotspotClass::Cu(CuId::L1d))
     );
-    assert_eq!(dos.database().entry(ids[5]).class(), Some(HotspotClass::L2));
+    assert_eq!(
+        dos.database().entry(ids[5]).class(),
+        Some(HotspotClass::Cu(CuId::L2))
+    );
     // main runs once: cold forever.
     assert_eq!(
         dos.database().entry(*ids.last().unwrap()).state,
@@ -169,7 +172,7 @@ fn caller_and_callee_promote_together() {
     let inner_e = dos.database().entry(inner);
     let outer_e = dos.database().entry(outer);
     assert_eq!(inner_e.class(), Some(HotspotClass::TooSmall)); // 30K < 50K
-    assert_eq!(outer_e.class(), Some(HotspotClass::L1d)); // ~90K
+    assert_eq!(outer_e.class(), Some(HotspotClass::Cu(CuId::L1d))); // ~90K
     assert!(outer_e.avg_size > inner_e.avg_size * 2);
 }
 
@@ -217,7 +220,7 @@ fn classification_event_fires_exactly_once() {
                 {
                     classified += 1;
                     assert_eq!(method, leaf);
-                    assert_eq!(class, HotspotClass::L1d);
+                    assert_eq!(class, HotspotClass::Cu(CuId::L1d));
                     assert!((50_000..80_000).contains(&avg_size));
                 }
             }

@@ -172,21 +172,6 @@ impl Telemetry {
         self.inner.as_ref().map(|i| &i.metrics)
     }
 
-    /// Freezes the metrics registry into an ordered, serializable
-    /// [`MetricsSnapshot`]; empty when disabled.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics().map(Metrics::snapshot).unwrap_or_default()
-    }
-
-    /// Opens a named span with no architectural counters (both domains
-    /// read 0). Equivalent to `span_at(name, 0, 0)`.
-    ///
-    /// Zero-cost when disabled: no event, no string work, not even an
-    /// `Instant::now()` — the returned guard is a `None`.
-    pub fn span(&self, name: &str) -> Span {
-        self.span_at(name, 0, 0)
-    }
-
     /// Opens a named span: emits [`Event::SpanBegin`] stamped with the
     /// caller's cumulative `instret`/`cycle` counters and starts a
     /// wall-clock timer on the side.
@@ -196,6 +181,9 @@ impl Telemetry {
     /// the `span.<name>_ms` metrics histogram. Spans nest by begin/end
     /// pairing; the wall duration never enters the event stream, so
     /// traces stay deterministic.
+    ///
+    /// Zero-cost when disabled: no event, no string work, not even an
+    /// `Instant::now()` — the returned guard is a `None`.
     pub fn span_at(&self, name: &str, instret: u64, cycle: u64) -> Span {
         if !self.is_enabled() {
             return Span { inner: None };
@@ -299,15 +287,6 @@ impl fmt::Debug for SpanInner {
 }
 
 impl Span {
-    /// Closes the span at the counters it began with (a zero-length span
-    /// in both architectural domains; the wall duration is still real).
-    pub fn end(mut self) {
-        if let Some(inner) = self.inner.take() {
-            let (instret, cycle) = (inner.begin_instret, inner.begin_cycle);
-            Span::finish(inner, instret, cycle);
-        }
-    }
-
     /// Closes the span, stamping [`Event::SpanEnd`] with the caller's
     /// current cumulative counters and recording the elapsed wall
     /// milliseconds into the `span.<name>_ms` histogram.
@@ -387,8 +366,8 @@ mod tests {
     fn spans_emit_paired_events_and_wall_histogram() {
         let (tel, buffer) = Telemetry::buffered();
         let outer = tel.span_at("wave", 100, 200);
-        let inner = tel.span("machine");
-        inner.end();
+        let inner = tel.span_at("machine", 300, 400);
+        inner.end_at(300, 400);
         outer.end_at(500, 900);
         let events = buffer.snapshot();
         assert_eq!(
@@ -420,14 +399,23 @@ mod tests {
     fn span_guard_drop_closes_and_disabled_span_is_inert() {
         let (tel, buffer) = Telemetry::buffered();
         {
-            let _span = tel.span("scoped");
+            let _span = tel.span_at("scoped", 7, 9);
         }
         assert_eq!(tel.count(EventKind::SpanBegin), 1);
         assert_eq!(tel.count(EventKind::SpanEnd), 1);
-        assert_eq!(buffer.snapshot().len(), 2);
+        let end = Event::SpanEnd {
+            name: SpanName::new("scoped"),
+            instret: 7,
+            cycle: 9,
+        };
+        assert_eq!(
+            buffer.snapshot()[1..],
+            [end],
+            "closes at its begin counters"
+        );
 
         let off = Telemetry::off();
-        let span = off.span("nothing");
+        let span = off.span_at("nothing", 0, 0);
         span.end_at(1, 2);
         assert_eq!(off.total_events(), 0);
     }

@@ -3,10 +3,8 @@
 //! A [`MetricsSnapshot`] is what `ace-obs` exports: the live atomics of
 //! [`crate::Metrics`] copied into ordered `BTreeMap`s, so two snapshots
 //! of identical registries serialize to identical bytes. Snapshots
-//! support subtraction ([`MetricsSnapshot::delta_since`]) for
-//! time-series analysis and render to the Prometheus text exposition
-//! format ([`MetricsSnapshot::render_prometheus`]) for external
-//! scrapers.
+//! render to the Prometheus text exposition format
+//! ([`MetricsSnapshot::render_prometheus`]) for external scrapers.
 //!
 //! [`ObsRecord`] wraps a snapshot with a `(pass, wave)` key — the fleet
 //! driver's wave-indexed sampling unit. The index is a logical wave
@@ -71,62 +69,14 @@ impl MetricsSnapshot {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// The change from `prev` (an earlier snapshot of the same registry)
-    /// to `self`.
-    ///
-    /// Counters and histogram buckets subtract (saturating, so a metric
-    /// absent from `prev` contributes its full value); gauges are
-    /// levels, not accumulators, so the delta keeps the *difference*
-    /// `self - prev` (a gauge absent from `prev` keeps its value).
-    /// Histograms whose bounds changed between snapshots — only possible
-    /// across different registries — keep `self`'s state whole.
-    pub fn delta_since(&self, prev: &MetricsSnapshot) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(name, &v)| {
-                (
-                    name.clone(),
-                    v.saturating_sub(prev.counters.get(name).copied().unwrap_or(0)),
-                )
-            })
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(name, &v)| {
-                (
-                    name.clone(),
-                    v - prev.gauges.get(name).copied().unwrap_or(0.0),
-                )
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(name, h)| {
-                let delta = match prev.histograms.get(name) {
-                    Some(p) if p.bounds == h.bounds => HistogramSnapshot {
-                        bounds: h.bounds.clone(),
-                        buckets: h
-                            .buckets
-                            .iter()
-                            .zip(&p.buckets)
-                            .map(|(a, b)| a.saturating_sub(*b))
-                            .collect(),
-                        count: h.count.saturating_sub(p.count),
-                        sum: h.sum - p.sum,
-                    },
-                    _ => h.clone(),
-                };
-                (name.clone(), delta)
-            })
-            .collect();
-        MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        }
+    /// The counter called `name`, or 0 when it was never registered.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// The gauge called `name`, or 0.0 when it was never registered.
+    pub fn gauge(&self, name: &str) -> f64 {
+        self.gauges.get(name).copied().unwrap_or(0.0)
     }
 
     /// Renders the snapshot in the Prometheus text exposition format
@@ -199,7 +149,7 @@ fn prom_f64(v: f64) -> String {
 pub struct ObsRecord {
     /// Which pass of the run this sample belongs to.
     pub pass: String,
-    /// Zero-based logical wave index within the pass — the determinism
+    /// One-based logical wave index within the pass — the determinism
     /// key; never derived from wall-clock time.
     pub wave: u64,
     /// The cumulative registry state at the end of that wave.
@@ -268,27 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_subtracts_counters_and_buckets() {
-        let m = sample_registry();
-        let before = m.snapshot();
-        m.counter("fleet.warm_hits").add(8);
-        m.counter("fleet.new_counter").add(3);
-        m.gauge("fleet.hit_rate").set(0.95);
-        m.histogram("fleet.ipc", &[]).record(0.6);
-        let after = m.snapshot();
-        let delta = after.delta_since(&before);
-        assert_eq!(delta.counters["fleet.warm_hits"], 8);
-        assert_eq!(delta.counters["fleet.machines"], 0);
-        // Metric absent from prev contributes whole.
-        assert_eq!(delta.counters["fleet.new_counter"], 3);
-        assert!((delta.gauges["fleet.hit_rate"] - 0.0125).abs() < 1e-12);
-        let h = &delta.histograms["fleet.ipc"];
-        assert_eq!(h.count, 1);
-        assert_eq!(h.buckets, vec![0, 1, 0, 0]);
-        assert!((h.sum - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
     fn histogram_snapshot_quantile_matches_live() {
         let m = sample_registry();
         let live = m.histogram("fleet.ipc", &[]);
@@ -318,12 +247,12 @@ mod tests {
         let records = vec![
             ObsRecord {
                 pass: "cold".into(),
-                wave: 0,
+                wave: 1,
                 metrics: sample_registry().snapshot(),
             },
             ObsRecord {
                 pass: "cold".into(),
-                wave: 1,
+                wave: 2,
                 metrics: sample_registry().snapshot(),
             },
         ];

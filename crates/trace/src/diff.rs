@@ -115,7 +115,7 @@ impl DiffReport {
 
 /// Relative change from `a` to `b`, with the `a == 0` edge mapped to 0
 /// (both zero) or 1 (appeared from nothing).
-fn rel_change(a: f64, b: f64) -> f64 {
+pub(crate) fn rel_change(a: f64, b: f64) -> f64 {
     if a == 0.0 {
         if b == 0.0 {
             0.0

@@ -18,7 +18,7 @@
 //! wall-clock — so reports and diffs are byte-identical across `--jobs`
 //! widths, the same contract the rest of the trace tooling holds.
 
-use crate::diff::{DiffLine, DiffReport, DiffThresholds};
+use crate::diff::{rel_change, DiffLine, DiffReport, DiffThresholds};
 use ace_telemetry::{read_obs_jsonl, MetricsSnapshot, ObsRecord};
 use std::fmt::Write as _;
 
@@ -43,17 +43,6 @@ impl ObsSeries {
     pub fn load(path: &str) -> Result<ObsSeries, String> {
         let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
         ObsSeries::from_reader(std::io::BufReader::new(file))
-    }
-
-    /// Pass names in first-appearance order.
-    pub fn passes(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for r in &self.records {
-            if !out.contains(&r.pass.as_str()) {
-                out.push(&r.pass);
-            }
-        }
-        out
     }
 
     /// The records belonging to `pass`, or all records when `None`.
@@ -122,26 +111,22 @@ pub fn metrics_report(
         .at_wave(pass, to_wave)
         .ok_or_else(|| format!("wave {to_wave} not present in stream"))?;
 
-    let delta = rec_to.metrics.delta_since(&rec_from.metrics);
+    let (a, b) = (&rec_from.metrics, &rec_to.metrics);
     let mut rows: Vec<DeltaRow> = Vec::new();
-    for name in delta.counters.keys() {
-        let a = rec_from.metrics.counters.get(name).copied().unwrap_or(0) as f64;
-        let b = rec_to.metrics.counters.get(name).copied().unwrap_or(0) as f64;
+    for name in b.counters.keys() {
         rows.push(DeltaRow {
             name: name.clone(),
             kind: "counter",
-            from: a,
-            to: b,
+            from: a.counter(name) as f64,
+            to: b.counter(name) as f64,
         });
     }
-    for name in delta.gauges.keys() {
-        let a = rec_from.metrics.gauges.get(name).copied().unwrap_or(0.0);
-        let b = rec_to.metrics.gauges.get(name).copied().unwrap_or(0.0);
+    for name in b.gauges.keys() {
         rows.push(DeltaRow {
             name: name.clone(),
             kind: "gauge",
-            from: a,
-            to: b,
+            from: a.gauge(name),
+            to: b.gauge(name),
         });
     }
     rows.sort_by(|x, y| {
@@ -216,21 +201,6 @@ fn gauge_direction(name: &str) -> GaugeDirection {
     }
 }
 
-/// Relative change from `a` to `b` with the `a == 0` edge mapped to 0
-/// (both zero) or 1 (appeared from nothing) — same convention as
-/// [`crate::diff`].
-fn rel_change(a: f64, b: f64) -> f64 {
-    if a == 0.0 {
-        if b == 0.0 {
-            0.0
-        } else {
-            1.0
-        }
-    } else {
-        (b - a) / a
-    }
-}
-
 /// Compares two snapshots (baseline `a`, candidate `b`) under
 /// `thresholds`, producing the same [`DiffReport`] shape as trace
 /// diffing so callers share rendering and exit-code logic.
@@ -254,8 +224,7 @@ pub fn diff_obs(
         names
     };
     for name in counter_names {
-        let va = a.counters.get(name).copied().unwrap_or(0) as f64;
-        let vb = b.counters.get(name).copied().unwrap_or(0) as f64;
+        let (va, vb) = (a.counter(name) as f64, b.counter(name) as f64);
         let delta = rel_change(va, vb);
         lines.push(DiffLine {
             metric: format!("counter {name}"),
@@ -274,8 +243,7 @@ pub fn diff_obs(
         names
     };
     for name in gauge_names {
-        let va = a.gauges.get(name).copied().unwrap_or(0.0);
-        let vb = b.gauges.get(name).copied().unwrap_or(0.0);
+        let (va, vb) = (a.gauge(name), b.gauge(name));
         let delta = rel_change(va, vb);
         let (threshold, regressed) = match gauge_direction(name) {
             GaugeDirection::Drop => (thresholds.max_ipc_drop, -delta > thresholds.max_ipc_drop),
@@ -385,7 +353,6 @@ mod tests {
             ("cold", 2, 3, 0.1),
             ("warm", 1, 8, 0.8),
         ]);
-        assert_eq!(s.passes(), vec!["cold", "warm"]);
         assert_eq!(s.pass_records(Some("cold")).len(), 2);
         assert_eq!(s.pass_records(None).len(), 3);
         assert_eq!(s.at_wave(Some("warm"), 1).unwrap().pass, "warm");

@@ -92,8 +92,9 @@ const PRESET_SOURCES: [(&str, &str); 8] = [
     ("mtrt", include_str!("../presets/mtrt.json")),
 ];
 
-/// Parses the embedded preset files once.
-fn parsed_presets() -> &'static [WorkloadSpec] {
+/// Parses the embedded preset files once: `check`, then the seven
+/// presets in the paper's order.
+pub(crate) fn parsed_presets() -> &'static [WorkloadSpec] {
     static CACHE: OnceLock<Vec<WorkloadSpec>> = OnceLock::new();
     CACHE.get_or_init(|| {
         PRESET_SOURCES

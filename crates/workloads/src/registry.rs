@@ -1,16 +1,15 @@
 //! Name-or-file workload resolution.
 //!
-//! [`WorkloadRegistry`] is the single lookup path for workloads: the
-//! built-in presets are pre-registered, callers may register additional
-//! [`WorkloadSpec`]s (e.g. generated ones), and [`WorkloadRegistry::resolve`]
-//! also accepts a *path* to a spec JSON file — so experiments, bench, and
-//! fleet all take "a workload" as either a known name (`"db"`) or a file
-//! (`"specs/gen-1f2e3d4c.json"`) without string-matching preset names
-//! themselves.
+//! [`WorkloadRegistry`] is the single lookup path for workloads: it names
+//! the built-in presets, and [`WorkloadRegistry::resolve`] also accepts a
+//! *path* to a spec JSON file (e.g. a generated one) — so experiments,
+//! bench, and fleet all take "a workload" as either a known name (`"db"`)
+//! or a file (`"specs/gen-1f2e3d4c.json"`) without string-matching preset
+//! names themselves.
 
 use crate::builder::BuildError;
 use crate::ir::Program;
-use crate::presets::{preset_spec, PRESET_NAMES};
+use crate::presets::parsed_presets;
 use crate::spec::WorkloadSpec;
 use std::fmt;
 
@@ -23,7 +22,7 @@ pub enum WorkloadError {
     Unknown {
         /// The name that failed to resolve.
         name: String,
-        /// Names registered at the time of the lookup.
+        /// The registered names.
         known: Vec<String>,
     },
     /// A spec file could not be read.
@@ -47,11 +46,6 @@ pub enum WorkloadError {
         /// The underlying build error.
         source: BuildError,
     },
-    /// A spec was registered under a name that is already taken.
-    Duplicate(
-        /// The contested name.
-        String,
-    ),
 }
 
 impl fmt::Display for WorkloadError {
@@ -63,7 +57,6 @@ impl fmt::Display for WorkloadError {
             WorkloadError::Io { path, msg } => write!(f, "reading spec file '{path}': {msg}"),
             WorkloadError::Parse { path, msg } => write!(f, "parsing spec file '{path}': {msg}"),
             WorkloadError::Build { name, source } => write!(f, "building '{name}': {source}"),
-            WorkloadError::Duplicate(name) => write!(f, "workload '{name}' already registered"),
         }
     }
 }
@@ -77,7 +70,8 @@ impl std::error::Error for WorkloadError {
     }
 }
 
-/// A registry of named [`WorkloadSpec`]s.
+/// The table of built-in [`WorkloadSpec`]s: `check` plus the seven
+/// presets, parsed once from the embedded preset files.
 ///
 /// # Examples
 ///
@@ -90,48 +84,24 @@ impl std::error::Error for WorkloadError {
 /// assert_eq!(spec.name, "db");
 /// assert!(reg.resolve("fortran").is_err());
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct WorkloadRegistry {
-    specs: Vec<WorkloadSpec>,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct WorkloadRegistry;
 
 impl WorkloadRegistry {
-    /// An empty registry.
-    pub fn new() -> WorkloadRegistry {
-        WorkloadRegistry::default()
-    }
-
     /// The built-in registry: `check` plus the seven presets.
     pub fn builtin() -> WorkloadRegistry {
-        let mut reg = WorkloadRegistry::new();
-        for name in ["check"].into_iter().chain(PRESET_NAMES) {
-            let spec = preset_spec(name).expect("builtin preset exists");
-            reg.register(spec).expect("builtin names are unique");
-        }
-        reg
+        WorkloadRegistry
     }
 
-    /// Registered workload names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.specs.iter().map(|s| s.name.as_str()).collect()
+    /// Registered workload names: `check`, then the presets in the
+    /// paper's order.
+    pub fn names(&self) -> Vec<&'static str> {
+        parsed_presets().iter().map(|s| s.name.as_str()).collect()
     }
 
     /// The spec registered under `name`, if any.
-    pub fn get(&self, name: &str) -> Option<&WorkloadSpec> {
-        self.specs.iter().find(|s| s.name == name)
-    }
-
-    /// Registers `spec` under its own name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::Duplicate`] if the name is taken.
-    pub fn register(&mut self, spec: WorkloadSpec) -> Result<(), WorkloadError> {
-        if self.get(&spec.name).is_some() {
-            return Err(WorkloadError::Duplicate(spec.name));
-        }
-        self.specs.push(spec);
-        Ok(())
+    pub fn get(&self, name: &str) -> Option<&'static WorkloadSpec> {
+        parsed_presets().iter().find(|s| s.name == name)
     }
 
     /// Resolves `name_or_path` to a spec: a registered name wins; anything
@@ -152,7 +122,7 @@ impl WorkloadRegistry {
         }
         Err(WorkloadError::Unknown {
             name: name_or_path.to_string(),
-            known: self.specs.iter().map(|s| s.name.clone()).collect(),
+            known: self.names().into_iter().map(String::from).collect(),
         })
     }
 
@@ -195,6 +165,7 @@ pub fn load_spec_file(path: &str) -> Result<WorkloadSpec, WorkloadError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::presets::PRESET_NAMES;
 
     #[test]
     fn builtin_has_check_and_the_seven() {
@@ -204,16 +175,6 @@ mod tests {
         for name in PRESET_NAMES {
             assert!(reg.get(name).is_some(), "{name}");
         }
-    }
-
-    #[test]
-    fn duplicate_registration_rejected() {
-        let mut reg = WorkloadRegistry::builtin();
-        let db = reg.resolve("db").unwrap();
-        assert!(matches!(
-            reg.register(db),
-            Err(WorkloadError::Duplicate(n)) if n == "db"
-        ));
     }
 
     #[test]

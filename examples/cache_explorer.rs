@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             let r = Experiment::workload(name.as_str())
                 .scheme(Scheme::Fixed(fixed))
                 .run()?;
-            let saving = 100.0 * (1.0 - r.energy.total_nj() / base.energy.total_nj());
+            let saving = 100.0 * r.saving_vs(&base);
             let slow = 100.0 * r.slowdown_vs(&base);
             // The oracle obeys the same 2% performance bound as the tuners.
             let marker = if slow <= 2.0 { ' ' } else { '!' };

@@ -8,7 +8,7 @@
 
 use ace::phase::{BbvConfig, BbvDetector};
 use ace::runtime::{DoConfig, DoSystem, HotspotClass};
-use ace::sim::{Block, BlockSource, Machine, MachineConfig};
+use ace::sim::{Block, BlockSource, CuId, Machine, MachineConfig};
 use ace::workloads::{Executor, Step};
 use std::error::Error;
 
@@ -90,8 +90,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!(
         "  …{} hotspots total ({} L1D, {} L2); {:.1}% of execution inside hotspots",
         t4.hotspots,
-        dos.database().count_class(HotspotClass::L1d),
-        dos.database().count_class(HotspotClass::L2),
+        dos.database().count_class(HotspotClass::Cu(CuId::L1d)),
+        dos.database().count_class(HotspotClass::Cu(CuId::L2)),
         t4.pct_code_in_hotspots,
     );
     Ok(())

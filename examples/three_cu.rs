@@ -50,12 +50,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!();
     println!(
         "two CUs  : saves {:>5.1}% at {:.2}% slowdown",
-        100.0 * (1.0 - r2.energy.total_nj() / base.energy.total_nj()),
+        100.0 * r2.saving_vs(&base),
         100.0 * r2.slowdown_vs(&base),
     );
     println!(
         "three CUs: saves {:>5.1}% at {:.2}% slowdown  (window energy alone: -{:.1}%)",
-        100.0 * (1.0 - r3.energy.total_nj() / base.energy.total_nj()),
+        100.0 * r3.saving_vs(&base),
         100.0 * r3.slowdown_vs(&base),
         100.0 * (1.0 - r3.energy.window_nj / base.energy.window_nj),
     );

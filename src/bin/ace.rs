@@ -211,7 +211,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn Error>> {
             let r = &run.record;
             print!(
                 "  {:>5.1}/{:<4.1}",
-                100.0 * (1.0 - r.energy.total_nj() / base.energy.total_nj()),
+                100.0 * r.saving_vs(base),
                 100.0 * r.slowdown_vs(base),
             );
         }

@@ -143,8 +143,8 @@ fn decoupling_outperforms_coupled_tuning() {
     );
     let r_off = exp("mpeg", 40_000_000).run_with(&mut off).unwrap();
 
-    let sav_on = 1.0 - r_on.energy.total_nj() / base.energy.total_nj();
-    let sav_off = 1.0 - r_off.energy.total_nj() / base.energy.total_nj();
+    let sav_on = r_on.saving_vs(&base);
+    let sav_off = r_off.saving_vs(&base);
     assert!(
         sav_on > sav_off,
         "decoupling on ({sav_on:.3}) must beat off ({sav_off:.3})"
