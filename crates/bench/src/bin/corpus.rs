@@ -1,33 +1,57 @@
 //! The corpus binary: differential oracles over a generated-workload
-//! corpus, at sizes the registry entry's CI run does not attempt.
+//! corpus, at sizes the registry entry's CI run does not attempt. It
+//! prints its report and writes nothing but failing specs; at `--count 8
+//! --jobs 2` the report is the committed `results/corpus.txt`.
 //!
 //! Flags:
 //!
 //! * `--count <N>` — generated workloads (default 64, the acceptance
 //!   size; the nightly stress tier runs larger).
 //! * `--seed-base <N>` — generation seed base (workload `i` uses
-//!   `seed_base + i`; default pinned, see
+//!   `seed_base + i`, which must fit in a `u64`; default pinned, see
 //!   [`ace_bench::experiments::corpus::DEFAULT_SEED_BASE`]).
 //! * `--limit <instr>` — per-run instruction budget for generated
 //!   workloads (default 2M).
-//! * `--scale <N>` — multiply every generated spec's `outer_iters`.
+//! * `--scale <N>` — multiply every generated spec's `outer_iters`
+//!   (below 2^32).
 //! * `--preset-scale <N>` — also run the seven presets at N-times their
 //!   natural length (full runs, no instruction limit) through the same
-//!   oracles — the nightly "100x presets" tier.
+//!   oracles — the nightly "100x presets" tier (below 2^32).
 //! * `--jobs <N>` — pool width of the jobs=N differential pass (default:
-//!   `ACE_JOBS` or available parallelism); zero exits 2.
+//!   `ACE_JOBS` or available parallelism).
 //! * `--fail-dir <path>` — where failing specs and their minimized
 //!   reproducers are written (default `results/corpus-failures`).
 //! * `--telemetry <path>` — stream decision events as JSONL.
+//!
+//! `--limit`, `--scale`, `--preset-scale` and `--jobs` must be positive.
+//! A value that breaks a flag's rule, or a seed sequence that overflows,
+//! exits 2 with a message naming the flag; nothing is rounded or
+//! truncated into range.
 //!
 //! Exit status is nonzero when any oracle is violated; the failing and
 //! minimized specs are on disk for triage (commit the reproducer under
 //! `crates/workloads/fixtures/regressions/` once the bug is understood).
 
-use ace_bench::experiments::corpus::{run_corpus, write_summary, CorpusParams, DEFAULT_COUNT};
+use ace_bench::experiments::corpus::{run_corpus, CorpusParams, DEFAULT_COUNT};
 use ace_bench::{default_jobs, print_telemetry_summary, telemetry_from_args};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
+
+/// Parses a flag's value as a `T`, or exits 2 naming the flag when the
+/// value is not an integer, does not fit in `T`, or is zero where
+/// `positive` asks for more.
+fn integer<T: FromStr + Default + PartialEq>(flag: &str, value: &str, positive: bool) -> T {
+    match value.parse::<T>() {
+        Ok(n) if !positive || n != T::default() => n,
+        _ => {
+            let sign = if positive { "positive" } else { "non-negative" };
+            let bits = 8 * std::mem::size_of::<T>();
+            eprintln!("{flag} requires a {sign} integer below 2^{bits}");
+            std::process::exit(2);
+        }
+    }
+}
 
 fn parse_args() -> CorpusParams {
     let mut params = CorpusParams {
@@ -42,28 +66,16 @@ fn parse_args() -> CorpusParams {
             std::process::exit(2);
         })
     };
-    let parse_u64 = |flag: &str, value: String| -> u64 {
-        value.parse().unwrap_or_else(|_| {
-            eprintln!("{flag} requires a non-negative integer");
-            std::process::exit(2);
-        })
-    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--count" => params.count = parse_u64(&arg, take(&mut it, &arg)) as usize,
-            "--seed-base" => params.seed_base = parse_u64(&arg, take(&mut it, &arg)),
-            "--limit" => params.instruction_limit = parse_u64(&arg, take(&mut it, &arg)).max(1),
-            "--scale" => params.scale = parse_u64(&arg, take(&mut it, &arg)).max(1) as u32,
+            "--count" => params.count = integer(&arg, &take(&mut it, &arg), false),
+            "--seed-base" => params.seed_base = integer(&arg, &take(&mut it, &arg), false),
+            "--limit" => params.instruction_limit = integer(&arg, &take(&mut it, &arg), true),
+            "--scale" => params.scale = integer(&arg, &take(&mut it, &arg), true),
             "--preset-scale" => {
-                params.preset_scale = Some(parse_u64(&arg, take(&mut it, &arg)).max(1) as u32);
+                params.preset_scale = Some(integer(&arg, &take(&mut it, &arg), true));
             }
-            "--jobs" => match take(&mut it, &arg).parse::<usize>() {
-                Ok(n) if n > 0 => params.jobs = n,
-                _ => {
-                    eprintln!("--jobs requires a positive integer");
-                    std::process::exit(2);
-                }
-            },
+            "--jobs" => params.jobs = integer(&arg, &take(&mut it, &arg), true),
             "--fail-dir" => params.fail_dir = PathBuf::from(take(&mut it, &arg)),
             "--telemetry" => {
                 it.next(); // handled by telemetry_from_args
@@ -76,6 +88,18 @@ fn parse_args() -> CorpusParams {
     }
     if params.count == 0 && params.preset_scale.is_none() {
         eprintln!("--count 0 without --preset-scale leaves nothing to run");
+        std::process::exit(2);
+    }
+    if params.count > 0
+        && params
+            .seed_base
+            .checked_add(params.count as u64 - 1)
+            .is_none()
+    {
+        eprintln!(
+            "--seed-base {} with --count {}: the seed sequence overflows u64",
+            params.seed_base, params.count
+        );
         std::process::exit(2);
     }
     params
@@ -104,9 +128,6 @@ fn main() -> ExitCode {
     let mut text = String::new();
     ace_bench::experiments::corpus::render(&params, &outcome, &mut text);
     print!("{text}");
-    if let Some(path) = write_summary(&params, &outcome) {
-        eprintln!("summary cached at {}", path.display());
-    }
     print_telemetry_summary(&telemetry);
     if outcome.failures.is_empty() {
         ExitCode::SUCCESS

@@ -29,12 +29,14 @@
 //! `crates/workloads/fixtures/regressions/`. Minimization re-simulates
 //! per candidate, so it only spends that time when a real bug exists.
 //!
-//! The registry entry runs a small corpus (CI-sized); the `corpus`
-//! binary scales the same machinery to nightly-stress sizes and can fold
-//! in the seven presets at a 100x iteration scale.
+//! The registry entry runs a small corpus (CI-sized); a full `run_all`
+//! writes its report to `results/corpus.txt`, which is committed and
+//! checked like every other report. The `corpus` binary scales the same
+//! machinery to nightly-stress sizes and can fold in the seven presets
+//! at a 100x iteration scale.
 
 use super::{outln, ExpCtx, Report};
-use crate::{content_key, format_table, results_dir, run_jobs, save_atomic, BenchResult, Job};
+use crate::{content_key, format_table, results_dir, run_jobs, BenchResult, Job};
 use ace_core::{fnv1a, Experiment, RunRecord};
 use ace_telemetry::Telemetry;
 use ace_workloads::{gen, minimize, GenParams, WorkloadSpec};
@@ -418,79 +420,6 @@ pub fn run_corpus(params: &CorpusParams, telemetry: &Telemetry) -> BenchResult<C
     Ok(outcome)
 }
 
-/// Key material of the corpus summary cache entry — everything that
-/// determines the digests.
-#[derive(Serialize)]
-struct CorpusKeyMaterial {
-    crate_version: String,
-    count: usize,
-    seed_base: u64,
-    instruction_limit: u64,
-    scale: u32,
-    preset_scale: Option<u32>,
-}
-
-/// Content-addressed summary file name for one parameter set:
-/// `gen-corpus-<16 hex>.json` under `results/`.
-pub fn summary_file_name(params: &CorpusParams) -> String {
-    let material = CorpusKeyMaterial {
-        crate_version: env!("CARGO_PKG_VERSION").to_string(),
-        count: params.count,
-        seed_base: params.seed_base,
-        instruction_limit: params.instruction_limit,
-        scale: params.scale,
-        preset_scale: params.preset_scale,
-    };
-    format!("gen-corpus-{}.json", content_key(&material))
-}
-
-/// The `gen-*` cache entries the current build would write: the CI-sized
-/// registry corpus and the binary's default acceptance corpus.
-/// `check_results` flags any other `gen-` file as stale.
-pub fn expected_cache_files() -> Vec<String> {
-    let ci = CorpusParams::default();
-    let nightly = CorpusParams {
-        count: DEFAULT_COUNT,
-        ..CorpusParams::default()
-    };
-    vec![summary_file_name(&ci), summary_file_name(&nightly)]
-}
-
-/// The committed summary of a healthy corpus: per-workload fingerprints
-/// a future run of the same parameters can be compared against.
-#[derive(Debug, Serialize, Deserialize)]
-pub struct CorpusSummary {
-    /// Workloads covered.
-    pub workloads: usize,
-    /// Simulator runs executed.
-    pub runs: usize,
-    /// `(workload, instret, fingerprint)` rows in generation order.
-    pub rows: Vec<(String, u64, String)>,
-}
-
-/// Writes the `results/gen-corpus-<key>.json` summary, with a trailing
-/// newline, for a clean run when the parameter set is one
-/// [`expected_cache_files`] blesses (any other set would commit an
-/// instantly-stale key).
-pub fn write_summary(params: &CorpusParams, outcome: &CorpusOutcome) -> Option<PathBuf> {
-    if !outcome.failures.is_empty() {
-        return None;
-    }
-    let name = summary_file_name(params);
-    if !expected_cache_files().contains(&name) {
-        return None;
-    }
-    let path = results_dir().join(name);
-    let summary = CorpusSummary {
-        workloads: outcome.workloads,
-        runs: outcome.runs,
-        rows: outcome.rows.clone(),
-    };
-    let json = serde_json::to_string(&summary).expect("serializable");
-    save_atomic(&path, &(json + "\n")).ok()?;
-    Some(path)
-}
-
 /// Renders one corpus outcome into a report body.
 pub fn render(params: &CorpusParams, outcome: &CorpusOutcome, out: &mut String) {
     outln!(
@@ -541,9 +470,6 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     let params = CorpusParams::default();
     let outcome = run_corpus(&params, &ctx.telemetry)?;
     render(&params, &outcome, &mut report.text);
-    if let Some(path) = write_summary(&params, &outcome) {
-        outln!(&mut report.text, "summary cached at {}", path.display());
-    }
     if !outcome.failures.is_empty() {
         return Err(crate::BenchError::msg(format!(
             "corpus: {} oracle violation(s); specs under {}",

@@ -1,7 +1,8 @@
 //! `check_results` accepts exactly the result caches the current build
-//! writes: it passes on the committed `results/`, and any other `*.json`
-//! beside them fails it with exit 1 and names the file. `fleet-*.json`
-//! files are left to `fleet --check-cache`.
+//! writes, the headline and `pdm-` sets: it passes on the committed
+//! `results/`, and any other `*.json` beside them fails it with exit 1
+//! and names the file, a fleet report cache or a corpus summary
+//! included.
 
 use ace_bench::cache_key;
 use ace_core::RunConfig;
@@ -57,6 +58,7 @@ fn every_file_the_build_does_not_write_fails() {
         format!("db-{wrong}.json"),
         format!("pdm-db-{wrong}.json"),
         format!("gen-corpus-{wrong}.json"),
+        format!("fleet-{wrong}.json"),
         "db.json".to_string(),
         "foo.json".to_string(),
     ] {
@@ -65,14 +67,4 @@ fn every_file_the_build_does_not_write_fails() {
         assert_eq!(out.status.code(), Some(1), "{extra}: {stderr}");
         assert!(stderr.contains(&extra), "{extra}: {stderr}");
     }
-}
-
-#[test]
-fn fleet_caches_are_left_to_the_fleet_check() {
-    let out = check_with("fleet", "fleet-0123456789abcdef.json");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 }

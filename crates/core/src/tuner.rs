@@ -1,4 +1,4 @@
-//! The tuning state machine shared by both managers (Section 3.2.2).
+//! The tuning state machine every tuning manager uses (Section 3.2.2).
 //!
 //! A tuner walks a configuration list (largest configuration first, so the
 //! first measurement doubles as the performance reference), records one
@@ -9,7 +9,9 @@
 //! The hotspot manager instantiates one tuner per hotspot over a
 //! *decoupled* 4-entry list; the BBV manager instantiates one per phase
 //! over the full 16-entry combinatorial list (resumable across phase
-//! recurrences, as the paper grants its BBV implementation).
+//! recurrences, as the paper grants its BBV implementation); the
+//! positional manager instantiates one per large procedure over the
+//! same 16-entry list.
 
 use crate::cu::AceConfig;
 use crate::measure::Measurement;

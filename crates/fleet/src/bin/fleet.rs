@@ -1,5 +1,8 @@
 //! The fleet experiment binary: a cold pass then a warm pass over the
-//! same fleet of machines, sharing one persistent tuning store.
+//! same fleet of machines, sharing one persistent tuning store. Both
+//! passes always run. The report on stdout is deterministic; over a new
+//! store, `--preset smoke` prints the committed `results/fleet_smoke.txt`
+//! (CI diffs the two).
 //!
 //! Flags:
 //!
@@ -21,14 +24,10 @@
 //!   (energy-saving columns read 0). With baselines on, the warm pass
 //!   reuses the cold pass's, which the store keeps in memory for the
 //!   session, so only the cold pass simulates them.
-//! * `--fresh` — ignore a cached fleet report and re-run.
 //! * `--assert-warm-hits` — exit nonzero unless the warm pass hit the
 //!   store (the CI smoke gate).
-//! * `--telemetry <path>` — stream decision events as JSONL. Forces a
-//!   live, uncached run, as the observability flags below do; a traced
+//! * `--telemetry <path>` — stream decision events as JSONL. A traced
 //!   pass simulates every machine, so the warm pass reuses no runs.
-//! * `--check-cache` — validate `results/fleet-*.json` against current
-//!   cache keys and exit (the fleet half of `check_results`).
 //! * `--corpus <N>` — run the generated-workload store oracle and exit:
 //!   a fleet over N `ace_workloads::gen` specs (resolved from spec files
 //!   on disk) runs cold+warm three times — at `--jobs`, serial, and
@@ -36,7 +35,7 @@
 //!   byte-identical (the fleet half of the bench `corpus` experiment's
 //!   differential oracles).
 //!
-//! Observability (any of these forces a live, uncached run):
+//! Observability:
 //!
 //! * `--obs-out <path>` — write the wave-indexed fleet health time
 //!   series (one cumulative metrics snapshot per wave per pass) as
@@ -55,9 +54,8 @@
 
 use ace_bench::{default_jobs, print_telemetry_summary, results_dir, telemetry_from_args};
 use ace_fleet::{
-    check_fleet_caches, fleet_cache_file_name, fleet_cache_key, fleet_registry_version,
-    render_report, run_fleet_observed, FleetCache, FleetConfig, ObsGate, ObsSampler, TuningStore,
-    FLEET_SCHEMA_VERSION,
+    fleet_registry_version, render_report, run_fleet_observed, FleetConfig, ObsGate, ObsSampler,
+    TuningStore,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -67,27 +65,13 @@ struct Args {
     cfg: FleetConfig,
     jobs: usize,
     store: Option<PathBuf>,
-    fresh: bool,
     assert_warm_hits: bool,
-    check_cache: bool,
     corpus: Option<usize>,
-    /// Report caching is reserved for unmodified presets — `--check-cache`
-    /// validates `results/fleet-*.json` against the preset keys, so an
-    /// overridden shape would write an entry that is instantly stale.
-    cacheable: bool,
     obs_out: Option<String>,
     metrics_out: Option<String>,
     live: bool,
     watch: bool,
     gate: ObsGate,
-}
-
-impl Args {
-    /// Any observability output needs the passes to actually run; a
-    /// cached report has no wave-by-wave health to sample.
-    fn obs_requested(&self) -> bool {
-        self.obs_out.is_some() || self.metrics_out.is_some() || self.live || self.watch
-    }
 }
 
 fn parse_args() -> Args {
@@ -97,11 +81,8 @@ fn parse_args() -> Args {
         cfg: FleetConfig::default(),
         jobs: default_jobs(),
         store: None,
-        fresh: false,
         assert_warm_hits: false,
-        check_cache: false,
         corpus: None,
-        cacheable: true,
         obs_out: None,
         metrics_out: None,
         live: false,
@@ -134,12 +115,10 @@ fn parse_args() -> Args {
             }
             "--store" => args.store = Some(PathBuf::from(take(&mut it, "--store"))),
             "--no-baseline" => overrides.push(("--no-baseline".to_string(), String::new())),
-            "--fresh" => args.fresh = true,
             "--assert-warm-hits" => args.assert_warm_hits = true,
             "--telemetry" => {
                 it.next(); // handled by telemetry_from_args
             }
-            "--check-cache" => args.check_cache = true,
             "--corpus" => {
                 let value = take(&mut it, "--corpus");
                 match value.parse::<usize>() {
@@ -185,7 +164,6 @@ fn parse_args() -> Args {
             std::process::exit(2);
         }
     };
-    args.cacheable = overrides.is_empty();
     let explicit_admit_limit = overrides.iter().any(|(flag, _)| flag == "--admit-limit");
     for (flag, value) in overrides {
         let parse = |v: &str| -> u64 {
@@ -230,7 +208,6 @@ fn parse_args() -> Args {
 fn main() -> ExitCode {
     let args = parse_args();
     let telemetry = telemetry_from_args();
-    let dir = results_dir();
 
     if let Some(count) = args.corpus {
         return match ace_fleet::run_corpus_oracle(count, args.jobs, &telemetry) {
@@ -245,23 +222,10 @@ fn main() -> ExitCode {
         };
     }
 
-    if args.check_cache {
-        let stale = check_fleet_caches(&dir);
-        if stale.is_empty() {
-            println!("{}: fleet caches match current keys", dir.display());
-            return ExitCode::SUCCESS;
-        }
-        eprintln!("{}: stale fleet cache entries:", dir.display());
-        for line in &stale {
-            eprintln!("  {line}");
-        }
-        return ExitCode::FAILURE;
-    }
-
     let store_path = args
         .store
         .clone()
-        .unwrap_or_else(|| dir.join("fleet_store.jsonl"));
+        .unwrap_or_else(|| results_dir().join("fleet_store.jsonl"));
     let version = fleet_registry_version();
     let mut store = match TuningStore::open(&store_path, version, TuningStore::DEFAULT_CAPACITY) {
         Ok(store) => store,
@@ -270,29 +234,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let preloaded = store.len();
-
-    // The report cache only describes a run that started from an empty
-    // store; a preloaded store changes the cold pass and bypasses it.
-    // Events, like obs records, come only from passes that run.
-    let cache_path = dir.join(fleet_cache_file_name(&args.cfg));
-    let must_run = args.fresh || args.obs_requested() || telemetry.is_enabled();
-    if !must_run && preloaded == 0 && args.cacheable {
-        if let Ok(cache) = FleetCache::load(&cache_path) {
-            if cache.key == fleet_cache_key(&args.cfg) {
-                print!("{}", cache.report);
-                eprintln!("(cached fleet report; --fresh re-runs)");
-                return gate_warm_hits(args.assert_warm_hits, cache.warm_hits);
-            }
-        }
-    }
-
     eprintln!(
         "fleet: {} machines x2 passes, {} jobs, store {} ({} entries preloaded)",
         args.cfg.machines,
         args.jobs,
         store_path.display(),
-        preloaded
+        store.len()
     );
     let mut cold_obs = ObsSampler::new("cold").live(args.live);
     let mut warm_obs = ObsSampler::new("warm").live(args.live);
@@ -325,8 +272,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let report = render_report(&args.cfg, &cold, &warm, &store);
-    print!("{report}");
+    print!("{}", render_report(&args.cfg, &cold, &warm, &store));
 
     // Throughput is schedule-dependent: stderr only, never the report.
     // It splits into the machines that simulated and those whose runs
@@ -347,20 +293,6 @@ fn main() -> ExitCode {
         reused,
         args.jobs
     );
-
-    if preloaded == 0 && args.cacheable {
-        let cache = FleetCache {
-            schema_version: FLEET_SCHEMA_VERSION,
-            key: fleet_cache_key(&args.cfg),
-            report: report.clone(),
-            warm_hits: warm.hits(),
-            cold_tunings: cold.tunings(),
-            warm_tunings: warm.tunings(),
-        };
-        if let Err(e) = cache.write(&cache_path) {
-            eprintln!("warning: could not cache fleet report: {e}");
-        }
-    }
 
     if let Some(path) = &args.obs_out {
         // Cold records then warm records: one wave-indexed JSONL stream,
@@ -415,11 +347,7 @@ fn main() -> ExitCode {
         eprintln!("--watch: fleet watchdog breached");
         return ExitCode::FAILURE;
     }
-    gate_warm_hits(args.assert_warm_hits, warm.hits())
-}
-
-fn gate_warm_hits(assert_warm_hits: bool, warm_hits: u64) -> ExitCode {
-    if assert_warm_hits && warm_hits == 0 {
+    if args.assert_warm_hits && warm.hits() == 0 {
         eprintln!("--assert-warm-hits: warm pass never hit the store");
         return ExitCode::FAILURE;
     }

@@ -231,7 +231,7 @@ pub struct MachineOutcome {
 /// order) plus driver-level counters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetOutcome {
-    /// Fleet file-format version (mirrors the cache schema).
+    /// Format version ([`FLEET_SCHEMA_VERSION`]).
     pub schema_version: u32,
     /// Per-machine rows, in machine-index order.
     pub machines: Vec<MachineOutcome>,

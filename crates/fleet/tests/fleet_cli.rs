@@ -4,14 +4,9 @@
 //! sequence that overflows `u64`. An explicit `--admit-limit` holds
 //! whichever side of `--wave-size` it is on. A store log too deeply
 //! nested to parse is a typed error and exit 1, not a stack overflow.
-//! `--telemetry` runs the passes even when a cached report would answer.
 //! Two `--corpus` runs print the same fingerprints.
 
-use ace_fleet::{
-    fleet_cache_file_name, fleet_cache_key, fleet_registry_version, FleetCache, FleetConfig,
-    TuningStore, FLEET_SCHEMA_VERSION,
-};
-use std::io::{BufRead, BufReader};
+use ace_fleet::{fleet_registry_version, TuningStore};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
@@ -22,12 +17,10 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A fleet run over a throwaway store, its report cache kept out of
-/// `results/`.
+/// A fleet run over a throwaway store.
 fn fleet(dir: &Path, args: &[&str]) -> Output {
     let _ = std::fs::remove_file(dir.join("store.jsonl"));
     Command::new(env!("CARGO_BIN_EXE_fleet"))
-        .env("ACE_RESULTS_DIR", dir)
         .args(args)
         .arg("--store")
         .arg(dir.join("store.jsonl"))
@@ -163,7 +156,6 @@ fn a_deeply_nested_store_line_is_a_typed_error() {
     assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
 
     let out = Command::new(env!("CARGO_BIN_EXE_fleet"))
-        .env("ACE_RESULTS_DIR", &dir)
         .args(["--preset", "smoke", "--machines", "2", "--limit", "50000"])
         .arg("--store")
         .arg(&log)
@@ -173,52 +165,6 @@ fn a_deeply_nested_store_line_is_a_typed_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
-}
-
-/// A cached report has no events to stream, so `--telemetry` must run
-/// the passes, as the observability flags do, instead of printing the
-/// cache and leaving an empty event file. The binary's first stderr
-/// line shows which it chose; the run is stopped there, since a debug
-/// build would take minutes over the smoke fleet.
-#[test]
-fn telemetry_runs_the_passes_instead_of_the_cached_report() {
-    let dir = temp_dir("telemetry");
-    let cfg = FleetConfig::preset("smoke").expect("smoke preset");
-    let cache = FleetCache {
-        schema_version: FLEET_SCHEMA_VERSION,
-        key: fleet_cache_key(&cfg),
-        report: "cached report\n".to_string(),
-        warm_hits: 1,
-        cold_tunings: 0,
-        warm_tunings: 0,
-    };
-    cache
-        .write(dir.join(fleet_cache_file_name(&cfg)))
-        .expect("write cache");
-    let cached = fleet(&dir, &["--preset", "smoke"]);
-    assert!(cached.status.success());
-    assert_eq!(String::from_utf8_lossy(&cached.stdout), "cached report\n");
-
-    let mut child = Command::new(env!("CARGO_BIN_EXE_fleet"))
-        .env("ACE_RESULTS_DIR", &dir)
-        .args(["--preset", "smoke", "--jobs", "1", "--telemetry"])
-        .arg(dir.join("events.jsonl"))
-        .arg("--store")
-        .arg(dir.join("store.jsonl"))
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("fleet binary runs");
-    let stderr = child.stderr.take().expect("piped stderr");
-    let first = BufReader::new(stderr).lines().next();
-    let _ = child.kill();
-    let _ = child.wait();
-    let _ = std::fs::remove_dir_all(&dir);
-    let first = first.expect("a stderr line").expect("utf-8 stderr");
-    assert!(
-        first.starts_with("fleet: 64 machines x2 passes"),
-        "the passes must run: {first}"
-    );
 }
 
 /// Each `fleet --corpus` process writes its specs to a directory of its

@@ -59,8 +59,10 @@ impl ReconfigOutcome {
 
 /// A full snapshot of the machine's counters.
 ///
-/// Cheap to clone; tuning code snapshots counters at hotspot entry and
-/// subtracts at exit via [`MachineCounters::delta_since`].
+/// Cheap to clone. Tuning code does not keep whole snapshots: its probe
+/// (`ace_core::Probe`) records instructions retired, cycles and total
+/// energy at region entry. [`MachineCounters::delta_since`] subtracts
+/// two whole snapshots, for tests and offline analysis.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MachineCounters {
     /// Instructions retired.

@@ -332,6 +332,10 @@ fn parse_thresholds(args: &[String]) -> Result<DiffThresholds, Box<dyn Error>> {
             *slot = value
                 .parse()
                 .map_err(|e| format!("{flag} {value:?}: {e}"))?;
+            // Every comparison with NaN is false: it would pass anything.
+            if slot.is_nan() {
+                return Err(format!("{flag} {value:?}: NaN would switch the check off").into());
+            }
         }
     }
     Ok(thresholds)

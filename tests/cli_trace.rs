@@ -150,6 +150,20 @@ fn diff_exit_codes_encode_the_verdict() {
         "{}",
         String::from_utf8_lossy(&loose.stderr)
     );
+
+    // A NaN threshold is an error, not a check that passes everything.
+    let nan = ace(&[
+        "trace",
+        "diff",
+        base.to_str().unwrap(),
+        slower.to_str().unwrap(),
+        "--max-ipc-drop",
+        "nan",
+    ]);
+    let stderr = String::from_utf8_lossy(&nan.stderr);
+    assert_eq!(nan.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--max-ipc-drop"), "{stderr}");
+    assert!(nan.stdout.is_empty(), "no diff is rendered");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
