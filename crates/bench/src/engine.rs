@@ -1,9 +1,10 @@
-//! # Work-stealing experiment engine
+//! # Experiment engine: a fixed pool over one shared job queue
 //!
 //! Every unit of evaluation work — one workload's scheme trio run as
 //! legs of one shared run, one sibling experiment — becomes a [`Job`]
 //! with a deterministic key. Jobs fan out across a fixed-size pool of
-//! scoped OS threads pulling from a shared queue ([`run_jobs`]); results
+//! scoped OS threads that pop the next job from one shared FIFO queue (a
+//! `Mutex<VecDeque>`; no per-worker queues, no stealing) ([`run_jobs`]); results
 //! and telemetry are merged back **in submission order**, so every
 //! output table, cached JSON file, and telemetry summary is
 //! byte-identical to a serial (`--jobs 1`) run.

@@ -7,11 +7,12 @@
 //! comparison: the tuners see the changed objective and re-decide, so this
 //! is a true end-to-end sensitivity study, not a re-pricing of one run.
 
-use super::{outln, run_group, ExpCtx, Report};
+use super::{outln, ExpCtx, Report};
 use crate::{format_table, mean, BenchResult};
-use ace_core::Experiment;
-use ace_energy::EnergyModel;
-use ace_workloads::PRESET_NAMES;
+use ace_core::{BbvManagerConfig, Experiment, HotspotManagerConfig, RunConfig, Scheme};
+
+/// Idle-power scale factors swept; 1x is the headline model.
+const SCALES: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
 
 pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     let mut report = Report::new("ablation_energy_model");
@@ -20,35 +21,56 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
         out,
         "Robustness: idle-power scaling sweep (averages over the 7 workloads)\n"
     );
-    let mut rows = Vec::new();
-    for scale in [0.25f64, 0.5, 1.0, 2.0, 4.0] {
-        let mut model = EnergyModel::default_180nm();
-        model.l1d.leak_nj_per_cycle_max *= scale;
-        model.l2.leak_nj_per_cycle_max *= scale;
-        let mut bbv_sav = Vec::new();
-        let mut hot_sav = Vec::new();
-        let mut hot_slow = Vec::new();
-        for name in PRESET_NAMES {
-            let experiment = Experiment::workload(name)
-                .energy(model)
-                .telemetry(&ctx.telemetry);
-            let [base, rb, rh] = run_group(experiment, ["baseline", "bbv", "hotspot"])?;
-            let (base, rb, rh) = (&base.record, &rb.record, &rh.record);
-            bbv_sav.push(100.0 * rb.saving_vs(base));
-            hot_sav.push(100.0 * rh.saving_vs(base));
-            hot_slow.push(100.0 * rh.slowdown_vs(base));
+    // Every scale but the headline's 1x runs the three schemes as legs of
+    // one run per workload. `stats[i]` collects scale `i`'s (BBV saving,
+    // hotspot saving, hotspot slowdown) per workload.
+    let schemes = [
+        Scheme::Baseline,
+        Scheme::Bbv(BbvManagerConfig::default()),
+        Scheme::Hotspot(HotspotManagerConfig::default()),
+    ];
+    let legs: Vec<_> = SCALES
+        .iter()
+        .filter(|&&scale| scale != 1.0)
+        .flat_map(|&scale| {
+            let mut cfg = RunConfig::default();
+            cfg.energy.l1d.leak_nj_per_cycle_max *= scale;
+            cfg.energy.l2.leak_nj_per_cycle_max *= scale;
+            schemes.clone().map(|scheme| (cfg.clone(), scheme))
+        })
+        .collect();
+    let mut stats = vec![Vec::new(); SCALES.len()];
+    for h in &ctx.headline()? {
+        let runs = Experiment::workload(h.workload.as_str())
+            .telemetry(&ctx.telemetry)
+            .run_schemes(legs.clone())?;
+        let mut runs = runs.chunks(3).map(|c| [0, 1, 2].map(|i| &c[i].record));
+        for (stats, &scale) in stats.iter_mut().zip(&SCALES) {
+            let [base, rb, rh] = if scale == 1.0 {
+                [&h.baseline, &h.bbv, &h.hotspot]
+            } else {
+                runs.next().expect("three runs per scale")
+            };
+            stats.push((
+                100.0 * rb.saving_vs(base),
+                100.0 * rh.saving_vs(base),
+                100.0 * rh.slowdown_vs(base),
+            ));
         }
-        rows.push(vec![
-            format!("{scale}x"),
-            format!("{:.1}", mean(bbv_sav.iter().copied())),
-            format!("{:.1}", mean(hot_sav.iter().copied())),
-            format!(
-                "{}",
-                hot_sav.iter().zip(&bbv_sav).filter(|(h, b)| h > b).count()
-            ),
-            format!("{:.2}", mean(hot_slow.iter().copied())),
-        ]);
     }
+    let rows: Vec<_> = SCALES
+        .iter()
+        .zip(&stats)
+        .map(|(scale, stats)| {
+            vec![
+                format!("{scale}x"),
+                format!("{:.1}", mean(stats.iter().map(|s| s.0))),
+                format!("{:.1}", mean(stats.iter().map(|s| s.1))),
+                format!("{}", stats.iter().filter(|s| s.1 > s.0).count()),
+                format!("{:.2}", mean(stats.iter().map(|s| s.2))),
+            ]
+        })
+        .collect();
     outln!(
         out,
         "{}",

@@ -10,7 +10,6 @@ use super::{bbv_report, outln, ExpCtx, Report};
 use crate::{format_table, mean, BenchResult};
 use ace_core::{BbvManagerConfig, Experiment, Scheme};
 use ace_phase::BbvConfig;
-use ace_workloads::PRESET_NAMES;
 
 /// The sampling intervals swept, in instructions.
 const INTERVALS: [u64; 5] = [250_200, 500_200, 1_000_200, 2_000_200, 4_000_200];
@@ -22,10 +21,11 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
         out,
         "Ablation: BBV sampling interval sweep (averages over the 7 workloads)\n"
     );
-    // One baseline and a BBV leg per interval share each workload's run;
-    // `stats[i]` collects interval `i`'s per-workload rows.
+    // The baseline is the headline leg; the BBV legs, one per interval,
+    // share each workload's run. `stats[i]` collects interval `i`'s
+    // per-workload rows.
     let mut stats = vec![Vec::new(); INTERVALS.len()];
-    for name in PRESET_NAMES {
+    for h in &ctx.headline()? {
         let bbv = INTERVALS.map(|interval_instr| {
             Scheme::Bbv(BbvManagerConfig {
                 bbv: BbvConfig {
@@ -35,12 +35,11 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
                 ..BbvManagerConfig::default()
             })
         });
-        let runs = Experiment::workload(name)
+        let sweep = Experiment::workload(h.workload.as_str())
             .telemetry(&ctx.telemetry)
-            .run_schemes(std::iter::once(Scheme::Baseline).chain(bbv))?;
-        let (base, sweep) = runs.split_first().expect("one run per scheme");
-        let base = &base.record;
-        for (stats, run) in stats.iter_mut().zip(sweep) {
+            .run_schemes(bbv)?;
+        let base = &h.baseline;
+        for (stats, run) in stats.iter_mut().zip(&sweep) {
             let (r, rep) = (&run.record, bbv_report(run));
             stats.push((
                 100.0 * rep.stability.stable_fraction(),

@@ -11,12 +11,12 @@
 //! predicted configuration is installed at classification with zero tuning
 //! latency; the normal tuned scheme is the comparison point.
 
-use super::{hotspot_report, outln, run_group, ExpCtx, Report};
+use super::{outln, ExpCtx, Report};
 use crate::{format_table, mean, BenchResult};
 use ace_core::{AceConfig, Experiment, HotspotAceManager, HotspotManagerConfig};
 use ace_energy::EnergyModel;
 use ace_sim::SizeLevel;
-use ace_workloads::{MethodId, Op, Program, PRESET_NAMES};
+use ace_workloads::{MethodId, Op, Program};
 
 /// Resident bytes a method touches per invocation, following calls.
 fn resident_bytes(p: &Program, m: MethodId, depth: u32) -> u64 {
@@ -60,11 +60,12 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     );
     let mut rows = Vec::new();
     let mut agg = Vec::new();
-    for name in PRESET_NAMES {
+    // The baseline and the tuned scheme are headline legs; the predicted
+    // manager is built per method, so it runs alone.
+    for h in &ctx.headline()? {
+        let name = h.workload.as_str();
         let program = ace_workloads::preset(name).unwrap();
-        let experiment = || Experiment::workload(name).telemetry(&ctx.telemetry);
-        let [base, tuned] = run_group(experiment(), ["baseline", "hotspot"])?;
-        let (base, tuned_run, tuned_rep) = (&base.record, &tuned.record, hotspot_report(&tuned));
+        let (base, tuned_run, tuned_rep) = (&h.baseline, &h.hotspot, &h.hotspot_report);
 
         let mut predicted = HotspotAceManager::new(HotspotManagerConfig::default(), model);
         for id in 0..program.method_count() as u32 {
@@ -88,7 +89,9 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
                 ),
             );
         }
-        let pred_run = experiment().run_with(&mut predicted)?;
+        let pred_run = Experiment::workload(name)
+            .telemetry(&ctx.telemetry)
+            .run_with(&mut predicted)?;
         let pred_rep = predicted.report();
 
         let t_sav = 100.0 * tuned_run.saving_vs(base);

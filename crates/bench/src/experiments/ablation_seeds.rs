@@ -8,39 +8,36 @@
 
 use super::{outln, run_group, ExpCtx, Report};
 use crate::{format_table, mean, BenchResult};
-use ace_core::{Experiment, RunConfig};
+use ace_core::{Experiment, RunRecord};
 use ace_sim::OnlineStats;
-use ace_workloads::PRESET_NAMES;
+
+/// Executor seeds that override each workload's own.
+const SEEDS: [u64; 3] = [0x5EED_0001, 0x5EED_0002, 0x5EED_0003];
 
 pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     let mut report = Report::new("ablation_seeds");
-    // The workload's own seed, then three overrides.
-    let seeds = [
-        None,
-        Some(0x5EED_0001),
-        Some(0x5EED_0002),
-        Some(0x5EED_0003),
-    ];
     let mut rows = Vec::new();
     let mut grand = Vec::new();
-    for name in PRESET_NAMES {
+    // The workload's own seed is the headline run; each override runs its
+    // baseline and hotspot legs off one stream of its own.
+    for h in &ctx.headline()? {
         let mut savings = OnlineStats::new();
         let mut slowdowns = OnlineStats::new();
-        for workload_seed in seeds {
-            let experiment = Experiment::workload(name)
-                .config(RunConfig {
-                    workload_seed,
-                    ..RunConfig::default()
-                })
-                .telemetry(&ctx.telemetry);
-            let [base, r] = run_group(experiment, ["baseline", "hotspot"])?;
-            let (base, r) = (&base.record, &r.record);
+        let mut push = |base: &RunRecord, r: &RunRecord| {
             savings.push(100.0 * r.saving_vs(base));
             slowdowns.push(100.0 * r.slowdown_vs(base));
+        };
+        push(&h.baseline, &h.hotspot);
+        for seed in SEEDS {
+            let experiment = Experiment::workload(h.workload.as_str())
+                .seed(seed)
+                .telemetry(&ctx.telemetry);
+            let [base, r] = run_group(experiment, ["baseline", "hotspot"])?;
+            push(&base.record, &r.record);
         }
         grand.push(savings.mean());
         rows.push(vec![
-            name.to_string(),
+            h.workload.clone(),
             format!("{:.1}", savings.mean()),
             format!("{:.1}", savings.min()),
             format!("{:.1}", savings.max()),

@@ -5,39 +5,58 @@
 //! scheme still captures: late identification wastes execution at the
 //! full-size configuration.
 
-use super::{outln, ExpCtx, Report};
+use super::{hotspot_report, outln, ExpCtx, Report};
 use crate::{format_table, BenchResult};
-use ace_core::{Experiment, HotspotAceManager, HotspotManagerConfig, RunConfig};
-use ace_energy::EnergyModel;
+use ace_core::{Experiment, HotspotManagerConfig, RunConfig, Scheme};
+use ace_runtime::DoConfig;
+
+/// The promotion thresholds swept.
+const THRESHOLDS: [u32; 5] = [2, 5, 10, 20, 40];
 
 pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     let mut report = Report::new("ablation_threshold");
-    let model = EnergyModel::default_180nm();
     let out = &mut report.text;
     outln!(
         out,
         "Ablation: hot_threshold sweep (identification latency vs captured savings)\n"
     );
-    for name in ["compress", "javac"] {
-        let base = Experiment::workload(name).telemetry(&ctx.telemetry).run()?;
+    // The default threshold's row and the baseline are headline legs; the
+    // other thresholds run as legs of one run per workload.
+    let default = DoConfig::default().hot_threshold;
+    let headline = ctx.headline()?;
+    for h in headline
+        .iter()
+        .filter(|h| ["compress", "javac"].contains(&h.workload.as_str()))
+    {
+        let name = h.workload.as_str();
+        let legs = THRESHOLDS
+            .iter()
+            .filter(|&&t| t != default)
+            .map(|&threshold| {
+                let mut cfg = RunConfig::default();
+                cfg.do_config.hot_threshold = threshold;
+                (cfg, Scheme::Hotspot(HotspotManagerConfig::default()))
+            });
+        let runs = Experiment::workload(name)
+            .telemetry(&ctx.telemetry)
+            .run_schemes(legs)?;
+        let mut runs = runs.iter().map(|run| (&run.record, hotspot_report(run)));
         let mut rows = Vec::new();
-        for threshold in [2u32, 5, 10, 20, 40] {
-            let mut cfg = RunConfig::default();
-            cfg.do_config.hot_threshold = threshold;
-            let mut mgr = HotspotAceManager::new(HotspotManagerConfig::default(), model);
-            let r = Experiment::workload(name)
-                .config(cfg)
-                .telemetry(&ctx.telemetry)
-                .run_with(&mut mgr)?;
-            let rep = mgr.report();
+        for threshold in THRESHOLDS {
+            let (r, rep) = if threshold == default {
+                (&h.hotspot, &h.hotspot_report)
+            } else {
+                runs.next().expect("one run per threshold")
+            };
+            let base = &h.baseline;
             rows.push(vec![
                 format!("{threshold}"),
                 format!("{}", r.table4.hotspots),
                 format!("{:.2}%", r.table4.identification_latency_pct),
                 format!("{:.1}%", 100.0 * rep.tuned_fraction()),
-                format!("{:.1}", 100.0 * r.l1d_saving_vs(&base)),
-                format!("{:.1}", 100.0 * r.l2_saving_vs(&base)),
-                format!("{:.2}", 100.0 * r.slowdown_vs(&base)),
+                format!("{:.1}", 100.0 * r.l1d_saving_vs(base)),
+                format!("{:.1}", 100.0 * r.l2_saving_vs(base)),
+                format!("{:.2}", 100.0 * r.slowdown_vs(base)),
             ]);
         }
         outln!(out, "{name}:");

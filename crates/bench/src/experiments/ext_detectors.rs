@@ -8,11 +8,9 @@
 
 use super::{outln, ExpCtx, Report};
 use crate::{format_table, BenchResult};
-use ace_core::{BbvAceManager, BbvManagerConfig, Experiment};
-use ace_energy::EnergyModel;
 use ace_phase::{BranchCounterConfig, BranchCounterDetector, WorkingSetConfig, WorkingSetDetector};
 use ace_sim::{Block, BlockSource};
-use ace_workloads::{Executor, PRESET_NAMES};
+use ace_workloads::Executor;
 
 pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     let mut report = Report::new("ext_detectors");
@@ -22,8 +20,8 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
         "Extension: BBV vs working-set phase detection over identical executions\n"
     );
     let mut rows = Vec::new();
-    for name in PRESET_NAMES {
-        let program = ace_workloads::preset(name).unwrap();
+    for h in &ctx.headline()? {
+        let program = ace_workloads::preset(&h.workload).expect("headline workloads are presets");
 
         // Working-set signatures and branch counters over 1M-instruction
         // intervals, fed from the same execution.
@@ -50,15 +48,11 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
             }
         }
 
-        // BBV via the manager (also yields per-phase IPC CoV).
-        let mut bbv = BbvAceManager::new(BbvManagerConfig::default(), EnergyModel::default_180nm());
-        let _ = Experiment::workload(name)
-            .telemetry(&ctx.telemetry)
-            .run_with(&mut bbv)?;
-        let r = bbv.report();
-
+        // BBV via the headline run's manager (also yields per-phase IPC
+        // CoV).
+        let r = &h.bbv_report;
         rows.push(vec![
-            name.to_string(),
+            h.workload.clone(),
             format!("{}", r.phases),
             format!("{:.0}%", 100.0 * r.stability.stable_fraction()),
             format!("{:.1}%", 100.0 * r.per_phase_ipc_cov),

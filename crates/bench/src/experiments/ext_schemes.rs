@@ -8,50 +8,46 @@
 
 use super::{bbv_report, outln, run_group, ExpCtx, Report};
 use crate::{format_table, mean, BenchResult};
-use ace_core::{
-    BbvManagerConfig, Experiment, HotspotManagerConfig, PositionalManagerConfig, Scheme, SchemeRun,
-};
-use ace_workloads::PRESET_NAMES;
+use ace_core::{BbvManagerConfig, Experiment, PositionalManagerConfig, RunRecord, Scheme};
 
 pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
     let mut report = Report::new("ext_schemes");
     let mut rows = Vec::new();
     let mut agg: Vec<[f64; 8]> = Vec::new();
+    // The baseline, BBV and hotspot points are headline legs; positional
+    // and BBV+pred run as legs of one run per workload.
     let schemes = [
-        Scheme::Baseline,
         Scheme::Positional(PositionalManagerConfig::default()),
-        Scheme::Bbv(BbvManagerConfig::default()),
         Scheme::Bbv(BbvManagerConfig {
             use_predictor: true,
             ..BbvManagerConfig::default()
         }),
-        Scheme::Hotspot(HotspotManagerConfig::default()),
     ];
 
-    for name in PRESET_NAMES {
-        let experiment = Experiment::workload(name).telemetry(&ctx.telemetry);
-        let [base, r_pos, r_bbv, r_pred, r_hs] = run_group(experiment, schemes.clone())?;
-        let base = &base.record;
-        let sav = |r: &SchemeRun| 100.0 * r.record.saving_vs(base);
-        let slow = |r: &SchemeRun| 100.0 * r.record.slowdown_vs(base);
-        let pred_report = bbv_report(&r_pred);
+    for h in &ctx.headline()? {
+        let experiment = Experiment::workload(h.workload.as_str()).telemetry(&ctx.telemetry);
+        let [pos, pred] = run_group(experiment, schemes.clone())?;
+        let pred_report = bbv_report(&pred);
+        let (r_pos, r_bbv, r_pred, r_hs) = (&pos.record, &h.bbv, &pred.record, &h.hotspot);
+        let sav = |r: &RunRecord| 100.0 * r.saving_vs(&h.baseline);
+        let slow = |r: &RunRecord| 100.0 * r.slowdown_vs(&h.baseline);
 
         agg.push([
-            sav(&r_pos),
-            slow(&r_pos),
-            sav(&r_bbv),
-            slow(&r_bbv),
-            sav(&r_pred),
-            slow(&r_pred),
-            sav(&r_hs),
-            slow(&r_hs),
+            sav(r_pos),
+            slow(r_pos),
+            sav(r_bbv),
+            slow(r_bbv),
+            sav(r_pred),
+            slow(r_pred),
+            sav(r_hs),
+            slow(r_hs),
         ]);
         rows.push(vec![
-            name.to_string(),
-            format!("{:.1}/{:.1}", sav(&r_pos), slow(&r_pos)),
-            format!("{:.1}/{:.1}", sav(&r_bbv), slow(&r_bbv)),
-            format!("{:.1}/{:.1}", sav(&r_pred), slow(&r_pred)),
-            format!("{:.1}/{:.1}", sav(&r_hs), slow(&r_hs)),
+            h.workload.clone(),
+            format!("{:.1}/{:.1}", sav(r_pos), slow(r_pos)),
+            format!("{:.1}/{:.1}", sav(r_bbv), slow(r_bbv)),
+            format!("{:.1}/{:.1}", sav(r_pred), slow(r_pred)),
+            format!("{:.1}/{:.1}", sav(r_hs), slow(r_hs)),
             format!(
                 "{} ({:.0}%)",
                 pred_report.predictions,

@@ -5,7 +5,8 @@
 //! (`run_all <experiment>` runs one by name); this library holds the
 //! shared machinery:
 //!
-//! * [`engine`] — the work-stealing job pool every run fans out on,
+//! * [`engine`] — the job pool every run fans out on: fixed-size, one
+//!   shared FIFO queue,
 //! * [`ExperimentSet`] — the builder running workloads under a scheme
 //!   set ([`CachedResults`]) with content-addressed result caching,
 //! * table/figure formatting helpers.
@@ -219,16 +220,6 @@ impl ExperimentSet {
     pub fn results_dir(mut self, dir: impl Into<PathBuf>) -> ExperimentSet {
         self.results_dir = Some(dir.into());
         self
-    }
-
-    /// [`ExperimentSet::run_parallel`] at [`default_jobs`] width.
-    ///
-    /// # Errors
-    ///
-    /// See [`ExperimentSet::run_parallel`].
-    pub fn run(self) -> BenchResult<Vec<SchemeResults>> {
-        let width = default_jobs();
-        self.run_parallel(width)
     }
 
     /// [`ExperimentSet::run_cached`] under the three headline schemes.

@@ -279,30 +279,34 @@ impl<'p> StepSource<'p> for Threads<'p> {
 }
 
 /// Runs `program` once per leg, every leg fed the same steps from
-/// `source`. Each leg pairs a manager with the telemetry handle its DO
-/// system and manager trace into; the records come back in leg order.
-/// No leg, no run: an empty `legs` returns no records.
+/// `source`. Each leg pairs a manager with the run configuration its
+/// machine, DO system and energy pricing come from (`source` was built
+/// from the seed and limit, so those fields are not read here) and the
+/// telemetry handle its DO system and manager trace into; the records
+/// come back in leg order. No leg, no run: an empty `legs` returns no
+/// records.
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] if the machine configuration is invalid.
-pub(crate) fn run<'p, 'm, S, M>(
+/// Returns [`ConfigError`] if a leg's machine configuration is invalid.
+pub(crate) fn run<'p, 'm, 'c, S, M>(
     program: &'p Program,
-    cfg: &RunConfig,
-    legs: impl IntoIterator<Item = (&'m mut M, Telemetry)>,
+    legs: impl IntoIterator<Item = (&'m mut M, &'c RunConfig, Telemetry)>,
     mut source: S,
 ) -> Result<Vec<RunRecord>, ConfigError>
 where
     S: StepSource<'p>,
     M: AceManager + ?Sized + 'm,
 {
+    let mut models = Vec::new();
     let mut rest = legs
         .into_iter()
-        .map(|(manager, telemetry)| {
+        .map(|(manager, cfg, telemetry)| {
             let machine = Machine::new(cfg.machine.clone())?;
             let mut dos = DoSystem::new(program, cfg.do_config.clone());
             dos.set_telemetry(telemetry.clone());
             manager.set_telemetry(telemetry.clone());
+            models.push(cfg.energy);
             Ok(Leg {
                 machine,
                 dos,
@@ -356,7 +360,8 @@ where
     let Legs { first, rest } = legs;
     Ok(std::iter::once(first)
         .chain(rest)
-        .map(|mut leg| {
+        .zip(models)
+        .map(|(mut leg, model)| {
             leg.manager.on_finish(&mut leg.machine);
             publish_walk_profile(&leg.telemetry, walk_profile);
             let counters = leg.machine.counters().clone();
@@ -365,7 +370,7 @@ where
                 instret: counters.instret,
                 cycles: counters.cycles,
                 ipc: counters.ipc(),
-                energy: cfg.energy.breakdown(&counters),
+                energy: model.breakdown(&counters),
                 table4: leg.dos.table4_summary(counters.instret),
                 do_stats: *leg.dos.stats(),
                 counters,
@@ -393,8 +398,8 @@ mod tests {
         cfg: &RunConfig,
         manager: &mut M,
     ) -> Result<RunRecord, ConfigError> {
-        let legs = [(manager, cfg.telemetry.clone())];
-        let mut records = run(program, cfg, legs, SingleThread::new(program, cfg))?;
+        let legs = [(manager, cfg, cfg.telemetry.clone())];
+        let mut records = run(program, legs, SingleThread::new(program, cfg))?;
         Ok(records.pop().expect("one record per leg"))
     }
 

@@ -20,8 +20,7 @@
 //!
 //! [`Experiment::run_scheme`] additionally returns the scheme manager's
 //! unified [`SchemeReport`](crate::SchemeReport), and
-//! [`Experiment::run_with`] accepts any hand-built [`AceManager`] for
-//! ablations that perturb a manager's configuration.
+//! [`Experiment::run_with`] accepts a hand-built [`AceManager`].
 //!
 //! Runs that share the workload, seed, instruction limit and threading
 //! replay one instruction stream, so they can run as *legs* of one
@@ -29,7 +28,9 @@
 //! [`Experiment::run_schemes`] takes schemes, by id or by value, and
 //! returns one [`SchemeRun`] each, [`Experiment::run_legs`] takes
 //! caller-built managers, each with its own telemetry handle ([`Leg`]).
-//! Every leg's record equals the record of its run alone.
+//! A scheme paired with a [`RunConfig`] runs under that machine, DO and
+//! energy configuration instead of the experiment's. Every leg's record
+//! equals the record of its run alone.
 //!
 //! ```
 //! use ace_core::Experiment;
@@ -46,11 +47,10 @@
 //! ```
 
 use crate::driver::{self, RunConfig, RunRecord, SingleThread, Threads};
-use crate::scheme::{Scheme, SchemeCtx, SchemeManager, SchemeReport, SchemeSpec};
+use crate::scheme::{Scheme, SchemeCtx, SchemeReport, SchemeSpec};
 use crate::AceManager;
-use ace_energy::EnergyModel;
 use ace_runtime::DoConfig;
-use ace_sim::{ConfigError, MachineConfig};
+use ace_sim::ConfigError;
 use ace_telemetry::Telemetry;
 use ace_workloads::{MethodId, Program};
 use std::fmt;
@@ -81,6 +81,10 @@ pub enum ExperimentError {
     /// threading does not fit it (no thread entries, a zero quantum, an
     /// entry that is not one of the program's methods).
     Workload(String),
+    /// A leg's run configuration names another seed or instruction limit
+    /// than its experiment, whose stream the legs share. Carries the
+    /// leg's scheme id.
+    LegStream(String),
 }
 
 impl fmt::Display for ExperimentError {
@@ -96,6 +100,9 @@ impl fmt::Display for ExperimentError {
             }
             ExperimentError::Machine(e) => write!(f, "{e}"),
             ExperimentError::Workload(msg) => write!(f, "{msg}"),
+            ExperimentError::LegStream(id) => {
+                write!(f, "the {id} leg's seed or limit differs from its run's")
+            }
         }
     }
 }
@@ -200,27 +207,15 @@ impl Experiment {
         self
     }
 
-    /// Overrides the machine configuration (Table 2 by default).
-    pub fn machine(mut self, machine: MachineConfig) -> Experiment {
-        self.cfg.machine = machine;
-        self
-    }
-
     /// Overrides the DO-system configuration.
     pub fn do_config(mut self, do_config: DoConfig) -> Experiment {
         self.cfg.do_config = do_config;
         self
     }
 
-    /// Uses `model` both to price the run record and to drive the scheme
-    /// managers' tuning objectives.
-    pub fn energy(mut self, model: EnergyModel) -> Experiment {
-        self.cfg.energy = model;
-        self
-    }
-
     /// Replaces the whole [`RunConfig`] (options set earlier are lost;
-    /// later builder calls still apply on top).
+    /// later builder calls still apply on top). Its machine, DO and energy
+    /// configuration apply to every leg that does not bring its own.
     pub fn config(mut self, cfg: RunConfig) -> Experiment {
         self.cfg = cfg;
         self
@@ -308,6 +303,11 @@ impl Experiment {
     /// returns for its scheme alone. The scheme selected with
     /// [`Experiment::scheme`] is not run.
     ///
+    /// A leg given as a `(RunConfig, Scheme)` pair gets its own machine,
+    /// DO system and energy model (which also drives its manager's tuning
+    /// objective); its seed and instruction limit must equal the
+    /// experiment's.
+    ///
     /// With telemetry on and more than one scheme, each leg traces into
     /// a buffered handle of its own, replayed into the experiment's
     /// handle in scheme order once the run ends: the event stream and
@@ -316,30 +316,36 @@ impl Experiment {
     /// # Errors
     ///
     /// See [`Experiment::run`]; an unregistered id in `schemes` fails the
-    /// whole run before anything executes.
+    /// whole run before anything executes, and so does a leg configured
+    /// with another seed or instruction limit
+    /// ([`ExperimentError::LegStream`]).
     pub fn run_schemes<I>(self, schemes: I) -> Result<Vec<SchemeRun>, ExperimentError>
     where
         I: IntoIterator,
         I::Item: Into<SchemeSpec>,
     {
         let program = self.resolve()?;
-        let schemes = schemes
-            .into_iter()
-            .map(|spec| {
-                let spec = spec.into();
-                spec.resolve()
-                    .ok_or_else(|| ExperimentError::UnknownScheme(spec.id().to_string()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let ctx = SchemeCtx {
-            program: &program,
-            model: self.cfg.energy,
-        };
-        let mut managers: Vec<Box<dyn SchemeManager>> =
-            schemes.iter().map(|scheme| scheme.build(&ctx)).collect();
+        let specs: Vec<SchemeSpec> = schemes.into_iter().map(Into::into).collect();
+        let stream = |cfg: &RunConfig| (cfg.workload_seed, cfg.instruction_limit);
+        let mut legs = Vec::with_capacity(specs.len());
+        for spec in &specs {
+            let id = || spec.id().to_string();
+            let scheme = spec
+                .resolve()
+                .ok_or_else(|| ExperimentError::UnknownScheme(id()))?;
+            let cfg = spec.1.as_ref().unwrap_or(&self.cfg);
+            if stream(cfg) != stream(&self.cfg) {
+                return Err(ExperimentError::LegStream(id()));
+            }
+            let ctx = SchemeCtx {
+                program: &program,
+                model: cfg.energy,
+            };
+            legs.push((scheme.name(), cfg, scheme.build(&ctx)));
+        }
         let shared = &self.cfg.telemetry;
-        let buffered = managers.len() > 1 && shared.is_enabled();
-        let handles: Vec<_> = managers
+        let buffered = legs.len() > 1 && shared.is_enabled();
+        let handles: Vec<_> = legs
             .iter()
             .map(|_| {
                 if buffered {
@@ -350,15 +356,19 @@ impl Experiment {
                 }
             })
             .collect();
-        let legs = managers
-            .iter_mut()
-            .map(|manager| &mut **manager)
-            .zip(handles.iter().map(|(telemetry, _)| telemetry.clone()));
-        let records = self.drive(&program, legs)?;
+        let records = self.drive(
+            &program,
+            legs.iter_mut()
+                .zip(&handles)
+                .map(|((_, cfg, manager), (telemetry, _))| {
+                    (&mut **manager, *cfg, telemetry.clone())
+                }),
+        )?;
         let mut runs = Vec::with_capacity(records.len());
-        for (i, record) in records.into_iter().enumerate() {
-            let (telemetry, sink) = &handles[i];
-            let report = managers[i].scheme_report(&record);
+        for ((record, (name, _, manager)), (telemetry, sink)) in
+            records.into_iter().zip(&legs).zip(&handles)
+        {
+            let report = manager.scheme_report(&record);
             // Metrics registry only — the recorded event stream stays
             // byte-identical to a run without metrics enabled.
             if let Some(metrics) = telemetry.metrics() {
@@ -368,7 +378,7 @@ impl Experiment {
                 shared.absorb_child(telemetry, &sink.drain());
             }
             runs.push(SchemeRun {
-                scheme: schemes[i].name().to_string(),
+                scheme: name.to_string(),
                 record,
                 report,
             });
@@ -376,9 +386,11 @@ impl Experiment {
         Ok(runs)
     }
 
-    /// Runs under a caller-supplied manager, ignoring the selected scheme
-    /// — the escape hatch for ablations that perturb manager
-    /// configurations.
+    /// Runs under a caller-built manager, ignoring the selected scheme:
+    /// for a manager no [`Scheme`] value describes (a hotspot manager
+    /// given per-method predictions with
+    /// [`HotspotAceManager::set_prediction`](crate::HotspotAceManager::set_prediction)),
+    /// or one whose state the caller reads after the run.
     ///
     /// ```
     /// use ace_core::{Experiment, FixedManager, AceConfig};
@@ -399,7 +411,7 @@ impl Experiment {
         manager: &mut M,
     ) -> Result<RunRecord, ExperimentError> {
         let program = self.resolve()?;
-        let leg = (manager, self.cfg.telemetry.clone());
+        let leg = (manager, &self.cfg, self.cfg.telemetry.clone());
         let mut records = self.drive(&program, [leg])?;
         Ok(records.pop().expect("one record per leg"))
     }
@@ -434,23 +446,27 @@ impl Experiment {
         legs: impl IntoIterator<Item = Leg<'m>>,
     ) -> Result<Vec<RunRecord>, ExperimentError> {
         let program = self.resolve()?;
-        let legs = legs.into_iter().map(|leg| (leg.manager, leg.telemetry));
+        let legs = legs
+            .into_iter()
+            .map(|leg| (leg.manager, &self.cfg, leg.telemetry));
         self.drive(&program, legs)
     }
 
-    fn drive<'m, M: AceManager + ?Sized + 'm>(
+    /// Runs `legs` off one stream of this experiment's seed, instruction
+    /// limit and threading.
+    fn drive<'m, 'c, M: AceManager + ?Sized + 'm>(
         &self,
         program: &Program,
-        legs: impl IntoIterator<Item = (&'m mut M, Telemetry)>,
+        legs: impl IntoIterator<Item = (&'m mut M, &'c RunConfig, Telemetry)>,
     ) -> Result<Vec<RunRecord>, ExperimentError> {
         let records = match &self.threading {
             Some((entries, quantum)) => {
                 let threads = Threads::new(program, entries, *quantum, &self.cfg);
-                driver::run(program, &self.cfg, legs, threads)?
+                driver::run(program, legs, threads)?
             }
             None => {
                 let single = SingleThread::new(program, &self.cfg);
-                driver::run(program, &self.cfg, legs, single)?
+                driver::run(program, legs, single)?
             }
         };
         Ok(records)

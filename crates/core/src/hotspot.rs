@@ -163,11 +163,6 @@ impl HotspotReport {
         self.cu_hotspots[cu.index()]
     }
 
-    /// Per-CU counters for the instruction window (three-CU extension).
-    pub fn window(&self) -> CuSchemeStats {
-        self.stats(CuId::Window)
-    }
-
     /// Per-CU counters for the L1 data cache.
     pub fn l1d(&self) -> CuSchemeStats {
         self.stats(CuId::L1d)
@@ -176,16 +171,6 @@ impl HotspotReport {
     /// Per-CU counters for the L2 cache.
     pub fn l2(&self) -> CuSchemeStats {
         self.stats(CuId::L2)
-    }
-
-    /// Per-CU counters for the DTLB (registry-extension unit).
-    pub fn dtlb(&self) -> CuSchemeStats {
-        self.stats(CuId::Dtlb)
-    }
-
-    /// Adaptable instruction-window hotspots (three-CU extension only).
-    pub fn window_hotspots(&self) -> u64 {
-        self.hotspots_of(CuId::Window)
     }
 
     /// Adaptable L1D hotspots observed.

@@ -42,7 +42,7 @@
 //! run by id also joins the registry's table.
 
 use crate::cu::AceConfig;
-use crate::driver::RunRecord;
+use crate::driver::{RunConfig, RunRecord};
 use crate::manager::{AceManager, FixedManager, NullManager};
 use crate::pdm_mgr::{PdmManagerConfig, PdmReport};
 use crate::{
@@ -235,10 +235,14 @@ impl SchemeReport {
     }
 }
 
-/// How an [`crate::Experiment`] names its scheme: a registered id,
-/// resolved when the experiment runs, or a [`Scheme`] value.
+/// How an [`crate::Experiment`] names a leg: a registered id, resolved
+/// when the experiment runs, or a [`Scheme`] value, under the
+/// experiment's run configuration or, given as a `(RunConfig, Scheme)`
+/// pair, under that machine, DO and energy configuration. A configured
+/// leg's seed and instruction limit must equal the experiment's; its
+/// telemetry handle is not used.
 #[derive(Debug, Clone)]
-pub struct SchemeSpec(SpecInner);
+pub struct SchemeSpec(SpecInner, pub(crate) Option<RunConfig>);
 
 #[derive(Debug, Clone)]
 enum SpecInner {
@@ -267,19 +271,25 @@ impl SchemeSpec {
 
 impl From<&str> for SchemeSpec {
     fn from(id: &str) -> SchemeSpec {
-        SchemeSpec(SpecInner::Named(id.to_string()))
+        SchemeSpec(SpecInner::Named(id.to_string()), None)
     }
 }
 
 impl From<String> for SchemeSpec {
     fn from(id: String) -> SchemeSpec {
-        SchemeSpec(SpecInner::Named(id))
+        SchemeSpec(SpecInner::Named(id), None)
     }
 }
 
 impl From<Scheme> for SchemeSpec {
     fn from(scheme: Scheme) -> SchemeSpec {
-        SchemeSpec(SpecInner::Value(scheme))
+        SchemeSpec(SpecInner::Value(scheme), None)
+    }
+}
+
+impl From<(RunConfig, Scheme)> for SchemeSpec {
+    fn from((config, scheme): (RunConfig, Scheme)) -> SchemeSpec {
+        SchemeSpec(SpecInner::Value(scheme), Some(config))
     }
 }
 

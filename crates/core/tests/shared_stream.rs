@@ -1,9 +1,14 @@
 //! Shared runs: schemes run as legs of one executor stream
 //! ([`Experiment::run_schemes`], [`Experiment::run_legs`]) must produce,
 //! leg for leg, the records, reports and telemetry of the same runs made
-//! one at a time.
+//! one at a time, also when a leg brings its own run configuration.
 
-use ace_core::{Experiment, ExperimentError, Leg, NullManager, SchemeRun};
+use ace_core::{
+    Experiment, ExperimentError, HotspotManagerConfig, Leg, NullManager, RunConfig, Scheme,
+    SchemeRun, SchemeSpec,
+};
+use ace_energy::EnergyModel;
+use ace_runtime::DoConfig;
 use ace_telemetry::{Event, Telemetry};
 
 const LIMIT: u64 = 2_000_000;
@@ -98,6 +103,92 @@ fn shared_telemetry_replays_each_leg_in_scheme_order() {
     assert!(!solo.0.is_empty(), "the solo runs must emit events");
     assert_eq!(shared.0, solo.0, "event streams differ");
     assert_eq!(shared.1, solo.1, "metrics counters differ");
+}
+
+/// Leg configurations that differ from the default in the machine, the
+/// DO system or the energy model, each at the tests' instruction limit.
+fn leg_configs() -> Vec<RunConfig> {
+    let base = RunConfig {
+        instruction_limit: Some(LIMIT),
+        ..RunConfig::default()
+    };
+    let mut dtlb = base.clone();
+    dtlb.machine.dtlb_configurable = true;
+    dtlb.do_config = DoConfig::for_registry(&dtlb.machine.cu_registry());
+    dtlb.energy = EnergyModel::default_180nm_with_dtlb();
+    let mut eager = base.clone();
+    eager.do_config.hot_threshold = 2;
+    let window = RunConfig {
+        do_config: DoConfig::with_window(),
+        ..base.clone()
+    };
+    let mut idle = base;
+    idle.energy.l1d.leak_nj_per_cycle_max *= 4.0;
+    idle.energy.l2.leak_nj_per_cycle_max *= 4.0;
+    vec![dtlb, eager, window, idle]
+}
+
+#[test]
+fn configured_legs_match_their_solo_runs() {
+    let hotspot = Scheme::Hotspot(HotspotManagerConfig::default());
+    let experiment = |tel: &Telemetry| {
+        Experiment::workload("javac")
+            .instruction_limit(LIMIT)
+            .telemetry(tel)
+    };
+    let mut shared = Vec::new();
+    let shared_trace = traced(|tel| {
+        let configured = leg_configs()
+            .into_iter()
+            .map(|cfg| SchemeSpec::from((cfg, hotspot.clone())));
+        let legs = std::iter::once("hotspot".into()).chain(configured);
+        shared = experiment(tel).run_schemes(legs).unwrap();
+    });
+    let mut solo = Vec::new();
+    let solo_trace = traced(|tel| {
+        solo.push(experiment(tel).scheme("hotspot").run_scheme().unwrap());
+        for cfg in leg_configs() {
+            let run = Experiment::workload("javac")
+                .config(cfg)
+                .telemetry(tel)
+                .scheme(hotspot.clone())
+                .run_scheme();
+            solo.push(run.unwrap());
+        }
+    });
+    assert_eq!(shared.len(), solo.len());
+    for (shared, solo) in shared.iter().zip(&solo) {
+        assert_same_run(shared, solo);
+    }
+    assert!(!solo_trace.0.is_empty(), "the solo runs must emit events");
+    assert_eq!(shared_trace, solo_trace, "events or metrics differ");
+    // Every configuration reaches its leg: none measures what the leg
+    // under the experiment's configuration measures, and only the DTLB
+    // leg's machine resizes its DTLB.
+    for run in &shared[1..] {
+        assert_ne!(json(&run.record), json(&shared[0].record));
+    }
+    let dtlb_resizes = |run: &SchemeRun| run.record.counters.dtlb_resizes.iter().sum::<u64>();
+    assert!(dtlb_resizes(&shared[1]) > 0, "the DTLB leg adapts its DTLB");
+    assert_eq!(dtlb_resizes(&shared[0]), 0);
+}
+
+#[test]
+fn a_leg_configured_for_another_stream_is_an_error() {
+    let hotspot = Scheme::Hotspot(HotspotManagerConfig::default());
+    let reseeded = RunConfig {
+        instruction_limit: Some(LIMIT),
+        workload_seed: Some(7),
+        ..RunConfig::default()
+    };
+    for cfg in [RunConfig::default(), reseeded] {
+        let err = Experiment::workload("db")
+            .instruction_limit(LIMIT)
+            .run_schemes([SchemeSpec::from("baseline"), (cfg, hotspot.clone()).into()])
+            .unwrap_err();
+        assert_eq!(err, ExperimentError::LegStream("hotspot".into()));
+        assert!(err.to_string().contains("hotspot leg"), "{err}");
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! frozen [`TuningStore`] snapshot; when the wave drains, its publications
 //! are merged into the store **in machine-index order** (better-epi-wins)
 //! before the next wave is admitted. Within a wave, machines fan out as
-//! jobs on the work-stealing engine ([`ace_bench::run_jobs`]) — the
+//! jobs on the shared-queue engine ([`ace_bench::run_jobs`]) — the
 //! frozen snapshot plus submission-order merge is what makes the whole
 //! fleet report byte-identical at any `--jobs` width.
 //!

@@ -14,7 +14,7 @@
 //!   JSONL log, better-epi-wins merging, registry-version staleness,
 //!   bounded capacity with oldest-first eviction, and an in-memory
 //!   ledger of the session's finished machine runs ([`store`]).
-//! * [`run_fleet`] — the wave-based driver on the work-stealing engine,
+//! * [`run_fleet`] — the wave-based driver on the shared-queue engine,
 //!   with an admission layer (bounded in-flight machines, load-shedding
 //!   counter) and deterministic machine-index-order merging ([`driver`]).
 //! * the `fleet` binary — runs a cold pass then a warm pass over the same

@@ -15,7 +15,14 @@ fn main() -> Result<(), Box<dyn Error>> {
         .nth(1)
         .unwrap_or_else(|| "mpeg".to_string());
 
-    let base = Experiment::workload(name.as_str()).run()?;
+    // The baseline and the 16 fixed configurations, in grid order, as legs
+    // of one run off one executor stream.
+    let fixed =
+        SizeLevel::all().flat_map(|l1d| SizeLevel::all().map(move |l2| AceConfig::both(l1d, l2)));
+    let runs = Experiment::workload(name.as_str())
+        .run_schemes(std::iter::once(Scheme::Baseline).chain(fixed.map(Scheme::Fixed)))?;
+    let (base, grid) = runs.split_first().expect("one run per scheme");
+    let base = &base.record;
     println!(
         "{name}: baseline IPC {:.3}, cache energy {:.2} mJ",
         base.ipc,
@@ -24,17 +31,12 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!();
     println!("L1D\\L2    1MB          512KB        256KB        128KB");
 
-    let mut best: Option<(f64, u8, u8, f64)> = None;
-    for l1d in 0..4u8 {
-        let l1d_size = 64 >> l1d;
-        print!("{l1d_size:>3}KB ");
-        for l2 in 0..4u8 {
-            let fixed = AceConfig::both(SizeLevel::new(l1d).unwrap(), SizeLevel::new(l2).unwrap());
-            let r = Experiment::workload(name.as_str())
-                .scheme(Scheme::Fixed(fixed))
-                .run()?;
-            let saving = 100.0 * r.saving_vs(&base);
-            let slow = 100.0 * r.slowdown_vs(&base);
+    let mut best: Option<(f64, usize, usize, f64)> = None;
+    for (l1d, row) in grid.chunks(4).enumerate() {
+        print!("{:>3}KB ", 64 >> l1d);
+        for (l2, run) in row.iter().enumerate() {
+            let saving = 100.0 * run.record.saving_vs(base);
+            let slow = 100.0 * run.record.slowdown_vs(base);
             // The oracle obeys the same 2% performance bound as the tuners.
             let marker = if slow <= 2.0 { ' ' } else { '!' };
             print!(" {saving:>5.1}%/{slow:>4.1}{marker}");

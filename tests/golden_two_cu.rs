@@ -23,6 +23,7 @@
 //! hotspot substrate: db predicts nothing, jess adopts four selections.
 
 use ace::core::{Experiment, SchemeExt};
+use ace::sim::CuId;
 use ace::telemetry::Telemetry;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -131,13 +132,17 @@ fn hotspot_digest(out: &mut String, h: &ace::core::HotspotReport) {
     let _ = writeln!(
         out,
         "hotspots window {} l1d {} l2 {} small {} tuned {}",
-        h.window_hotspots(),
+        h.hotspots_of(CuId::Window),
         h.l1d_hotspots(),
         h.l2_hotspots(),
         h.small_hotspots,
         h.tuned_hotspots
     );
-    for (name, s) in [("window", h.window()), ("l1d", h.l1d()), ("l2", h.l2())] {
+    for (name, s) in [
+        ("window", h.stats(CuId::Window)),
+        ("l1d", h.l1d()),
+        ("l2", h.l2()),
+    ] {
         let _ = writeln!(
             out,
             "cu {name} tunings {} reconfigs {} covered {}",

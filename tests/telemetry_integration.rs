@@ -4,6 +4,7 @@
 
 use ace::core::{Experiment, HotspotAceManager, HotspotManagerConfig};
 use ace::energy::EnergyModel;
+use ace::sim::CuId;
 use ace::telemetry::{Event, EventKind, ReconfigCause, Telemetry};
 
 fn traced_run(workload: &str, limit: u64) -> (Vec<Event>, ace::core::HotspotReport) {
@@ -47,7 +48,8 @@ fn compress_trace_matches_hotspot_report() {
             )
         })
         .count() as u64;
-    let reported = report.window().reconfigs + report.l1d().reconfigs + report.l2().reconfigs;
+    let reported =
+        report.stats(CuId::Window).reconfigs + report.l1d().reconfigs + report.l2().reconfigs;
     assert!(
         applies >= 1,
         "compress must apply at least one configuration"
