@@ -21,26 +21,35 @@ pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {
         out,
         "Ablation: BBV sampling interval sweep (averages over the 7 workloads)\n"
     );
-    // The baseline is the headline leg; the BBV legs, one per interval,
-    // share each workload's run. `stats[i]` collects interval `i`'s
-    // per-workload rows.
+    // The default interval's row and the baseline are headline legs; the
+    // other intervals run as BBV legs of one run per workload. `stats[i]`
+    // collects interval `i`'s per-workload rows.
+    let default = BbvManagerConfig::default().bbv.interval_instr;
     let mut stats = vec![Vec::new(); INTERVALS.len()];
     for h in &ctx.headline()? {
-        let bbv = INTERVALS.map(|interval_instr| {
-            Scheme::Bbv(BbvManagerConfig {
-                bbv: BbvConfig {
-                    interval_instr,
-                    ..BbvConfig::default()
-                },
-                ..BbvManagerConfig::default()
-            })
-        });
+        let legs = INTERVALS
+            .iter()
+            .filter(|&&interval| interval != default)
+            .map(|&interval_instr| {
+                Scheme::Bbv(BbvManagerConfig {
+                    bbv: BbvConfig {
+                        interval_instr,
+                        ..BbvConfig::default()
+                    },
+                    ..BbvManagerConfig::default()
+                })
+            });
         let sweep = Experiment::workload(h.workload.as_str())
             .telemetry(&ctx.telemetry)
-            .run_schemes(bbv)?;
+            .run_schemes(legs)?;
+        let mut sweep = sweep.iter().map(|run| (&run.record, bbv_report(run)));
         let base = &h.baseline;
-        for (stats, run) in stats.iter_mut().zip(&sweep) {
-            let (r, rep) = (&run.record, bbv_report(run));
+        for (stats, interval) in stats.iter_mut().zip(INTERVALS) {
+            let (r, rep) = if interval == default {
+                (&h.bbv, &h.bbv_report)
+            } else {
+                sweep.next().expect("one run per interval")
+            };
             stats.push((
                 100.0 * rep.stability.stable_fraction(),
                 rep.tuned_phases as f64,

@@ -9,7 +9,7 @@
 use super::{outln, ExpCtx, Report};
 use crate::{format_table, BenchResult};
 use ace_phase::{BranchCounterConfig, BranchCounterDetector, WorkingSetConfig, WorkingSetDetector};
-use ace_sim::{Block, BlockSource};
+use ace_sim::Block;
 use ace_workloads::Executor;
 
 pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {

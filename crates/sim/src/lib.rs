@@ -5,8 +5,8 @@
 //! *Effective Adaptive Computing Environment Management via Dynamic
 //! Optimization* (CGO 2005).
 //!
-//! The simulator consumes a stream of dynamic basic blocks
-//! ([`Block`]/[`BlockSource`]) and models:
+//! The simulator consumes a stream of dynamic basic blocks ([`Block`]) and
+//! models:
 //!
 //! * a 4-wide pipeline with a 2K-entry combined branch predictor,
 //! * split 64 KB L1 caches, a unified 1 MB L2, and a 128-entry DTLB
@@ -50,7 +50,6 @@ mod machine;
 mod stats;
 mod tlb;
 mod trace;
-mod trace_io;
 
 pub use branch::{BranchPredictor, BranchStats};
 pub use cache::{AccessOutcome, Cache, CacheStats, FlushReport};
@@ -59,5 +58,4 @@ pub use cu::{CuDescriptor, CuId, CuRegistry, FlushSemantics, MAX_CUS};
 pub use machine::{Machine, MachineCounters, ReconfigOutcome};
 pub use stats::OnlineStats;
 pub use tlb::{Tlb, TlbStats};
-pub use trace::{Block, BlockSource, BranchEvent, MemAccess, SliceSource};
-pub use trace_io::{record_trace, TraceFormatError, TraceReader, TraceWriter};
+pub use trace::{Block, BranchEvent, MemAccess};

@@ -88,73 +88,6 @@ impl Block {
     }
 }
 
-/// A source of dynamic basic blocks.
-///
-/// Implemented by workload executors; consumed by the machine driver.
-/// Returning `false` signals end of program. Implementations fill `out`
-/// in place (after the driver has called [`Block::reset`] is *not* assumed;
-/// implementations must reset the buffer themselves).
-pub trait BlockSource {
-    /// Produces the next dynamic block into `out`.
-    ///
-    /// Returns `false` (leaving `out` empty) once the program has finished.
-    fn next_block(&mut self, out: &mut Block) -> bool;
-}
-
-impl<T: BlockSource + ?Sized> BlockSource for &mut T {
-    fn next_block(&mut self, out: &mut Block) -> bool {
-        (**self).next_block(out)
-    }
-}
-
-impl<T: BlockSource + ?Sized> BlockSource for Box<T> {
-    fn next_block(&mut self, out: &mut Block) -> bool {
-        (**self).next_block(out)
-    }
-}
-
-/// A `BlockSource` over a pre-recorded slice of blocks; mainly for tests.
-///
-/// # Examples
-///
-/// ```
-/// use ace_sim::{Block, BlockSource, SliceSource};
-/// let trace = vec![Block { pc: 0x100, ninstr: 8, ..Block::default() }];
-/// let mut src = SliceSource::new(&trace);
-/// let mut buf = Block::default();
-/// assert!(src.next_block(&mut buf));
-/// assert_eq!(buf.ninstr, 8);
-/// assert!(!src.next_block(&mut buf));
-/// ```
-#[derive(Debug, Clone)]
-pub struct SliceSource<'a> {
-    blocks: &'a [Block],
-    next: usize,
-}
-
-impl<'a> SliceSource<'a> {
-    /// Creates a source replaying `blocks` once, in order.
-    pub fn new(blocks: &'a [Block]) -> SliceSource<'a> {
-        SliceSource { blocks, next: 0 }
-    }
-}
-
-impl BlockSource for SliceSource<'_> {
-    fn next_block(&mut self, out: &mut Block) -> bool {
-        match self.blocks.get(self.next) {
-            Some(b) => {
-                self.next += 1;
-                out.clone_from(b);
-                true
-            }
-            None => {
-                out.reset();
-                false
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,46 +105,8 @@ mod tests {
     }
 
     #[test]
-    fn slice_source_replays_in_order() {
-        let trace = vec![
-            Block {
-                pc: 1,
-                ninstr: 4,
-                ..Block::default()
-            },
-            Block {
-                pc: 2,
-                ninstr: 6,
-                ..Block::default()
-            },
-        ];
-        let mut src = SliceSource::new(&trace);
-        let mut buf = Block::default();
-        assert!(src.next_block(&mut buf));
-        assert_eq!(buf.pc, 1);
-        assert!(src.next_block(&mut buf));
-        assert_eq!(buf.pc, 2);
-        assert!(!src.next_block(&mut buf));
-        assert!(buf.is_empty());
-    }
-
-    #[test]
     fn mem_access_constructors() {
         assert!(!MemAccess::load(8).is_store);
         assert!(MemAccess::store(8).is_store);
-    }
-
-    #[test]
-    fn block_source_through_references() {
-        let trace = vec![Block {
-            pc: 7,
-            ninstr: 1,
-            ..Block::default()
-        }];
-        let mut src = SliceSource::new(&trace);
-        let mut by_ref: &mut SliceSource = &mut src;
-        let mut buf = Block::default();
-        assert!(BlockSource::next_block(&mut by_ref, &mut buf));
-        assert_eq!(buf.pc, 7);
     }
 }

@@ -1,8 +1,6 @@
-//! Differential testing of the cache against a naive reference model, plus
-//! property tests for the trace codec.
+//! Differential testing of the cache against a naive reference model.
 
-use ace_sim::{Block, BranchEvent, Cache, CacheGeometry, MemAccess, SizeLevel};
-use ace_sim::{BlockSource, TraceReader, TraceWriter};
+use ace_sim::{Cache, CacheGeometry, SizeLevel};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -156,45 +154,6 @@ proptest! {
             }
         }
         prop_assert_eq!(cache.valid_lines(), reference.sets.iter().map(|s| s.len() as u64).sum::<u64>());
-    }
-
-    /// Trace encode/decode is the identity on arbitrary block streams.
-    #[test]
-    fn trace_roundtrip(
-        blocks in prop::collection::vec(
-            (
-                0u64..1u64<<40,             // pc
-                1u32..10_000,               // ninstr
-                prop::collection::vec((0u64..1u64<<40, any::<bool>()), 0..20),
-                prop::option::of((0u64..1u64<<40, any::<bool>())),
-            ),
-            0..50,
-        ),
-    ) {
-        let blocks: Vec<Block> = blocks
-            .into_iter()
-            .map(|(pc, ninstr, accesses, branch)| Block {
-                pc,
-                ninstr,
-                accesses: accesses
-                    .into_iter()
-                    .map(|(addr, is_store)| MemAccess { addr, is_store })
-                    .collect(),
-                branch: branch.map(|(pc, taken)| BranchEvent { pc, taken }),
-            })
-            .collect();
-
-        let mut writer = TraceWriter::new();
-        for b in &blocks {
-            writer.push(b);
-        }
-        let mut reader = TraceReader::new(writer.finish()).unwrap();
-        let mut buf = Block::default();
-        for expect in &blocks {
-            prop_assert!(reader.next_block(&mut buf));
-            prop_assert_eq!(&buf, expect);
-        }
-        prop_assert!(!reader.next_block(&mut buf));
     }
 }
 

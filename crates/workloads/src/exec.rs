@@ -11,7 +11,7 @@
 use crate::ir::{MethodId, Op, Program};
 use crate::pattern::{PatternCursor, PatternId, Walk};
 use crate::rng::DetRng;
-use ace_sim::{Block, BlockSource, BranchEvent, MemAccess};
+use ace_sim::{Block, BranchEvent, MemAccess};
 
 /// Maximum loop nesting depth within a single method body.
 pub const MAX_LOOP_DEPTH: usize = 8;
@@ -168,11 +168,6 @@ impl<'p> Executor<'p> {
     /// Instructions emitted so far.
     pub fn emitted_instructions(&self) -> u64 {
         self.emitted_instr
-    }
-
-    /// Current call depth (0 when not running).
-    pub fn call_depth(&self) -> usize {
-        self.frames.len()
     }
 
     /// The program being executed.
@@ -391,12 +386,11 @@ impl<'p> Executor<'p> {
             }
         }
     }
-}
 
-impl BlockSource for Executor<'_> {
-    /// Streams blocks only, skipping method boundary events — the view a
-    /// phase detector or a non-adaptive baseline run needs.
-    fn next_block(&mut self, out: &mut Block) -> bool {
+    /// Produces the next block into `out`, skipping method boundary
+    /// events — the view a phase detector or a bare [`ace_sim::Machine`]
+    /// needs. Returns `false` (leaving `out` empty) once execution is done.
+    pub fn next_block(&mut self, out: &mut Block) -> bool {
         loop {
             match self.step(out) {
                 Step::Block => return true,

@@ -13,7 +13,7 @@
 //! trajectory (content-addressed result caching, byte-identical summary
 //! tests) depends on never happening.
 
-use ace_sim::{Block, BlockSource, CuId, Machine, MachineConfig, SizeLevel};
+use ace_sim::{Block, CuId, Machine, MachineConfig, SizeLevel};
 use ace_workloads::{preset, Executor};
 
 /// Expected counters for one pinned run.

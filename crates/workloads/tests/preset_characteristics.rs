@@ -3,7 +3,7 @@
 //! breaks one of these, the paper's tables will quietly drift — fail loudly
 //! here instead.
 
-use ace_sim::{Block, BlockSource};
+use ace_sim::Block;
 use ace_workloads::{
     all_presets, preset, preset_spec, Executor, Program, Step, Walk, PRESET_NAMES,
 };

@@ -7,10 +7,22 @@
 //! failure when read back; (2) any spec — generated, mutated, or
 //! hand-written — either builds or returns a typed `BuildError`, never
 //! panics, so the corpus oracles can treat "panic" as impossible and
-//! classify every outcome.
+//! classify every outcome. The spec file is the only on-disk form of a
+//! step stream, so its reader is fuzzed too: byte-level mutants of the
+//! committed presets load or fail with a typed `WorkloadError`.
 
-use ace_workloads::{gen, minimize, preset_spec, GenParams, WorkloadSpec};
+use ace_workloads::{
+    gen, minimize, preset_spec, GenParams, WorkloadError, WorkloadRegistry, WorkloadSpec,
+};
 use proptest::prelude::*;
+
+/// The eight committed preset spec files.
+const PRESET_FILES: [&str; 8] = [
+    "check", "compress", "db", "jack", "javac", "jess", "mpeg", "mtrt",
+];
+
+/// Bytes a substitution mutant writes: digits and JSON punctuation.
+const SUBSTITUTES: &[u8] = b"0123456789{}[]:,\"-+.eE ";
 
 fn fuzz_params(raw: [u64; 12]) -> GenParams {
     // Windows straight from raw fuzz values: frequently reversed, zero, or
@@ -96,11 +108,51 @@ proptest! {
 
     #[test]
     fn preset_specs_round_trip_through_serde(pick in 0usize..8) {
-        let name = ["check", "compress", "db", "jack", "javac", "jess", "mpeg", "mtrt"][pick];
-        let spec = preset_spec(name).unwrap();
+        let spec = preset_spec(PRESET_FILES[pick]).unwrap();
         let json = serde_json::to_string(&spec).unwrap();
         let back: WorkloadSpec = serde_json::from_str(&json).unwrap();
         prop_assert_eq!(back, spec);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    #[test]
+    fn mutated_spec_files_load_or_fail_typed_never_panic(
+        pick in 0usize..8,
+        edits in prop::collection::vec((0u8..3, any::<u64>(), any::<u8>()), 1..4),
+    ) {
+        // Flip a byte, drop in a digit or a JSON punctuation mark, or cut
+        // the file short; then read it as `ace run <spec path>` does. The
+        // result builds or is a typed error — a panic fails this test.
+        let preset = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("presets")
+            .join(format!("{}.json", PRESET_FILES[pick]));
+        let mut bytes = std::fs::read(preset).unwrap();
+        for (kind, at, value) in edits {
+            if bytes.is_empty() {
+                break;
+            }
+            let at = (at % bytes.len() as u64) as usize;
+            match kind {
+                0 => bytes[at] ^= value.max(1),
+                1 => bytes[at] = SUBSTITUTES[value as usize % SUBSTITUTES.len()],
+                _ => bytes.truncate(at),
+            }
+        }
+        let path = std::env::temp_dir()
+            .join(format!("ace_spec_fuzz_{}.json", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let outcome = WorkloadRegistry::builtin().resolve_program(path.to_str().unwrap());
+        let _ = std::fs::remove_file(&path);
+        match outcome {
+            Ok(program) => prop_assert!(program.validate().is_ok()),
+            Err(WorkloadError::Unknown { name, .. }) => {
+                prop_assert!(false, "the spec path {} resolved as a name", name)
+            }
+            Err(e) => prop_assert!(!e.to_string().is_empty()),
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 
 use ace::phase::{BbvConfig, BbvDetector};
 use ace::runtime::{DoConfig, DoSystem, HotspotClass};
-use ace::sim::{Block, BlockSource, CuId, Machine, MachineConfig};
+use ace::sim::{Block, CuId, Machine, MachineConfig};
 use ace::workloads::{Executor, Step};
 use std::error::Error;
 

@@ -11,8 +11,6 @@
 //! ace trace chrome <trace.jsonl> [--out F]   export Chrome/Perfetto JSON
 //! ace trace diff <a.jsonl> <b.jsonl>         compare runs; nonzero on regression
 //! ace trace metrics <obs.jsonl>              obs time-series report / stream diff
-//! ace trace <workload> <file> [--limit N]    record a binary block trace
-//! ace replay <file>                          simulate a recorded trace
 //! ```
 //!
 //! A `<workload>` is a preset name or a path to a `WorkloadSpec` JSON file
@@ -22,12 +20,12 @@
 use ace::core::{
     AceConfig, Experiment, ExperimentError, RunConfig, RunRecord, Scheme, SchemeRegistry,
 };
-use ace::sim::{record_trace, Block, BlockSource, Machine, MachineConfig, SizeLevel, TraceReader};
+use ace::sim::SizeLevel;
 use ace::telemetry::Telemetry;
 use ace::trace::{
     analyze_file, chrome_trace, diff, diff_obs_series, metrics_report, DiffThresholds, ObsSeries,
 };
-use ace::workloads::{Executor, Program, WorkloadRegistry, PRESET_NAMES};
+use ace::workloads::{Program, WorkloadRegistry, PRESET_NAMES};
 use std::error::Error;
 use std::process::ExitCode;
 
@@ -38,7 +36,6 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
         Some("--help") | Some("-h") | None => {
             print_usage();
             Ok(())
@@ -68,9 +65,7 @@ fn print_usage() {
          ace trace diff <a.jsonl> <b.jsonl> [--max-ipc-drop F] [--max-epi-rise F]\n            \
          [--max-count-delta F] [--max-residency-shift F] [--max-convergence-slowdown F]\n  \
          ace trace metrics <obs.jsonl> [--pass P] [--from W] [--to W] [--top N]\n            \
-         [--against <baseline.jsonl>] [threshold flags as for diff]\n  \
-         ace trace <workload> <file> [--limit N]\n  \
-         ace replay <file>"
+         [--against <baseline.jsonl>] [threshold flags as for diff]"
     );
 }
 
@@ -221,35 +216,18 @@ fn cmd_sweep(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), Box<dyn Error>> {
-    // Telemetry-analysis subcommands dispatch on the first argument; any
-    // other first argument is a workload name and falls through to the
-    // original binary-block-trace recorder.
     match args.first().map(String::as_str) {
-        Some("summarize") => return cmd_trace_summarize(&args[1..]),
-        Some("timeline") => return cmd_trace_timeline(&args[1..]),
-        Some("chrome") => return cmd_trace_chrome(&args[1..]),
-        Some("diff") => return cmd_trace_diff(&args[1..]),
-        Some("metrics") => return cmd_trace_metrics(&args[1..]),
-        _ => {}
+        Some("summarize") => cmd_trace_summarize(&args[1..]),
+        Some("timeline") => cmd_trace_timeline(&args[1..]),
+        Some("chrome") => cmd_trace_chrome(&args[1..]),
+        Some("diff") => cmd_trace_diff(&args[1..]),
+        Some("metrics") => cmd_trace_metrics(&args[1..]),
+        other => Err(format!(
+            "unknown trace subcommand {:?}; expected summarize, timeline, chrome, diff or metrics",
+            other.unwrap_or_default()
+        )
+        .into()),
     }
-    let name = args
-        .first()
-        .ok_or("usage: ace trace <workload> <file> [--limit N]")?;
-    let path = args
-        .get(1)
-        .ok_or("usage: ace trace <workload> <file> [--limit N]")?;
-    let limit = limit_flag(args)?.unwrap_or(10_000_000);
-    let program = load_program(name)?;
-    let mut exec = Executor::new(&program);
-    let trace = record_trace(&mut exec, limit);
-    std::fs::write(path, &trace)?;
-    println!(
-        "wrote {} ({:.2} MB, ~{} instructions)",
-        path,
-        trace.len() as f64 / 1e6,
-        limit
-    );
-    Ok(())
 }
 
 /// Writes report text to stdout, treating a closed pipe (`... | head`)
@@ -367,31 +345,4 @@ fn cmd_trace_metrics(args: &[String]) -> Result<(), Box<dyn Error>> {
         .transpose()?
         .unwrap_or(10);
     print_report(&metrics_report(&series, pass, from, to, top)?)
-}
-
-fn cmd_replay(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let path = args.first().ok_or("usage: ace replay <file>")?;
-    let data = bytes::Bytes::from(std::fs::read(path)?);
-    let mut reader = TraceReader::new(data)?;
-    let mut machine = Machine::new(MachineConfig::table2())?;
-    let mut buf = Block::default();
-    while reader.next_block(&mut buf) {
-        machine.exec_block(&buf);
-    }
-    let c = machine.counters();
-    println!(
-        "{}: {} instructions, {} cycles, IPC {:.3}",
-        path,
-        c.instret,
-        c.cycles,
-        c.ipc()
-    );
-    println!(
-        "L1D miss {:.2}%  L2 miss {:.2}%  mispredict {:.2}%  DTLB miss {:.3}%",
-        100.0 * c.l1d.miss_ratio(),
-        100.0 * c.l2.miss_ratio(),
-        100.0 * c.branch.mispredict_ratio(),
-        100.0 * c.dtlb.miss_ratio(),
-    );
-    Ok(())
 }

@@ -1,12 +1,12 @@
 //! Exit-code and output contract of the `ace trace` subcommands, driven
 //! through the real binary: `summarize`/`timeline`/`chrome` succeed on a
-//! recorded trace, `diff` exits zero on identical runs and nonzero when a
-//! synthetic regression exceeds the thresholds, and the legacy
-//! `ace trace <workload> <file>` recorder still works. `ace run` resolves
+//! recorded trace, and `diff` exits zero on identical runs and nonzero
+//! when a synthetic regression exceeds the thresholds. `ace run` resolves
 //! its `--scheme` through the scheme registry and its workload through
 //! the workload registry, and rejects bad arguments before it simulates.
 //! A line nested too deeply to parse is a typed error and exit 1 for both
-//! JSONL readers. `ace sweep` prints a pinned grid.
+//! JSONL readers. `ace trace` takes only its five subcommands, and there
+//! is no `ace replay`. `ace sweep` prints a pinned grid.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -204,22 +204,6 @@ fn deeply_nested_lines_are_typed_errors_for_both_readers() {
 }
 
 #[test]
-fn legacy_block_trace_recorder_still_works() {
-    let dir = temp_dir("legacy");
-    let trace = dir.join("blocks.bin");
-    let out = ace(&["trace", "db", trace.to_str().unwrap(), "--limit", "200000"]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(trace.metadata().unwrap().len() > 0);
-    let replay = ace(&["replay", trace.to_str().unwrap()]);
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(replay.status.success());
-}
-
-#[test]
 fn run_accepts_every_registered_scheme() {
     let out = ace(&["run", "db", "--scheme", "pdm", "--limit", "2000000"]);
     assert!(
@@ -265,20 +249,16 @@ fn workloads_resolve_by_spec_path() {
         stdout.contains("baseline") && stdout.contains("pdm"),
         "{stdout}"
     );
-
-    let dir = temp_dir("spec_path");
-    let trace = dir.join("blocks.bin");
-    let rec = ace(&["trace", spec, trace.to_str().unwrap(), "--limit", "200000"]);
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(
-        rec.status.success(),
-        "{}",
-        String::from_utf8_lossy(&rec.stderr)
-    );
 }
 
 #[test]
 fn run_rejects_missing_flag_values_and_a_zero_limit() {
+    // `ace trace` takes only its five subcommands, so a workload name is
+    // an error that writes nothing; there is no `ace replay`.
+    let dir = temp_dir("unknown");
+    let path = dir.join("blocks.bin");
+    let file = path.to_str().unwrap();
+    let subcommands = "summarize, timeline, chrome, diff or metrics";
     for (args, message) in [
         (
             &["run", "db", "--limit", "200000", "--scheme"][..],
@@ -293,13 +273,18 @@ fn run_rejects_missing_flag_values_and_a_zero_limit() {
             &["run", "db", "--limit", "0"][..],
             "positive instruction count",
         ),
+        (&["trace", "db", file, "--limit", "200000"][..], subcommands),
+        (&["trace"][..], subcommands),
+        (&["replay", file][..], "unknown command \"replay\""),
     ] {
         let out = ace(args);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "{args:?} must fail");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail: {stderr}");
         assert!(stderr.contains(message), "{args:?}: {stderr}");
         assert_eq!(String::from_utf8_lossy(&out.stdout), "", "{args:?}");
     }
+    assert!(!path.exists(), "no trace file is written");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `ace sweep check`'s grid, as separate runs of the baseline and of the
